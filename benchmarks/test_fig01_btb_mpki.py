@@ -2,7 +2,8 @@
 
 Paper result: most workloads keep missing until ~16K entries; OLTP on Oracle
 benefits even from 32K.  Our scaled-down workloads saturate roughly one
-capacity step earlier (see EXPERIMENTS.md), but the shape — a steep drop that
+capacity step earlier, because their synthetic programs hold fewer distinct
+branches than the commercial binaries, but the shape — a steep drop that
 only flattens at multi-thousand-entry capacities far beyond a practical
 single-cycle BTB — is the result being reproduced.
 """

@@ -1,27 +1,18 @@
 """Single home of the optional-numpy import dance.
 
 The library has no required runtime dependencies; numpy is an accelerator.
-Before this module, every consumer (the packed-trace reductions, the trace
-statistics walk, and now the ``batch`` backend) carried its own
-``try: import numpy`` block, each with its own sentinel spelling.  They all
-import from here instead:
-
-* :data:`np` — the numpy module, or ``None`` when it is not installed.
-  Consumers guard their vectorized path on ``np is not None`` and keep a
-  pure-python reference path (or raise, for features that are
-  numpy-*only*, like the batch backend).
-* :data:`HAVE_NUMPY` — the same fact as a bool, for feature gates that
-  never touch the module object.
-* :func:`require_numpy` — raises a uniform :class:`ValueError` naming the
-  missing dependency and the feature that wanted it; the error consumers
-  surface instead of an :class:`AttributeError` on ``None``.
+Every consumer (the packed-trace reductions, the trace statistics walk)
+imports :data:`np` from here instead of carrying its own
+``try: import numpy`` block: the numpy module, or ``None`` when it is not
+installed.  Consumers guard their vectorized path on ``np is not None`` and
+keep a pure-python reference path.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["HAVE_NUMPY", "np", "require_numpy"]
+__all__ = ["np"]
 
 try:  # pragma: no cover - exercised indirectly where numpy is installed
     import numpy
@@ -29,23 +20,3 @@ try:  # pragma: no cover - exercised indirectly where numpy is installed
     np: Any = numpy
 except ImportError:  # pragma: no cover - the pure-python paths are the reference
     np = None
-
-#: True when numpy imported; the module object itself is :data:`np`.
-HAVE_NUMPY = np is not None
-
-
-def require_numpy(feature: str) -> Any:
-    """Return the numpy module or raise a uniform error naming ``feature``.
-
-    Raises:
-        ValueError: when numpy is not installed, spelling out both the
-            feature that needs it and the dependency by name, so the failure
-            is actionable from a bare traceback.
-    """
-    if np is None:
-        raise ValueError(
-            f"{feature} requires numpy, which is not installed; "
-            "install numpy or pick a pure-python alternative "
-            "(e.g. the default 'scalar' simulation backend)"
-        )
-    return np

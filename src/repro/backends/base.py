@@ -24,15 +24,13 @@ Backends mirror the component-registry idiom of :mod:`repro.registry`::
 Built-in backends:
 
 * ``scalar`` — the zero-allocation columnar hot loop (the default),
-* ``reference`` — the record-view oracle loop, kept as the parity oracle,
-* ``batch`` — numpy lane-vectorized lockstep loop (needs numpy; registers
-  unavailable otherwise).
+* ``reference`` — the record-view oracle loop, kept as the parity oracle.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import ClassVar, Dict, List, Optional, TYPE_CHECKING, Union
+from typing import ClassVar, Dict, List, TYPE_CHECKING, Union
 
 from repro.registry import Registry
 
@@ -68,21 +66,6 @@ class SimBackend(abc.ABC):
     #: trace-form mismatch error (e.g. ``"columnar (.packed)"``).
     trace_form: ClassVar[str]
 
-    def available(self) -> bool:
-        """Whether this backend can run in the current environment.
-
-        Backends with optional dependencies (the ``batch`` backend needs
-        numpy) override this; they still *register* unconditionally so
-        ``python -m repro backends`` can list them with an annotation
-        instead of crashing, but :meth:`run` raises a clear
-        :class:`ValueError` when invoked unavailable.
-        """
-        return True
-
-    def unavailable_reason(self) -> Optional[str]:
-        """Human reason :meth:`available` is ``False``, else ``None``."""
-        return None
-
     @abc.abstractmethod
     def consumes(self, trace: "Trace") -> bool:
         """Whether ``trace`` carries the form this backend can walk.
@@ -103,11 +86,7 @@ def _load_builtin_backends() -> None:
     """Import the built-in backend modules so their classes register."""
     import importlib
 
-    for module in (
-        "repro.backends.scalar",
-        "repro.backends.reference",
-        "repro.backends.batch",
-    ):
+    for module in ("repro.backends.scalar", "repro.backends.reference"):
         importlib.import_module(module)
 
 

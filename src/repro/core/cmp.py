@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Un
 from repro.caches.llc import LLCConfig, SharedLLC
 from repro.core.area import FrontendAreaReport
 from repro.core.designs import DesignSpec, design_from_spec, resolve_design
-from repro.core.frontend import FrontendConfig, FrontendResult, FrontendSimulator
+from repro.core.frontend import FrontendConfig, FrontendResult
 from repro.core.metrics import mpki
 from repro.faultinject import injection_point
 from repro.prefetch.shift import ShiftHistory
@@ -57,7 +57,6 @@ if TYPE_CHECKING:  # import cycle guard: sweep.py imports this module
     from multiprocessing.context import BaseContext
 
     from repro.backends.base import SimBackend
-    from repro.backends.batch import BatchBackend
     from repro.sweep import TraceStore
 
 #: One replaying core's pickled work order: (spec, program, inline trace,
@@ -372,81 +371,6 @@ class ChipMultiprocessor:
         # predictor metadata lives in.
         return LLCConfig(cores=max(self.cores, LLCConfig().cores))
 
-    def _batch_backend(
-        self, backend: Union[str, "SimBackend", None]
-    ) -> Optional["BatchBackend"]:
-        """Resolve ``backend`` to a usable batch backend, else ``None``.
-
-        Only an explicit ``backend=`` selection (per-run or constructor)
-        engages the lane-grouped dispatch; ``None`` keeps the per-simulator
-        default path untouched.  An unavailable batch backend (numpy not
-        installed) also returns ``None`` here — the per-core path then
-        surfaces its uniform :class:`ValueError` on the first ``run``.
-        """
-        if backend is None:
-            return None
-        from repro.backends.base import resolve_backend
-        from repro.backends.batch import BatchBackend
-
-        impl = resolve_backend(backend)
-        if isinstance(impl, BatchBackend) and impl.available():
-            return impl
-        return None
-
-    def _run_design_batched(
-        self,
-        batch: "BatchBackend",
-        spec: DesignSpec,
-        llc: SharedLLC,
-        histories: Dict[WorkloadProfile, ShiftHistory],
-        recorder_set: "set[int]",
-        traces: List[Trace],
-        result: CMPResult,
-        core_results: List[Optional[FrontendResult]],
-    ) -> None:
-        """Fill ``core_results`` through the batch backend's lane path.
-
-        All cores' simulators are built up front; when every one vectorizes,
-        co-located cores are grouped by profile (first-appearance order, the
-        same order the serial path visits them) and each group becomes one
-        ``run_lanes`` call.  A design outside the vectorized envelope runs
-        every core serially through ``run`` instead — the backend's own
-        scalar delegation — recorders first, exactly like the serial path.
-        """
-        simulators: List[FrontendSimulator] = []
-        for index, workload in enumerate(self.workloads):
-            simulator, area = design_from_spec(
-                spec,
-                self._program_for(workload.profile),
-                llc=llc,
-                shared_history=histories[workload.profile],
-                frontend_config=self.frontend_config,
-                record_history=index in recorder_set,
-            )
-            if result.area is None:
-                result.area = area
-            simulators.append(simulator)
-        if all(batch.vectorizes(simulator) for simulator in simulators):
-            groups: Dict[WorkloadProfile, List[int]] = {}
-            for index, workload in enumerate(self.workloads):
-                groups.setdefault(workload.profile, []).append(index)
-            for lanes in groups.values():
-                lane_results = batch.run_lanes(
-                    [simulators[index] for index in lanes],
-                    [traces[index] for index in lanes],
-                    [simulators[index].config.warmup_fraction for index in lanes],
-                )
-                for index, lane_result in zip(lanes, lane_results, strict=True):
-                    core_results[index] = lane_result
-            return
-        # Outside the vectorized envelope (e.g. a Confluence design) the
-        # recording cores must still run before their replayers.
-        order = sorted(range(self.cores), key=lambda i: (i not in recorder_set, i))
-        for index in order:
-            core_results[index] = simulators[index].run(
-                traces[index], backend=batch
-            )
-
     def run_design(
         self,
         design: Union[str, DesignSpec],
@@ -462,14 +386,6 @@ class ChipMultiprocessor:
         are identical either way.  ``backend`` (or the constructor's default)
         selects the simulation loop for every core, recorded and replayed
         alike.
-
-        A ``batch`` backend takes precedence over ``workers``: when every
-        core's simulator vectorizes, co-located cores are grouped by profile
-        and each group runs as lanes of a single
-        :meth:`~repro.backends.batch.BatchBackend.run_lanes` call — SIMD
-        over cores instead of processes over cores.  When any core's design
-        does not vectorize, every core runs serially through the backend's
-        own per-core delegation, so the results are identical either way.
         """
         spec = resolve_design(design)
         workers = workers if workers is not None else self.workers
@@ -501,18 +417,6 @@ class ChipMultiprocessor:
                 replayers.append(index)
 
         core_results: List[Optional[FrontendResult]] = [None] * self.cores
-        batch = self._batch_backend(backend)
-        if batch is not None:
-            self._run_design_batched(
-                batch, spec, llc, histories, set(recorders), traces,
-                result, core_results,
-            )
-            completed = [core for core in core_results if core is not None]
-            if len(completed) != self.cores:  # pragma: no cover - defensive
-                raise RuntimeError("CMP run left a core without a result")
-            result.core_results.extend(completed)
-            return result
-
         for index in recorders:
             workload = self.workloads[index]
             simulator, area = design_from_spec(

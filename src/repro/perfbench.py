@@ -6,22 +6,18 @@ artifact round trip, and the per-design hot loop on a selected backend —
 and emits the numbers in a *stable* JSON schema.  ``python -m repro bench
 --json BENCH_kernel.json`` appends one trajectory point; the committed
 ``BENCH_kernel.json`` at the repo root holds the recorded history, and CI
-re-runs the benchmark at smoke scale on every push, failing on schema drift
-and on throughput regressions beyond ``--tolerance`` (timing alone never
-gates — CI machines are noisy — but a collapse past the tolerance is a real
-regression, not noise).
+re-runs the benchmark at smoke scale on every push, failing on schema drift;
+``python -m repro report --check`` gates throughput against the committed
+point (timing alone never gates — CI machines are noisy — but a collapse
+past the tolerance is a real regression, not noise).
 
 The headline numbers:
 
 * ``designs[*].regions_per_sec`` — hot-loop throughput per design on the
   selected backend,
 * ``backends[*].regions_per_sec`` — the first design driven through every
-  *available* registered backend (``scalar``, ``reference``, ``batch``,
-  anything user-registered), giving ``speedup_over_reference`` for the
-  selected backend,
-* ``scenario`` — aggregate regions/sec of an 8-core homogeneous CMP on
-  ``scalar`` vs the lane-vectorized ``batch`` backend
-  (``batch_speedup_over_scalar`` is the PR-8 headline metric),
+  registered backend (``scalar``, ``reference``, anything user-registered),
+  giving ``speedup_over_reference`` for the selected backend,
 * ``stages`` — per-stage wall times (generate / save / load),
 * ``peak_rss_kb`` — the process's peak resident set, which the mmap-backed
   trace store is meant to keep flat as worker counts grow.
@@ -52,14 +48,10 @@ from repro.workloads.trace import Trace
 __all__ = [
     "BENCH_SCHEMA_VERSION",
     "append_trajectory_point",
-    "compare_to_reference",
     "default_bench_settings",
     "format_bench_report",
-    "format_comparison",
     "load_trajectory",
     "load_trajectory_point",
-    "migrate_trajectory_point",
-    "normalized_trajectory",
     "point_backend_rps",
     "run_kernel_benchmark",
     "schema_signature",
@@ -73,12 +65,10 @@ __all__ = [
 #: (2: pluggable backends — design rows carry ``backend``, the per-backend
 #: ``backends`` table replaces ``record_path``, and ``packed_speedup``
 #: generalizes to ``speedup_over_reference``.)
-#: (3: the ``scenario`` section — aggregate regions/sec of an 8-core
-#: homogeneous CMP on the ``scalar`` and lane-vectorized ``batch`` backends,
-#: plus ``batch_speedup_over_scalar``; unavailable backends are skipped in
-#: the per-backend table instead of crashing the bench.  Schema-1 points
-#: are migrated to schema 2 whenever the trajectory file is rewritten.)
-BENCH_SCHEMA_VERSION = 3
+#: (3: the ``scenario`` section — an 8-core homogeneous CMP timed per
+#: backend.)
+#: (4: the ``scenario`` section is dropped.)
+BENCH_SCHEMA_VERSION = 4
 
 #: (scale, instructions, repeats) operating points: the full point is what
 #: BENCH_kernel.json trajectory entries are recorded at; the smoke point is
@@ -113,67 +103,6 @@ def _time_run(
     start = time.perf_counter()
     result = simulator.run(trace, backend=backend)
     return result, time.perf_counter() - start
-
-
-def _scenario_benchmark(
-    program: object,
-    design: str,
-    instructions: int,
-    repeats: int,
-    cores: int = 8,
-) -> Dict[str, object]:
-    """Aggregate throughput of a ``cores``-core homogeneous CMP.
-
-    The headline comparison the lane-vectorized ``batch`` backend exists
-    for: the same chip driven by ``scalar`` (one core at a time) and by
-    ``batch`` (all co-located cores as lanes of one vectorized call).
-    Traces are generated *before* timing so both sides measure pure
-    simulation; best-of-``repeats`` on each side.  When numpy is absent the
-    batch columns record 0.0 and ``batch_available`` is ``False`` — the
-    schema stays stable either way.
-    """
-    from repro.core.cmp import ChipMultiprocessor
-
-    cmp_ = ChipMultiprocessor(
-        program, cores=cores, instructions_per_core=instructions  # type: ignore[arg-type]
-    )
-    # Pre-generate (and memoize) every core's trace outside the timed region.
-    traces = cmp_._core_traces()
-    regions = sum(len(trace) for trace in traces)
-
-    def _best(run_backend: str) -> float:
-        best_s: Optional[float] = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            cmp_.run_design(design, backend=run_backend)
-            elapsed = time.perf_counter() - start
-            best_s = elapsed if best_s is None else min(best_s, elapsed)
-        assert best_s is not None
-        return best_s
-
-    scalar_s = _best("scalar")
-    scalar_rps = regions / scalar_s if scalar_s else 0.0
-    batch_available = get_backend("batch").available()
-    if batch_available:
-        batch_s = _best("batch")
-        batch_rps = regions / batch_s if batch_s else 0.0
-    else:
-        batch_s = 0.0
-        batch_rps = 0.0
-    return {
-        "cores": cores,
-        "design": design,
-        "instructions_per_core": instructions,
-        "regions": regions,
-        "scalar_seconds": scalar_s,
-        "scalar_regions_per_sec": scalar_rps,
-        "batch_available": batch_available,
-        "batch_seconds": batch_s,
-        "batch_regions_per_sec": batch_rps,
-        "batch_speedup_over_scalar": (
-            batch_rps / scalar_rps if scalar_rps and batch_rps else 0.0
-        ),
-    }
 
 
 def run_kernel_benchmark(
@@ -260,15 +189,12 @@ def run_kernel_benchmark(
             "ipc": result.ipc,
         })
 
-    # Every *available* registered backend drives the first design: the
-    # per-backend regions/sec table is what makes a new backend's
-    # cost/benefit visible the moment it registers.  A backend missing its
-    # optional dependency (``batch`` without numpy) is skipped, not fatal.
+    # Every registered backend drives the first design: the per-backend
+    # regions/sec table is what makes a new backend's cost/benefit visible
+    # the moment it registers.
     backend_rows: List[Dict[str, object]] = []
     per_backend_rps: Dict[str, float] = {}
     for name in backend_names():
-        if not get_backend(name).available():
-            continue
         best_s, result = _best_of(specs[0].name, name)
         rps = regions / best_s if best_s else 0.0
         per_backend_rps[name] = rps
@@ -282,8 +208,6 @@ def run_kernel_benchmark(
 
     reference_rps = per_backend_rps.get("reference", 0.0)
     selected_rps = per_backend_rps.get(backend, 0.0)
-
-    scenario_row = _scenario_benchmark(program, specs[0].name, instructions, repeats)
 
     return {
         "schema": BENCH_SCHEMA_VERSION,
@@ -310,7 +234,6 @@ def run_kernel_benchmark(
         },
         "designs": design_rows,
         "backends": backend_rows,
-        "scenario": scenario_row,
         "speedup_over_reference": (
             selected_rps / reference_rps if reference_rps else 0.0
         ),
@@ -359,70 +282,6 @@ def schemas_match(left: object, right: object) -> bool:
     return normalize(schema_signature(left)) == normalize(schema_signature(right))
 
 
-def compare_to_reference(
-    payload: Dict[str, object],
-    reference: Dict[str, object],
-    tolerance: float,
-) -> List[Dict[str, object]]:
-    """Gate a fresh bench payload against a recorded trajectory point.
-
-    For every design the two payloads share, the fresh run's regions/sec
-    must be at least ``tolerance`` times the recorded value; a row with
-    ``ok: False`` is a regression beyond tolerance.  Works against schema-1
-    and schema-2 reference points alike (both carry per-design
-    ``regions_per_sec`` rows).  Raises :class:`ValueError` when the
-    tolerance is not in (0, inf) or the payloads share no design.
-    """
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
-
-    def _design_rps(point: Dict[str, object]) -> Dict[str, float]:
-        rows = point.get("designs")
-        if not isinstance(rows, list):
-            raise ValueError("bench payload has no design rows to compare")
-        return {
-            str(row["design"]): float(row["regions_per_sec"])
-            for row in rows
-            if isinstance(row, dict)
-        }
-
-    fresh = _design_rps(payload)
-    recorded = _design_rps(reference)
-    shared = [name for name in fresh if name in recorded]
-    if not shared:
-        raise ValueError(
-            "no shared designs between the fresh run "
-            f"({', '.join(sorted(fresh))}) and the reference point "
-            f"({', '.join(sorted(recorded))})"
-        )
-    rows: List[Dict[str, object]] = []
-    for name in shared:
-        ratio = fresh[name] / recorded[name] if recorded[name] else 0.0
-        rows.append({
-            "design": name,
-            "regions_per_sec": fresh[name],
-            "reference_regions_per_sec": recorded[name],
-            "ratio": ratio,
-            "ok": ratio >= tolerance,
-        })
-    return rows
-
-
-def format_comparison(
-    rows: Sequence[Dict[str, object]], tolerance: float
-) -> str:
-    """Human-readable rendering of a :func:`compare_to_reference` result."""
-    lines = [f"throughput vs recorded trajectory point (tolerance {tolerance:.2f}x):"]
-    for row in rows:
-        verdict = "ok" if row["ok"] else "REGRESSED"
-        lines.append(
-            "  {design:>16}: {regions_per_sec:>12,.0f} regions/s vs "
-            "{reference_regions_per_sec:>12,.0f} recorded "
-            "({ratio:.2f}x) {verdict}".format(verdict=verdict, **row)
-        )
-    return "\n".join(lines)
-
-
 def format_bench_report(payload: Dict[str, object]) -> str:
     """Human-readable rendering of one trajectory point."""
     lines = [
@@ -442,19 +301,6 @@ def format_bench_report(payload: Dict[str, object]) -> str:
             "  backend {backend:>10}: {regions_per_sec:>12,.0f} regions/s "
             "on {design}".format(**row)
         )
-    scenario = payload.get("scenario")
-    if isinstance(scenario, dict):
-        lines.append(
-            "  {cores}-core CMP ({design}): scalar "
-            "{scalar_regions_per_sec:,.0f} regions/s".format(**scenario)
-        )
-        if scenario.get("batch_available"):
-            lines.append(
-                "    batch {batch_regions_per_sec:,.0f} regions/s "
-                "({batch_speedup_over_scalar:.2f}x over scalar)".format(**scenario)
-            )
-        else:
-            lines.append("    batch backend unavailable (numpy not installed)")
     lines.append(
         "  speedup over reference backend: "
         f"{payload['speedup_over_reference']:.2f}x"
@@ -463,108 +309,44 @@ def format_bench_report(payload: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _trajectory_points(payload: object, path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Normalize a trajectory file: a ``points`` list, or one bare point."""
-    if isinstance(payload, dict) and isinstance(payload.get("points"), list):
-        points = [point for point in payload["points"] if isinstance(point, dict)]
-        if len(points) != len(payload["points"]) or not points:
-            raise ValueError(f"{path} has malformed trajectory points")
-        return points
-    if isinstance(payload, dict) and "schema" in payload:
-        return [payload]  # pre-trajectory format: one bare point
-    raise ValueError(f"{path} is not a bench trajectory file")
-
-
 def load_trajectory(path: Union[str, Path]) -> List[Dict[str, object]]:
     """Read every recorded point of a trajectory file, oldest first.
 
-    Accepts both the trajectory format (``{"bench": ..., "points": [...]}``)
-    and the original single-point format (one bare payload dict).  Points
-    recorded under older schemas are returned as-is — the history keeps its
-    original shapes; only :func:`load_trajectory_point` insists on the
-    current schema.
+    Every point must be a schema 2..:data:`BENCH_SCHEMA_VERSION` payload:
+    those share the per-design and per-backend ``regions_per_sec`` rows the
+    schema check and the report read.  Anything else is an outside file this
+    build cannot read, and raises :class:`ValueError` naming the path.  An
+    explicitly *empty* trajectory (``{"points": []}``) is an empty list: a
+    brand-new file is a legitimate "nothing recorded yet" state for a
+    report, not corruption.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    return _trajectory_points(payload, path)
-
-
-def migrate_trajectory_point(point: Dict[str, object]) -> Dict[str, object]:
-    """Normalize a recorded point to the schema-2 field vocabulary.
-
-    Schema-1 points carry the retired ``packed_speedup`` and ``record_path``
-    fields; both map losslessly onto the schema-2 shape (the record-path row
-    *was* the reference backend's measurement, ``packed_speedup`` *was*
-    ``speedup_over_reference``, and everything ran on the then-only scalar
-    loop).  Later schemas pass through unchanged — schema 3 only *adds* the
-    ``scenario`` section, so 2 and 3 already share the compared vocabulary.
-    """
-    if point.get("schema") != 1:
-        return point
-    migrated = dict(point)
-    record_path = migrated.pop("record_path", None)
-    packed_speedup = migrated.pop("packed_speedup", 0.0)
-    config = dict(migrated.get("config", {}))  # type: ignore[arg-type]
-    config.setdefault("backend", "scalar")
-    migrated["config"] = config
-    design_rows = [
-        {**row, "backend": "scalar"}
-        for row in migrated.get("designs", ())  # type: ignore[union-attr]
-        if isinstance(row, dict)
-    ]
-    migrated["designs"] = design_rows
-    backend_rows: List[Dict[str, object]] = []
-    if isinstance(record_path, dict):
-        backend_rows.append({**record_path, "backend": "reference"})
-    if design_rows:
-        first = dict(design_rows[0])
-        first["backend"] = "scalar"
-        backend_rows.append(first)
-    migrated["backends"] = backend_rows
-    migrated["speedup_over_reference"] = packed_speedup
-    migrated["schema"] = 2
-    return migrated
+    if not isinstance(payload, dict) or not isinstance(payload.get("points"), list):
+        raise ValueError(f"{path} is not a bench trajectory file")
+    points = [point for point in payload["points"] if isinstance(point, dict)]
+    if len(points) != len(payload["points"]):
+        raise ValueError(f"{path} has malformed trajectory points")
+    for point in points:
+        schema = point.get("schema")
+        if not isinstance(schema, int) or not 2 <= schema <= BENCH_SCHEMA_VERSION:
+            raise ValueError(
+                f"{path} holds a point that is not a known bench trajectory "
+                f"point (schema {schema!r}, supported 2..{BENCH_SCHEMA_VERSION})"
+            )
+    return points
 
 
 def load_trajectory_point(path: Union[str, Path]) -> Dict[str, object]:
-    """Read the latest committed trajectory point, migrated and checked.
-
-    Schema-1 points are migrated on the fly
-    (:func:`migrate_trajectory_point`); any point from schema 2 on shares
-    the compared vocabulary (per-design ``regions_per_sec`` rows) and is
-    accepted, so ``bench --compare`` works like-for-like across schema
-    versions instead of rejecting history recorded by older builds.
-    """
-    latest = migrate_trajectory_point(load_trajectory(path)[-1])
-    schema = latest.get("schema")
-    if not isinstance(schema, int) or not 2 <= schema <= BENCH_SCHEMA_VERSION:
-        raise ValueError(
-            f"latest point in {path} is not a known bench trajectory point "
-            f"(schema {schema!r}, supported 2..{BENCH_SCHEMA_VERSION})"
-        )
-    return latest
-
-
-def normalized_trajectory(path: Union[str, Path]) -> List[Dict[str, object]]:
-    """Every recorded point of a trajectory file, migrated, oldest first.
-
-    The bundle-export hook behind ``python -m repro report``: points from
-    any recorded schema come back in the schema-2+ field vocabulary
-    (:func:`migrate_trajectory_point`), so renderers and the regression gate
-    never meet the retired ``packed_speedup``/``record_path`` names.  Unlike
-    :func:`load_trajectory`, an explicitly *empty* trajectory
-    (``{"points": []}``) is returned as an empty list — a brand-new file is
-    a legitimate "nothing recorded yet" state for a report, not corruption.
-    """
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if isinstance(payload, dict) and payload.get("points") == []:
-        return []
-    return [migrate_trajectory_point(point) for point in _trajectory_points(payload, path)]
+    """Read the latest recorded point of a trajectory file."""
+    points = load_trajectory(path)
+    if not points:
+        raise ValueError(f"{path} has no trajectory points")
+    return points[-1]
 
 
 def point_backend_rps(point: Mapping[str, object]) -> Dict[str, float]:
-    """``{backend name: regions/sec}`` from one normalized point.
+    """``{backend name: regions/sec}`` from one trajectory point.
 
     Reads the per-backend table every schema-2+ point carries; rows without
     a throughput value (or a malformed table) are simply absent, so the
@@ -588,11 +370,11 @@ def point_backend_rps(point: Mapping[str, object]) -> Dict[str, float]:
 def trajectory_backend_series(
     points: Sequence[Mapping[str, object]],
 ) -> Dict[str, List[Optional[float]]]:
-    """Per-backend regions/sec series across a normalized trajectory.
+    """Per-backend regions/sec series across a trajectory.
 
     Returns ``{backend: [rps or None per point]}`` with one slot per input
-    point — ``None`` where that point did not measure the backend (e.g. the
-    ``batch`` backend before PR 8, or a no-numpy host).  This is the series
+    point — ``None`` where that point did not measure the backend (e.g. a
+    backend registered after the point was recorded).  This is the series
     the report's trend chart draws, one line per backend.
     """
     per_point = [point_backend_rps(point) for point in points]
@@ -612,18 +394,11 @@ def append_trajectory_point(
 ) -> int:
     """Append one point to a trajectory file; returns the new point count.
 
-    Creates the file when missing; a pre-trajectory single-point file is
-    upgraded in place (its recorded point becomes the history's first
-    entry), and recorded schema-1 points are normalized to schema 2
-    (:func:`migrate_trajectory_point`) so the retired ``packed_speedup``/
-    ``record_path`` vocabulary drops out of the history whenever the file
-    is rewritten.  The write is atomic (temp file + rename), the ``put``
-    idiom of the result cache.
+    Creates the file when missing.  The write is atomic (temp file +
+    rename), the ``put`` idiom of the result cache.
     """
     path = Path(path)
-    points: List[Dict[str, object]] = []
-    if path.exists():
-        points = [migrate_trajectory_point(point) for point in load_trajectory(path)]
+    points = load_trajectory(path) if path.exists() else []
     points.append(dict(payload))
     document = {"bench": "kernel_hotloop", "points": points}
     handle, tmp_name = tempfile.mkstemp(

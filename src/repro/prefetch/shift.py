@@ -50,7 +50,7 @@ class ShiftConfig:
     # streams per unit of unique footprint than the commercial traces, so the
     # default here is 96K entries — still virtualized in the LLC (~0.6 MB of
     # a multi-megabyte LLC) and still negligible per-core area, preserving the
-    # paper's cost story.  See EXPERIMENTS.md.
+    # paper's cost story.
 
     @property
     def history_storage_kb(self) -> float:

@@ -79,10 +79,10 @@ class ReportBundle:
 
     Attributes:
         title: human heading for the rendered report.
-        trajectory: bench trajectory points, oldest first, every point
-            migrated to the schema-2+ field vocabulary
-            (:func:`repro.perfbench.migrate_trajectory_point`) so renderers
-            and the regression gate never see retired field names.
+        trajectory: bench trajectory points, oldest first, every point a
+            schema-2+ payload (:func:`repro.perfbench.load_trajectory`
+            rejects older ones), so renderers and the regression gate read
+            one field vocabulary.
         trajectory_sources: the trajectory files the points came from.
         sweeps: one entry per collected sweep-report file:
             ``{"source": str, "reports": {workload: RunReport dict},
@@ -91,7 +91,7 @@ class ReportBundle:
             plus any journal-directory scan
             (:func:`repro.report.collect.summarize_journals`).
         baseline: the chosen regression-baseline trajectory point
-            (normalized like ``trajectory``), or ``None`` when no baseline
+            (checked like ``trajectory``), or ``None`` when no baseline
             could be determined — the regression gate then refuses to run
             rather than silently passing.
         baseline_source: where the baseline came from, for the rendered

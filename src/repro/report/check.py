@@ -1,13 +1,13 @@
 """The CI perf-regression gate: newest trajectory point vs a baseline.
 
-``python -m repro bench --compare`` gates a *fresh in-process run* against a
-recorded point, per design.  This module gates **recorded evidence**: the
-newest collected trajectory point against the chosen baseline point, **per
-backend** — the per-backend table is what a throughput regression actually
-shows up in (a design row can drift with workload tweaks; a backend losing
-half its regions/sec is a kernel regression).  ``python -m repro report
---check --tolerance X`` exposes it on the command line and CI fails on it,
-replacing the bench ``--compare`` smoke check as the regression gate.
+This module gates **recorded evidence**: the newest collected trajectory
+point against the chosen baseline point, **per backend** — the per-backend
+table is what a throughput regression actually shows up in (a design row can
+drift with workload tweaks; a backend losing half its regions/sec is a
+kernel regression).  ``python -m repro report --check --tolerance X``
+exposes it on the command line and CI fails on it.  A fresh run is checked
+the same way: record it with ``bench --json fresh.json``, then
+``report --bench fresh.json --baseline BENCH_kernel.json --check``.
 
 Semantics: for every backend the two points share, the newest point's
 regions/sec must be at least ``tolerance`` times the baseline's.  No shared
@@ -30,7 +30,7 @@ def regression_rows(
     baseline: Mapping[str, object],
     tolerance: float,
 ) -> List[Dict[str, object]]:
-    """Per-backend comparison of two normalized trajectory points.
+    """Per-backend comparison of two trajectory points.
 
     Returns one row per shared backend: ``{"backend", "regions_per_sec",
     "baseline_regions_per_sec", "ratio", "ok"}``, sorted by backend name.

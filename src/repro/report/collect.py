@@ -1,7 +1,7 @@
 """Collect run artifacts into a :class:`~repro.report.bundle.ReportBundle`.
 
 The pipeline's first stage: gather whatever evidence a run left behind —
-bench trajectory files (``BENCH_*.json``, any recorded schema), saved sweep
+bench trajectory files (``BENCH_*.json``, schema 2 on), saved sweep
 reports (``python -m repro sweep --save-report``), run-journal directories —
 normalize all of it, and return one bundle the renderers and the regression
 gate consume.  The shape follows the artifacts→report pipelines of perf
@@ -11,9 +11,10 @@ by a later build.
 
 Normalization rules:
 
-* Trajectory points are migrated to the schema-2+ vocabulary on the way in
-  (:func:`repro.perfbench.normalized_trajectory`), so mixed schema-1/2/3
-  histories collect cleanly.
+* Trajectory points are schema-checked on the way in
+  (:func:`repro.perfbench.load_trajectory`): histories mixing schemas 2 and
+  up collect cleanly, because they share the per-backend throughput rows;
+  a file holding an older point raises :class:`ValueError` naming it.
 * Sweep files are read through :func:`repro.api.load_reports` (both the
   ``--save-report`` layout and redirected ``--json`` stdout); their
   :class:`~repro.sweep.SweepStats` counters are summed into the bundle's
@@ -30,7 +31,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.perfbench import normalized_trajectory
+from repro.perfbench import load_trajectory
 from repro.report.bundle import ReportBundle
 
 __all__ = ["collect_bundle", "summarize_journals"]
@@ -84,7 +85,7 @@ def _resolve_baseline(
         trajectory=trajectory, trajectory_sources=trajectory_sources
     )
     if baseline_path is not None:
-        points = normalized_trajectory(baseline_path)
+        points = load_trajectory(baseline_path)
         if not points:
             raise ValueError(f"baseline trajectory {baseline_path} has no points")
         bundle.baseline = points[-1]
@@ -125,7 +126,7 @@ def collect_bundle(
     trajectory: List[Dict[str, object]] = []
     sources: List[str] = []
     for path in bench_paths:
-        points = normalized_trajectory(path)
+        points = load_trajectory(path)
         trajectory.extend(points)
         sources.append(str(path))
 

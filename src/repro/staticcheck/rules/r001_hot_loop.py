@@ -22,23 +22,12 @@ non-constant tuple displays, f-strings, calls packing ``*args``/
 constructors (``list``, ``dict``, ``set``, ...) and calls to CamelCase
 names (the class-construction heuristic).  Scalar builtins (``int``,
 ``bool``, ``range``, ``min``...) are free or interned and stay allowed.
-
-Two carve-outs keep the vectorized ``batch`` kernel lintable (PR 8):
-
-* index tuples — a ``Tuple`` serving as a ``Subscript``'s slice
-  (``tags[rows, ways]``) parses as a Load-context tuple but performs numpy
-  advanced indexing, not a tuple allocation, and is exempt;
-* numpy module calls (``np.*``/``numpy.*``) inside the hot region are
-  flagged *unless* they pass an ``out=`` keyword — the allow-pattern is a
-  buffer preallocated in the prelude and filled in place per iteration
-  (``np.equal(a, b, out=buffer)``).  Method calls on arrays are judged by
-  the existing heuristics, like any other call.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, List
+from typing import Iterator, List
 
 from repro.staticcheck.astutil import (
     call_name,
@@ -63,10 +52,6 @@ _CONTAINER_BUILTINS = frozenset(
      "object", "deque", "defaultdict", "Counter", "OrderedDict"}
 )
 
-#: Names the numpy module travels under; ``repro._np`` re-exports it as
-#: ``np``, and vectorized kernels conventionally alias it the same way.
-_NUMPY_MODULES = frozenset({"np", "numpy", "_np"})
-
 
 def _is_hot_loop_marked(node: ast.FunctionDef) -> bool:
     return any(name == "hot_loop" or name.endswith(".hot_loop")
@@ -81,21 +66,11 @@ def _camelcase(name: str) -> bool:
     return bool(name) and name[0].isupper() and not name.isupper()
 
 
-def _numpy_call_without_out(name: str, node: ast.Call) -> bool:
-    """A ``np.*`` call in the hot region allocates a fresh array per
-    iteration unless it writes into a preallocated buffer via ``out=``."""
-    head, _, rest = name.partition(".")
-    if head not in _NUMPY_MODULES or not rest:
-        return False
-    return not any(keyword.arg == "out" for keyword in node.keywords)
-
-
 def _check_region(
     module: ParsedModule,
     func: ast.FunctionDef,
     nodes: Iterator[ast.AST],
     symbol: str,
-    index_tuples: FrozenSet[int],
 ) -> Iterator[Finding]:
     for node in nodes:
         message = None
@@ -114,9 +89,7 @@ def _check_region(
         elif isinstance(node, ast.Dict):
             message = "dict display allocates"
         elif isinstance(node, ast.Tuple) and not is_constant_tuple(node):
-            # Index tuples (a Subscript's slice) are numpy advanced
-            # indexing, not a container allocation.
-            if isinstance(node.ctx, ast.Load) and id(node) not in index_tuples:
+            if isinstance(node.ctx, ast.Load):
                 message = "non-constant tuple display allocates"
         elif isinstance(node, ast.JoinedStr):
             message = "f-string builds strings"
@@ -131,11 +104,6 @@ def _check_region(
                 message = "setattr creates attributes dynamically"
             elif name in _CONTAINER_BUILTINS:
                 message = f"{name}() allocates a container"
-            elif name is not None and _numpy_call_without_out(name, node):
-                message = (
-                    f"{name}() allocates a fresh array per iteration "
-                    "(preallocate the buffer in the prelude and pass out=)"
-                )
             elif tail is not None and _camelcase(tail):
                 message = f"call to {name}() constructs an object"
         if message is None:
@@ -170,16 +138,9 @@ def check_hot_loop_allocations(package: PackageGraph) -> Iterator[Finding]:
                 regions = [stmt for loop in loops for stmt in loop.body]
             else:
                 regions = list(func.body)
-            index_tuple_ids = set()
             for stmt in regions:
                 for node in ast.walk(stmt):
                     if id(node) not in seen:
                         seen.add(id(node))
                         hot_nodes.append(node)
-                    if isinstance(node, ast.Subscript) and isinstance(
-                        node.slice, ast.Tuple
-                    ):
-                        index_tuple_ids.add(id(node.slice))
-            yield from _check_region(
-                module, func, iter(hot_nodes), symbol, frozenset(index_tuple_ids)
-            )
+            yield from _check_region(module, func, iter(hot_nodes), symbol)

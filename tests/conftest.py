@@ -31,19 +31,9 @@ def pytest_generate_tests(metafunc: pytest.Metafunc) -> None:
         from repro.backends import backend_names, get_backend
 
         selected = metafunc.config.getoption("backend") or backend_names()
-        params = []
         for name in selected:
-            impl = get_backend(name)  # unknown names fail collection
-            if impl.available():
-                params.append(name)
-            else:
-                # Registered but missing its optional dependency (the batch
-                # backend without numpy): its legs skip with the reason,
-                # they do not fail — the no-numpy CI job runs this way.
-                params.append(pytest.param(name, marks=pytest.mark.skip(
-                    reason=impl.unavailable_reason()
-                )))
-        metafunc.parametrize("sim_backend", params)
+            get_backend(name)  # unknown names fail collection
+        metafunc.parametrize("sim_backend", selected)
 
 
 @pytest.fixture(scope="session")

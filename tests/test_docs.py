@@ -1,10 +1,13 @@
 """Documentation integrity: intra-repo links resolve, CLI examples are real.
 
-Two drift guards, both cheap enough for tier-1:
+Three drift guards, all cheap enough for tier-1:
 
 * every relative markdown link (and same-file anchor) in the repo's
   documentation points at something that exists — CI's docs job runs this
   file, so a renamed doc or dropped heading fails the build;
+* every markdown path a docstring or comment under ``src/``, ``tests/`` or
+  ``benchmarks/`` cites resolves from the repo root or ``docs/`` — code
+  cannot point readers at a deleted doc;
 * every ``--flag`` used in a documented ``python -m repro <cmd>`` example
   is a real option of that subcommand's parser — the docs cannot describe
   a CLI that no longer exists.
@@ -32,6 +35,8 @@ DOC_FILES = sorted(
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _FENCE = re.compile(r"```[a-z]*\n(.*?)```", re.DOTALL)
+#: A markdown path as code cites it: ``docs/report.md``, ``README.md``.
+_MD_PATH = re.compile(r"[\w./-]*[\w-]\.md\b")
 
 
 def _anchors(path: Path) -> set:
@@ -63,6 +68,18 @@ def test_markdown_links_resolve(doc):
         if anchor and resolved.suffix == ".md" and anchor not in _anchors(resolved):
             broken.append(f"{target} -> no heading for anchor #{anchor}")
     assert not broken, f"{doc}: broken link(s): {broken}"
+
+
+def test_markdown_paths_named_in_code_resolve():
+    stale = []
+    for tree in ("src", "tests", "benchmarks"):
+        for source in sorted((REPO_ROOT / tree).rglob("*.py")):
+            for name in sorted(set(_MD_PATH.findall(source.read_text(encoding="utf-8")))):
+                if not any(
+                    (base / name).exists() for base in (REPO_ROOT, REPO_ROOT / "docs")
+                ):
+                    stale.append(f"{source.relative_to(REPO_ROOT)}: {name}")
+    assert not stale, f"code cites missing markdown file(s): {stale}"
 
 
 def test_every_doc_is_reachable_from_the_index():
