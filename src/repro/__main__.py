@@ -418,9 +418,11 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             journal=journal,
             resume=args.resume,
         )
-    except KeyError as error:
+    except (KeyError, ValueError) as error:
         # Unknown profile/scenario/design names arrive as KeyErrors with a
-        # "known: ..." listing; usage errors exit 2, like argparse's own.
+        # "known: ..." listing, and knobs no cell can run with (--workers 0,
+        # --scale 0, --cores 0, ...) as ValueErrors raised before any cell
+        # simulates; usage errors exit 2, like argparse's own.
         print(f"sweep: {error}", file=sys.stderr)
         return 2
     except CellExecutionError as error:

@@ -13,11 +13,11 @@ A :class:`Session` owns one workload: the synthetic program is synthesized
 once and memoized per process, and every per-core trace is generated once,
 so running many design points amortizes the (comparatively expensive)
 workload construction.  Runs execute through :mod:`repro.sweep`: each
-(profile, design) grid cell can be fanned out across worker processes with
-``workers=N`` (opt-in; the serial default preserves seed determinism, and
-the parallel path is bit-identical to it anyway) and served from the
-on-disk result cache with ``cache=...`` so an unchanged cell is loaded
-instead of re-simulated.
+(profile, design) grid cell can be fanned out across the sweep's process
+pool with ``workers=N`` (opt-in; the serial default preserves seed
+determinism, and the parallel path is bit-identical to it anyway) and
+served from the on-disk result cache with ``cache=...`` so an unchanged
+cell is loaded instead of re-simulated.
 
 The result is a :class:`RunReport` of plain data — JSON-serializable both
 ways — so sweeps can be archived, diffed and post-processed without keeping
@@ -41,11 +41,9 @@ from repro.registry import ensure_unique_names
 from repro.resilience import RetryPolicy
 from repro.sweep import (
     ResultCache,
-    SweepCell,
     SweepOutcome,
     TraceStore,
     cmp_driver,
-    run_cells,
     run_sweep,
     workload_program,
 )
@@ -190,9 +188,11 @@ class Session:
             omitted).
         frontend_config: timing-model overrides shared by all designs.
         trace_seed_base: per-core trace seeds are ``base + core``.
-        workers: default process-pool width for :meth:`run` (``None``/1 =
-            serial, the deterministic default; results are identical either
-            way, parallelism only buys wall-clock).
+        workers: default width of the sweep's cell pool for :meth:`run`
+            (``None``/1 = serial, the deterministic default; results are
+            identical either way, parallelism only buys wall-clock).  Design
+            points are the unit of parallelism: a run with fewer designs
+            than workers uses one process per design.
         cache: on-disk result cache for :meth:`run` cells — ``True`` for the
             default directory (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``), a
             path, or a :class:`repro.sweep.ResultCache`; ``None`` (default)
@@ -258,7 +258,8 @@ class Session:
             self.profile = profile
             self.cores = cores
             self.instructions_per_core = (
-                instructions_per_core or profile.recommended_trace_instructions
+                profile.recommended_trace_instructions
+                if instructions_per_core is None else instructions_per_core
             )
         self.scale = scale
         self.backend = backend
@@ -298,42 +299,21 @@ class Session:
 
     @property
     def cmp(self) -> ChipMultiprocessor:
-        """The CMP driver behind this session (traces cached inside)."""
+        """The CMP driver behind this session (traces cached inside).
+
+        The same memoized driver the session's sweep cells use, so
+        :meth:`run` and direct ``cmp`` access share one trace set.
+        """
         if self._cmp is None:
-            if self.workers is None:
-                # Same memoized driver the session's sweep cells use, so
-                # run() and direct cmp access share one trace set.
-                self._cmp = cmp_driver(
-                    self.workload,
-                    self.cores,
-                    self.instructions_per_core,
-                    self.trace_seed_base,
-                    self.frontend_config,
-                    trace_store=self.trace_store,
-                    backend=self.backend,
-                )
-            elif self.scenario is not None:
-                self._cmp = ChipMultiprocessor(
-                    scenario=self.scenario,
-                    workers=self.workers,
-                    trace_store=self.trace_store,
-                    frontend_config=self.frontend_config,
-                    trace_seed_base=self.trace_seed_base,
-                    backend=self.backend,
-                )
-            else:
-                # A session-level core-parallel default is baked into the
-                # driver, which the shared memo must not carry: keep private.
-                self._cmp = ChipMultiprocessor(
-                    self.program,
-                    cores=self.cores,
-                    instructions_per_core=self.instructions_per_core,
-                    frontend_config=self.frontend_config,
-                    trace_seed_base=self.trace_seed_base,
-                    workers=self.workers,
-                    trace_store=self.trace_store,
-                    backend=self.backend,
-                )
+            self._cmp = cmp_driver(
+                self.workload,
+                self.cores,
+                self.instructions_per_core,
+                self.trace_seed_base,
+                self.frontend_config,
+                trace_store=self.trace_store,
+                backend=self.backend,
+            )
         return self._cmp
 
     def run(
@@ -348,7 +328,8 @@ class Session:
         instances; duplicate design names are rejected (they would silently
         collapse report rows).  ``baseline`` names the speedup reference; it
         defaults to ``"baseline"`` when present, else the first design.
-        Cells execute through :mod:`repro.sweep`, so the session's ``cache``
+        The run is a one-row :func:`repro.sweep.run_sweep` (which validates
+        the chip shape before any cell is built), so the session's ``cache``
         serves unchanged design points from disk and the session's
         ``retry_policy`` governs fault handling.
         """
@@ -361,24 +342,18 @@ class Session:
         ensure_unique_names("design", names)
         baseline = _pick_baseline(names, baseline)
 
-        workers = workers if workers is not None else self.workers
-        cells = [
-            SweepCell(
-                profile=self.workload,
-                spec=spec,
-                cores=self.cores,
-                instructions_per_core=self.instructions_per_core,
-                trace_seed_base=self.trace_seed_base,
-                frontend_config=self.frontend_config,
-                backend=self.backend,
-            )
-            for spec in specs
-        ]
-        summaries, _ = run_cells(
-            cells,
-            workers=workers,
+        outcome = run_sweep(
+            [self.profile] if self.profile is not None else [],
+            specs,
+            cores=self.cores,
+            instructions_per_core=self.instructions_per_core,
+            frontend_config=self.frontend_config,
+            trace_seed_base=self.trace_seed_base,
+            workers=workers if workers is not None else self.workers,
             cache=self.cache,
             trace_store=self.trace_store,
+            scenarios=[self.scenario] if self.scenario is not None else None,
+            backend=self.backend,
             policy=self.retry_policy,
         )
         return _assemble_report(
@@ -388,7 +363,9 @@ class Session:
             instructions_per_core=self.instructions_per_core,
             baseline=baseline,
             names=names,
-            summaries=dict(zip(names, summaries, strict=True)),
+            summaries={
+                name: outcome.summary(self.workload_name, name) for name in names
+            },
         )
 
 

@@ -15,70 +15,36 @@ profile, seed and instruction budget):
   that profile replays it, exactly the paper's one-history-per-workload
   sharing (a homogeneous chip therefore has exactly one, recorded by
   core 0), and
-* cores are simulated one after another (their only interaction is through
-  the shared metadata, which is insensitive to fine-grain interleaving).
+* cores are simulated one after another, in-process (their only
+  interaction is through the shared metadata, which is insensitive to
+  fine-grain interleaving).
 
-Because replaying cores never write the shared metadata, they are
-independent given their profile's recorded history, and the driver can fan
-them out across worker processes (``workers=N``).  The parallel path
-reproduces the serial path bit for bit: the recording cores always run
-first in-process, each profile's recorded history is snapshotted into the
-workers, and every core keeps its own deterministic trace seed.  When a
-:class:`~repro.sweep.TraceStore` is attached, workers receive the trace's
-on-disk artifact *path* and mmap it — the same zero-copy discipline as the
-cell-level pool, so no pool boundary ever pickles trace columns.  The
-serial default is preserved.
+A driver is one sweep cell's worth of work: parallelism lives one level up,
+where :func:`repro.sweep.run_cells` fans whole cells out across its process
+pool under the retry policy, so a chip never starts a pool of its own.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.caches.llc import LLCConfig, SharedLLC
 from repro.core.area import FrontendAreaReport
 from repro.core.designs import DesignSpec, design_from_spec, resolve_design
 from repro.core.frontend import FrontendConfig, FrontendResult
 from repro.core.metrics import mpki
-from repro.faultinject import injection_point
 from repro.prefetch.shift import ShiftHistory
 from repro.registry import ensure_unique_names
-from repro.resilience import CellExecutionError
 from repro.workloads.cfg import SyntheticProgram, workload_program
 from repro.workloads.generator import generate_trace
-from repro.workloads.packed import load_packed
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.scenario import BoundScenario, CoreWorkload, Scenario
 from repro.workloads.trace import Trace
 
 if TYPE_CHECKING:  # import cycle guard: sweep.py imports this module
-    from multiprocessing.context import BaseContext
-
     from repro.backends.base import SimBackend
     from repro.sweep import TraceStore
-
-#: One replaying core's pickled work order: (spec, program, inline trace,
-#: artifact path, trace name, shared-history snapshot, LLC geometry, config,
-#: simulation backend, human label).  Registered backends travel as their
-#: *name*; a stateless ad-hoc instance pickles by reference and works too.
-#: The label names the (profile, core, seed, design) so a worker failure
-#: surfaces as a :class:`~repro.resilience.CellExecutionError` that
-#: identifies the dead core instead of an anonymous worker traceback.
-_ReplayJob = Tuple[
-    DesignSpec,
-    SyntheticProgram,
-    Optional[Trace],
-    Optional[str],
-    str,
-    Dict[str, Any],
-    LLCConfig,
-    Optional[FrontendConfig],
-    Union[str, "SimBackend", None],
-    str,
-]
-
 
 @dataclass
 class CMPResult:
@@ -169,57 +135,6 @@ class CMPResult:
         return self.ipc / baseline.ipc
 
 
-def _replay_core(job: _ReplayJob) -> FrontendResult:
-    """Simulate one replaying core in a worker process.
-
-    The worker rebuilds its private surroundings (LLC with the same geometry,
-    hence the same round-trip latency, plus a replay-side clone of its
-    profile's shared history); the only cross-core coupling in the serial
-    path is the recorded history and LLC statistics, and the statistics do
-    not feed back into timing, so the result is identical to the serial
-    path's.  When the trace lives in a store, the job carries its artifact
-    *path* and the worker mmaps it — all workers share one page-cache copy
-    instead of receiving pickled heap columns.
-
-    Any failure is wrapped in a :class:`CellExecutionError` naming the
-    core's (profile, core index, seed, design), so the parent never sees an
-    anonymous worker traceback.
-    """
-    (spec, program, trace, trace_path, trace_name,
-     history_state, llc_config, frontend_config, backend, label) = job
-    try:
-        injection_point("cmp:replay_core", label=label)
-        if trace is None:
-            trace = Trace.from_packed(
-                load_packed(trace_path, mmap=True), name=trace_name
-            )
-        llc = SharedLLC(llc_config)
-        shared_history = ShiftHistory.restore(history_state, llc=llc)
-        simulator, _ = design_from_spec(
-            spec,
-            program,
-            llc=llc,
-            shared_history=shared_history,
-            frontend_config=frontend_config,
-            record_history=False,
-        )
-        return simulator.run(trace, backend=backend)
-    except CellExecutionError:
-        raise
-    except Exception as error:
-        raise CellExecutionError(
-            f"replay worker for {label} failed: {type(error).__name__}: {error}"
-        ) from error
-
-
-def _fork_context() -> Optional["BaseContext"]:
-    """Prefer fork so worker processes inherit user-registered components."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platforms without fork
-        return None
-
-
 class ChipMultiprocessor:
     """Simulates ``cores`` instances of one workload — or a scenario's mix.
 
@@ -246,13 +161,10 @@ class ChipMultiprocessor:
         instructions_per_core: Optional[int] = None,
         frontend_config: Optional[FrontendConfig] = None,
         trace_seed_base: int = 100,
-        workers: Optional[int] = None,
         trace_store: Optional["TraceStore"] = None,
         scenario: Union[None, Scenario, BoundScenario] = None,
         backend: Union[str, "SimBackend", None] = None,
     ) -> None:
-        if workers is not None and workers <= 0:
-            raise ValueError("workers must be positive when given")
         if scenario is not None:
             if program is not None:
                 raise ValueError(
@@ -286,7 +198,8 @@ class ChipMultiprocessor:
             self.workload_name = self.profile.name
             self.cores = cores
             self.instructions_per_core = (
-                instructions_per_core or self.profile.recommended_trace_instructions
+                self.profile.recommended_trace_instructions
+                if instructions_per_core is None else instructions_per_core
             )
             self.workloads = tuple(
                 CoreWorkload(
@@ -299,14 +212,12 @@ class ChipMultiprocessor:
             self._programs = {self.profile: program}
         self.frontend_config = frontend_config
         self.trace_seed_base = trace_seed_base
-        self.workers = workers
         #: Default simulation backend for every core (a registry name, a
         #: ready backend instance, or ``None`` for the stack default);
         #: :meth:`run_design` accepts a per-run override.
         self.backend = backend
         #: Optional :class:`repro.sweep.TraceStore`: per-core traces become
-        #: shared on-disk artifacts, loaded instead of re-generated — and the
-        #: core-level fan-out ships their *paths* to workers (zero-copy).
+        #: shared on-disk artifacts, loaded instead of re-generated.
         self.trace_store = trace_store
         #: How this driver's traces were obtained (observability; the sweep
         #: engine folds these into :class:`repro.sweep.SweepStats`).
@@ -316,7 +227,6 @@ class ChipMultiprocessor:
         self.traces_loaded = 0
         self.traces_mapped = 0
         self._traces: Optional[List[Trace]] = None
-        self._trace_paths: Optional[List[Optional[str]]] = None
 
     def _program_for(self, profile: WorkloadProfile) -> SyntheticProgram:
         program = self._programs.get(profile)
@@ -329,11 +239,9 @@ class ChipMultiprocessor:
         if self._traces is None:
             store = self.trace_store
             traces: List[Trace] = []
-            paths: List[Optional[str]] = []
             for core, workload in enumerate(self.workloads):
                 name = f"{workload.profile.name}/core{core}"
                 trace = None
-                path: Optional[str] = None
                 if store is not None:
                     trace = store.load(
                         workload.profile, workload.instructions, workload.seed,
@@ -343,9 +251,6 @@ class ChipMultiprocessor:
                     self.traces_loaded += 1
                     if trace.packed.mapped:
                         self.traces_mapped += 1
-                    path = str(store.path_for(
-                        workload.profile, workload.instructions, workload.seed
-                    ))
                 else:
                     trace = generate_trace(
                         self._program_for(workload.profile),
@@ -355,14 +260,12 @@ class ChipMultiprocessor:
                     )
                     self.traces_generated += 1
                     if store is not None:
-                        path = str(store.put(
+                        store.put(
                             workload.profile, workload.instructions,
                             workload.seed, trace,
-                        ))
+                        )
                 traces.append(trace)
-                paths.append(path)
             self._traces = traces
-            self._trace_paths = paths
         return self._traces
 
     def _llc_config(self) -> LLCConfig:
@@ -374,25 +277,19 @@ class ChipMultiprocessor:
     def run_design(
         self,
         design: Union[str, DesignSpec],
-        workers: Optional[int] = None,
         backend: Union[str, "SimBackend", None] = None,
     ) -> CMPResult:
         """Run every core under ``design`` with per-profile shared histories.
 
         The first core running each profile records that profile's SHIFT
-        history in-process; every other core of the profile replays it.
-        ``workers`` (or the constructor's default) > 1 fans the replaying
-        cores out across processes; the default stays serial and the results
-        are identical either way.  ``backend`` (or the constructor's default)
-        selects the simulation loop for every core, recorded and replayed
-        alike.
+        history; every other core of the profile replays it.  ``backend``
+        (or the constructor's default) selects the simulation loop for every
+        core, recorded and replayed alike.
         """
         spec = resolve_design(design)
-        workers = workers if workers is not None else self.workers
         backend = backend if backend is not None else self.backend
         llc = SharedLLC(self._llc_config())
         traces = self._core_traces()
-        paths = self._trace_paths or [None] * len(traces)
         result = CMPResult(
             design=spec.name,
             workload=self.workload_name,
@@ -401,11 +298,10 @@ class ChipMultiprocessor:
         )
 
         # One shared history per profile on the chip, each virtualized in its
-        # own LLC region.  The first core of each profile records; it always
-        # runs first, in-process, like core 0 always has.
+        # own LLC region.  Every recorder runs before any replayer, so each
+        # replaying core reads its profile's complete history.
         histories: Dict[WorkloadProfile, ShiftHistory] = {}
         recorders: List[int] = []
-        replayers: List[int] = []
         for index, workload in enumerate(self.workloads):
             if workload.profile not in histories:
                 histories[workload.profile] = ShiftHistory(
@@ -413,11 +309,10 @@ class ChipMultiprocessor:
                     region_name=f"shift_history:{workload.profile.name}",
                 )
                 recorders.append(index)
-            else:
-                replayers.append(index)
+        replayers = [index for index in range(self.cores) if index not in recorders]
 
-        core_results: List[Optional[FrontendResult]] = [None] * self.cores
-        for index in recorders:
+        core_results: Dict[int, FrontendResult] = {}
+        for index in recorders + replayers:
             workload = self.workloads[index]
             simulator, area = design_from_spec(
                 spec,
@@ -425,68 +320,17 @@ class ChipMultiprocessor:
                 llc=llc,
                 shared_history=histories[workload.profile],
                 frontend_config=self.frontend_config,
-                record_history=True,
+                record_history=index in recorders,
             )
             if result.area is None:
                 result.area = area
             core_results[index] = simulator.run(traces[index], backend=backend)
-
-        if replayers and workers is not None and workers > 1:
-            # Each profile's history is immutable once its recorder finishes;
-            # one snapshot per profile serves every replaying core.  Traces
-            # backed by a store artifact travel as paths, not pickled columns.
-            snapshots: Dict[WorkloadProfile, Dict[str, Any]] = {}
-            jobs = []
-            for index in replayers:
-                workload = self.workloads[index]
-                if workload.profile not in snapshots:
-                    snapshots[workload.profile] = histories[workload.profile].snapshot()
-                trace = traces[index]
-                path = paths[index]
-                jobs.append((
-                    spec,
-                    self._program_for(workload.profile),
-                    None if path is not None else trace,
-                    path,
-                    trace.name,
-                    snapshots[workload.profile],
-                    self._llc_config(),
-                    self.frontend_config,
-                    backend,
-                    f"{workload.profile.name}/core{index}"
-                    f"[seed={workload.seed}] design={spec.name}",
-                ))
-            pool_size = min(workers, len(jobs))
-            with ProcessPoolExecutor(
-                max_workers=pool_size, mp_context=_fork_context()
-            ) as pool:
-                for index, core_result in zip(replayers, pool.map(_replay_core, jobs), strict=True):
-                    core_results[index] = core_result
-        else:
-            for index in replayers:
-                workload = self.workloads[index]
-                simulator, _ = design_from_spec(
-                    spec,
-                    self._program_for(workload.profile),
-                    llc=llc,
-                    shared_history=histories[workload.profile],
-                    frontend_config=self.frontend_config,
-                    record_history=False,
-                )
-                core_results[index] = simulator.run(traces[index], backend=backend)
-
-        # Every core index was filled (replayed or simulated inline); the
-        # comprehension narrows List[Optional[...]] for the result list.
-        completed = [core for core in core_results if core is not None]
-        if len(completed) != self.cores:  # pragma: no cover - defensive
-            raise RuntimeError("CMP run left a core without a result")
-        result.core_results.extend(completed)
+        result.core_results.extend(core_results[index] for index in range(self.cores))
         return result
 
     def run_designs(
         self,
         designs: Iterable[Union[str, DesignSpec]],
-        workers: Optional[int] = None,
         backend: Union[str, "SimBackend", None] = None,
     ) -> Dict[str, CMPResult]:
         """Run a set of design points; returns ``{design name: CMPResult}``.
@@ -498,6 +342,6 @@ class ChipMultiprocessor:
         specs = [resolve_design(design) for design in designs]
         ensure_unique_names("design", [spec.name for spec in specs])
         return {
-            spec.name: self.run_design(spec, workers=workers, backend=backend)
+            spec.name: self.run_design(spec, backend=backend)
             for spec in specs
         }

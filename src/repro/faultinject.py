@@ -5,10 +5,10 @@ against real work — flaky by construction.  This module replaces that with
 **seeded fault plans** fired at **named injection points**: a
 :class:`FaultPlan` is a list of rules ("raise a transient ``OSError`` the
 first two times cell X simulates", "kill the worker running cell Y once",
-"hang this replay core"), and the production code calls
-:func:`injection_point` at a handful of well-known sites.  With no plan
-active the call is a near-free no-op; with one active, the same plan fires
-the same faults in the same places every run.
+"hang cell Z"), and the production code calls :func:`injection_point` at
+three well-known sites.  With no plan active the call is a near-free no-op;
+with one active, the same plan fires the same faults in the same places
+every run.
 
 Named injection points (see ``docs/resilience.md``):
 
@@ -16,9 +16,6 @@ Named injection points (see ``docs/resilience.md``):
   grid cell simulates (fires in the parent for serial cells, in the pool
   worker for fanned-out cells).  The label is ``"<workload>/<design>"`` and
   the attempt number is the scheduler's retry counter for that cell.
-* ``"cmp:replay_core"`` — :func:`repro.core.cmp._replay_core`, before a
-  replaying core simulates in a core-fan-out worker.  The label names the
-  trace and design.
 * ``"cache:get"`` — :meth:`repro.sweep.ResultCache.get`, before an entry is
   read.  The label is the cell key.
 * ``"trace:load"`` — :meth:`repro.sweep.TraceStore.load`, before an artifact

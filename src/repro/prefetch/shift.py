@@ -152,34 +152,6 @@ class ShiftHistory:
             return 0.0
         return self.index_hits / self.index_lookups
 
-    # ------------------------------------------------------------------ #
-    # Replay-side cloning (used by the parallel CMP runner)
-    # ------------------------------------------------------------------ #
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Capture the recorded state as plain, picklable data."""
-        return {
-            "config": self.config,
-            "buffer": list(self._buffer),
-            "valid": self._valid,
-            "head": self._head,
-            "index": dict(self._index),
-            "records": self.records,
-        }
-
-    @classmethod
-    def restore(
-        cls, state: Dict[str, Any], llc: Optional[SharedLLC] = None
-    ) -> "ShiftHistory":
-        """Rebuild a history from :meth:`snapshot` (e.g. in a worker process)."""
-        history = cls(config=state["config"], llc=llc)
-        history._buffer = list(state["buffer"])
-        history._valid = state["valid"]
-        history._head = state["head"]
-        history._index = dict(state["index"])
-        history.records = state["records"]
-        return history
-
 
 class _ActiveStream:
     """The stream being replayed ahead of the core's fetch stream."""

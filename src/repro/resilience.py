@@ -33,7 +33,7 @@ __all__ = ["CellExecutionError", "RetryPolicy", "RunJournal"]
 
 
 class CellExecutionError(RuntimeError):
-    """A sweep cell (or replay core) failed; the message names it.
+    """A sweep cell failed; the message names it.
 
     Raised by pool workers around the underlying error so the parent —
     and the user's traceback — always see *which* (workload, design, seed)

@@ -4,9 +4,9 @@ The trace store hands out ``PackedTrace`` objects whose columns are
 ``memoryview`` slices of an mmap.  A raw ``memoryview`` cannot pickle, and
 an object *holding* one pickles only if it materializes first — which is
 exactly what ``PackedTrace.__reduce__`` does.  Shipping an unmaterialized
-view into ``ProcessPoolExecutor.submit``/``map`` either crashes at the
-pickle boundary or, worse with a custom reducer that forgets the buffers,
-silently sends a core an empty trace.
+view into a process pool's ``submit``/``map`` either crashes at the pickle
+boundary or, worse with a custom reducer that forgets the buffers, silently
+sends a worker an empty trace.
 
 The rule runs a small per-function taint analysis:
 
@@ -19,9 +19,9 @@ The rule runs a small per-function taint analysis:
 * any tainted argument reaching an ``executor.submit(...)`` /
   ``executor.map(...)`` call is flagged.
 
-The sanctioned pattern — what :mod:`repro.core.cmp` actually does — is to
-ship artifact *paths* (or materialized traces) across the boundary and
-reopen the mmap inside the worker.
+The sanctioned pattern — what :func:`repro.sweep._cell_job` actually does —
+is to ship the trace store's *directory* (a plain string) across the
+boundary and let the worker reopen, and mmap, each artifact it needs.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The paper's evaluation is a grid — workload profiles x frontend design
 points — and scale-out studies live and die by sweep throughput.  This
-module makes the whole grid the unit of parallelism and makes repeat runs
-nearly free:
+module makes the grid cell the one unit of parallelism and makes repeat
+runs nearly free:
 
 * A **grid cell** (:class:`SweepCell`) is one (profile, design) pair plus
   everything that determines its outcome: core count, trace length, trace
@@ -11,7 +11,9 @@ nearly free:
   seeds — every workload program and per-core trace is synthesized
   deterministically from the cell's parameters — so fanning cells out across
   a :class:`~concurrent.futures.ProcessPoolExecutor` is bit-identical to
-  running them one after another.
+  running them one after another.  This is the repo's only process pool: a
+  cell's cores always run one after another inside whichever process runs
+  the cell.
 * Every finished cell is summarized to plain JSON data and stored in a
   **content-addressed result cache** (:class:`ResultCache`): the file name is
   a stable hash of the cell's parameters, so an unchanged cell is loaded
@@ -55,6 +57,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import multiprocessing
 import os
 import tempfile
 import time
@@ -79,7 +82,7 @@ from typing import (
 )
 
 from repro.backends.base import BACKEND_REGISTRY, DEFAULT_BACKEND, get_backend
-from repro.core.cmp import ChipMultiprocessor, CMPResult, _fork_context
+from repro.core.cmp import ChipMultiprocessor, CMPResult
 from repro.core.designs import DesignSpec, resolve_design
 from repro.core.frontend import FrontendConfig
 from repro.faultinject import injection_point
@@ -496,9 +499,10 @@ class TraceStore:
     def path_for(self, profile: WorkloadProfile, instructions: int, seed: int) -> Path:
         """The artifact path for (profile, instructions, seed).
 
-        Purely computed — the artifact may or may not exist yet.  The CMP
-        driver ships these paths (never trace objects) across its core-level
-        pool boundary so workers mmap the shared page-cache copy.
+        Purely computed — the artifact may or may not exist yet.  For
+        callers that inspect an artifact on disk (its size, its header)
+        without loading it as a trace; the sweep itself only calls
+        :meth:`load`.
         """
         return self._path(trace_key(profile, instructions, seed))
 
@@ -839,18 +843,7 @@ def cmp_driver(
         # traces the driver has not yet materialized, and passing None
         # detaches a previously attached one (the documented "generate
         # in-process" default must not silently keep using an old store).
-        # Artifact paths recorded under a *different* store directory (or
-        # under a now-detached store) must not survive the swap: the
-        # core-level fan-out would ship workers paths into the wrong
-        # directory.  Dropping them falls back to shipping the heap traces
-        # the driver already holds.
-        old_dir = (
-            cmp_model.trace_store.directory
-            if cmp_model.trace_store is not None else None
-        )
-        new_dir = trace_store.directory if trace_store is not None else None
-        if old_dir != new_dir:
-            cmp_model._trace_paths = None
+        # Traces the driver already holds stay on its heap either way.
         cmp_model.trace_store = trace_store
         cmp_model.backend = backend
     return cmp_model
@@ -925,21 +918,14 @@ def _cell_failure(
 _CellOutcome = Tuple[Dict[str, object], int, int, int, int]
 
 
-def simulate_cell(
-    cell: SweepCell, workers: Optional[int] = None
-) -> Dict[str, object]:
-    """Run one grid cell and return its summary.
-
-    ``workers`` (rarely needed) fans the cell's *replaying cores* out instead
-    of its siblings — used when a sweep has more workers than pending cells.
-    """
-    return _simulate_cell_counted(cell, None, workers=workers)[0]
+def simulate_cell(cell: SweepCell) -> Dict[str, object]:
+    """Run one grid cell in this process and return its summary."""
+    return _simulate_cell_counted(cell, None)[0]
 
 
 def _simulate_cell_counted(
     cell: SweepCell,
     trace_store: Optional[TraceStore],
-    workers: Optional[int] = None,
     attempt: int = 0,
 ) -> _CellOutcome:
     """Run one cell; returns (summary, traces generated, loaded, mapped,
@@ -958,7 +944,7 @@ def _simulate_cell_counted(
     loaded_before = cmp_model.traces_loaded
     mapped_before = cmp_model.traces_mapped
     quarantined_before = trace_store.quarantined if trace_store is not None else 0
-    result = cmp_model.run_design(cell.spec, workers=workers, backend=cell.backend)
+    result = cmp_model.run_design(cell.spec, backend=cell.backend)
     summary = summarize_result(result, cell.spec, cell.cores, backend=cell.backend)
     return (
         summary,
@@ -997,6 +983,14 @@ def _cell_job(job: Tuple[SweepCell, Optional[str], int]) -> _CellOutcome:
 # The scheduler
 # --------------------------------------------------------------------------- #
 
+def _fork_context() -> Optional["BaseContext"]:
+    """Prefer fork so pool workers inherit user-registered components."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - platforms without fork
+        return None
+
+
 def _now() -> float:
     """Scheduler wall clock — timeout bookkeeping only, never in results."""
     # Deadline arithmetic must not jump with NTP; results never see it.
@@ -1023,7 +1017,6 @@ def _attempt_cell(
     traces: Optional[TraceStore],
     stats: SweepStats,
     policy: RetryPolicy,
-    workers: Optional[int] = None,
     first_attempt: int = 0,
 ) -> _CellOutcome:
     """Run one cell in-process under the retry policy (the serial path).
@@ -1038,9 +1031,7 @@ def _attempt_cell(
             stats.retried += 1
             time.sleep(policy.delay(attempt - 1))
         try:
-            return _simulate_cell_counted(
-                cell, traces, workers=workers, attempt=attempt
-            )
+            return _simulate_cell_counted(cell, traces, attempt=attempt)
         except Exception as error:
             last_error = error
     raise _cell_failure(cell, last_error)
@@ -1220,19 +1211,13 @@ def run_cells(
 ) -> Tuple[List[Dict[str, object]], SweepStats]:
     """Satisfy every cell, from the cache when possible, else by simulating.
 
-    Cache misses get the whole ``workers`` budget at exactly one level —
-    never nested pools (forking inside forked pool workers is the classic
-    fork-with-threads deadlock hazard):
-
-    * enough pending cells to keep the pool busy — fan *cells* out across
-      processes, each cell's cores serial;
-    * few wide cells (more workers than cells, cells wider than the pool
-      they would fill) — run cells one after another, fanning each cell's
-      *replaying cores* out instead.
-
-    Both levels are bit-identical to the serial path (cells are pure
-    functions of their parameters; the core-level path is PR 1's
-    bit-identical fan-out), so the choice only affects wall-clock.
+    Cache misses follow one rule: with ``workers > 1`` and more than one
+    pending cell they fan out across a process pool of
+    ``min(workers, pending cells)`` processes, one cell per task; otherwise
+    they run one after another in this process.  Inside a cell the cores
+    always run serially, so the pool is never nested.  Both paths are
+    bit-identical (cells are pure functions of their parameters), so the
+    choice only affects wall-clock.
 
     Execution is resilient (``docs/resilience.md``): every path runs under
     ``policy`` (default :class:`RetryPolicy`) — bounded retry with
@@ -1299,30 +1284,14 @@ def run_cells(
         if run_journal is not None:
             run_journal.record(keys[index], summary)
 
-    if pending:
-        if workers is not None and workers > 1:
-            context = _fork_context()
-            core_fanout = min(workers, min(cells[i].cores for i in pending))
-            if core_fanout > len(pending):
-                # e.g. a 2-design, 16-core session with workers=8: sequential
-                # cells, 8-way core fan-out each, beats a 2-wide cell pool.
-                for index in pending:
-                    complete(index, _attempt_cell(
-                        cells[index], traces, stats, policy, workers=workers
-                    ))
-            elif len(pending) > 1 and context is not None:
-                _run_pending_pooled(
-                    cells, pending, traces, workers, stats, policy, context,
-                    complete,
-                )
-            else:
-                for index in pending:
-                    complete(index, _attempt_cell(
-                        cells[index], traces, stats, policy, workers=workers
-                    ))
-        else:
-            for index in pending:
-                complete(index, _attempt_cell(cells[index], traces, stats, policy))
+    context = _fork_context()
+    if workers is not None and workers > 1 and len(pending) > 1 and context is not None:
+        _run_pending_pooled(
+            cells, pending, traces, workers, stats, policy, context, complete
+        )
+    else:
+        for index in pending:
+            complete(index, _attempt_cell(cells[index], traces, stats, policy))
 
     # Every index was satisfied above (cache hit, journal resume or fresh
     # simulation); the comprehension narrows List[Optional[...]] to the
@@ -1371,11 +1340,22 @@ def run_sweep(
     forwarded to :func:`run_cells`: bounded deterministic retry / per-cell
     timeouts / pool-rebuild recovery, append-only journaling of completed
     cells, and crash resume from a previous run's journal.
+
+    A chip shape no cell can simulate — ``cores < 1``, or an
+    ``instructions_per_core`` given below 1 — raises :class:`ValueError`
+    before any cell is built; :meth:`repro.api.Session.run` runs through
+    here too, so both entry points reject the same knobs.
     """
-    # Resolve the backend up front: an unknown name must fail before any
-    # cell simulates (or, with caching disabled, before a deep stack of
-    # drivers has been built around it).
+    # Resolve the backend and check the chip shape up front: a bad knob must
+    # fail before any cell simulates (or, with caching disabled, before a
+    # deep stack of drivers has been built around it).
     get_backend(backend)
+    if cores < 1:
+        raise ValueError(f"cores must be at least 1 (got {cores})")
+    if instructions_per_core is not None and instructions_per_core < 1:
+        raise ValueError(
+            f"instructions_per_core must be at least 1 (got {instructions_per_core})"
+        )
     resolved_profiles: List[WorkloadProfile] = []
     for profile in profiles:
         if isinstance(profile, str):
@@ -1423,7 +1403,8 @@ def run_sweep(
             spec=spec,
             cores=cores,
             instructions_per_core=(
-                instructions_per_core or profile.recommended_trace_instructions
+                profile.recommended_trace_instructions
+                if instructions_per_core is None else instructions_per_core
             ),
             trace_seed_base=trace_seed_base,
             frontend_config=frontend_config,

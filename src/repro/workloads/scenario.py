@@ -200,6 +200,8 @@ class Scenario:
         """
         if cores <= 0:
             raise ValueError("a scenario binds to at least one core")
+        if instructions_per_core is not None and instructions_per_core <= 0:
+            raise ValueError("a scenario's instruction budget must be positive when given")
         resolved: List[Tuple[WorkloadProfile, ScenarioEntry]] = []
         for entry in self.entries:
             profile = entry.profile

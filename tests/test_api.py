@@ -1,5 +1,5 @@
 """Tests for the registry-driven design API: registries, DesignSpec,
-Session/RunReport, and the parallel CMP runner."""
+Session/RunReport, and the CMP design-set runner."""
 
 from __future__ import annotations
 
@@ -183,6 +183,17 @@ class TestSession:
         with pytest.raises(KeyError, match="unknown workload profile"):
             Session(profile="quantum_db")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"cores": 0},
+        {"instructions_per_core": 0},
+        {"instructions_per_core": -5},
+        {"scenario": "consolidated_oltp_dss", "instructions_per_core": 0},
+    ])
+    def test_unrunnable_chip_shapes_rejected_before_any_cell(self, kwargs):
+        # instructions_per_core=0 must not silently mean "profile default".
+        with pytest.raises(ValueError, match="at least 1|must be positive"):
+            Session(profile="oltp_db2", scale=0.08, **kwargs).run(["baseline"])
+
     def test_empty_designs_rejected(self, small_session):
         with pytest.raises(ValueError, match="no designs"):
             small_session.run([])
@@ -301,33 +312,10 @@ class TestCustomComponent:
 
 
 # --------------------------------------------------------------------------- #
-# Parallel CMP runner
+# CMP design sets
 # --------------------------------------------------------------------------- #
 
 class TestParallelCMP:
-    @pytest.mark.parametrize("design", ["confluence", "2level_shift"])
-    def test_workers_bit_identical_to_serial(self, tiny_program, design):
-        serial = ChipMultiprocessor(
-            tiny_program, cores=3, instructions_per_core=6_000
-        ).run_design(design)
-        parallel = ChipMultiprocessor(
-            tiny_program, cores=3, instructions_per_core=6_000, workers=2
-        ).run_design(design)
-        assert parallel.core_results == serial.core_results
-        assert parallel.area == serial.area
-        assert parallel.ipc == serial.ipc
-        assert parallel.btb_taken_misses == serial.btb_taken_misses
-
-    def test_workers_override_per_run(self, tiny_program):
-        cmp_model = ChipMultiprocessor(tiny_program, cores=2, instructions_per_core=5_000)
-        serial = cmp_model.run_design("baseline")
-        parallel = cmp_model.run_design("baseline", workers=2)
-        assert parallel.core_results == serial.core_results
-
-    def test_invalid_workers_rejected(self, tiny_program):
-        with pytest.raises(ValueError, match="workers"):
-            ChipMultiprocessor(tiny_program, cores=2, workers=0)
-
     def test_run_designs_accepts_specs(self, tiny_program):
         cmp_model = ChipMultiprocessor(tiny_program, cores=1, instructions_per_core=5_000)
         spec = resolve_design("baseline").derive("thin", btb_params={"entries": 512})
@@ -339,3 +327,9 @@ class TestParallelCMP:
         cmp_model = ChipMultiprocessor(tiny_program, cores=1, instructions_per_core=5_000)
         with pytest.raises(ValueError, match="duplicate design name"):
             cmp_model.run_designs(["baseline", resolve_design("baseline")])
+
+    def test_chip_has_no_pool_knob(self, tiny_program):
+        # Sweep cells are the one unit of parallelism: a chip's cores always
+        # run in the process that runs its cell.
+        with pytest.raises(TypeError):
+            ChipMultiprocessor(tiny_program, cores=2, workers=2)

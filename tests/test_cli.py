@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.__main__ import main
 from repro.workloads import load_packed
 
@@ -264,6 +266,36 @@ class TestSweepCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "unknown backend" in err and "scalar" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "0"], "workers must be positive"),
+        (["--scale", "0"], "scale factor must be positive"),
+        (["--scale", "-1"], "scale factor must be positive"),
+        (["--cores", "0"], "cores must be at least 1"),
+        (["--instructions-per-core", "-5"], "instructions_per_core must be at least 1"),
+        (["--instructions-per-core", "0"], "instructions_per_core must be at least 1"),
+    ])
+    def test_bad_arguments_are_usage_errors_before_any_cell_runs(
+        self, flags, message, capsys
+    ):
+        from repro.faultinject import FaultPlan, active
+
+        # Any cell that started would trip the plan and fail the sweep
+        # (exit 1) instead of the usage error (exit 2).
+        plan = FaultPlan()
+        plan.fail("cell:simulate", error=AssertionError("a cell ran"), attempts=10)
+        args = [
+            "sweep", "--profiles", "oltp_db2", "--designs", "baseline",
+            "--scale", "0.08", "--cores", "1", "--instructions-per-core",
+            "5000", "--no-cache", "--no-trace-store", "--no-journal",
+        ]
+        with active(plan):
+            code = main(args + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"sweep: {message}" in err
+        assert "Traceback" not in err
+        assert plan.fired == []
 
     def test_sweep_on_the_reference_backend(self, capsys):
         from repro.sweep import clear_workload_memo

@@ -131,46 +131,9 @@ class TestShiftHistory:
         assert config.index_storage_kb > 100
 
 
-class TestShiftHistorySnapshot:
-    """snapshot()/restore() must preserve a *wrapped* circular buffer —
-    including record()'s overwritten-slot index-drop bookkeeping."""
-
-    @staticmethod
-    def _wrapped_history(capacity=8, records=20):
-        history = ShiftHistory(ShiftConfig(history_entries=capacity,
-                                           index_entries=capacity))
-        blocks = [index * 64 for index in range(records)]
-        for block in blocks:
-            history.record(block)
-        assert history.records > capacity  # genuinely wrapped
-        return history, blocks
-
-    def test_restore_preserves_wrapped_lookup_and_streams(self):
-        history, blocks = self._wrapped_history()
-        restored = ShiftHistory.restore(history.snapshot())
-        assert restored.capacity == history.capacity
-        assert restored.records == history.records
-        # Overwritten blocks stay gone; surviving blocks resolve to the same
-        # positions and replay the same streams across the wrap boundary.
-        for stale in blocks[:-8]:
-            assert restored.lookup(stale) is None
-        for live in blocks[-8:-1]:
-            position = history.lookup(live)
-            assert restored.lookup(live) == position
-            assert (restored.read_stream(position, 4)
-                    == history.read_stream(position, 4))
-
-    def test_restored_history_keeps_recording_like_the_original(self):
-        history, _ = self._wrapped_history()
-        restored = ShiftHistory.restore(history.snapshot())
-        for block in (0x9000, 0x9040, 0x9080):
-            history.record(block)
-            restored.record(block)
-        # Identical post-restore evolution: head, index and buffer agree.
-        original_state = history.snapshot()
-        restored_state = restored.snapshot()
-        for field in ("buffer", "valid", "head", "index"):
-            assert restored_state[field] == original_state[field]
+class TestHistoryOverwrite:
+    """record() on a full circular buffer: the overwritten slot's
+    index-drop bookkeeping."""
 
     def test_record_drops_index_entry_of_overwritten_slot(self):
         history = ShiftHistory(ShiftConfig(history_entries=4, index_entries=4))
@@ -197,13 +160,6 @@ class TestShiftHistorySnapshot:
             history.record(block)
         assert history.lookup(0x0) == 0
         assert history.lookup(0x40) == 1
-
-    def test_snapshot_is_a_deep_copy(self):
-        history, _ = self._wrapped_history()
-        state = history.snapshot()
-        history.record(0xABC0)
-        restored = ShiftHistory.restore(state)
-        assert restored.lookup(0xABC0) is None
 
 
 class TestShiftPrefetcher:

@@ -13,8 +13,6 @@ import json
 
 import pytest
 
-from repro.core.cmp import ChipMultiprocessor
-from repro.core.designs import resolve_design
 from repro.faultinject import FaultPlan, FaultRule, active, flip_bits, truncate_file
 from repro.resilience import (
     JOURNAL_SCHEMA_VERSION,
@@ -29,7 +27,7 @@ from repro.sweep import (
     clear_workload_memo,
     run_sweep,
 )
-from repro.workloads import get_profile, workload_program
+from repro.workloads import get_profile
 
 PROFILES = ["oltp_db2", "dss_qry2"]
 DESIGNS = ["baseline", "confluence"]
@@ -186,15 +184,27 @@ class TestPoolRecovery:
         assert outcome.stats.simulated == 4
         assert outcome.summaries == reference
 
-    def test_hung_worker_trips_the_timeout_watchdog(self, reference):
+    @pytest.mark.parametrize("profiles, cores, workers, hang", [
+        # 2 x 2 cells on 2 cores: the pool is as wide as the workers.
+        (PROFILES, 2, 2, "dss_qry2/confluence"),
+        # 1 x 2 cells, each wider than the grid is long (3 cores, 4
+        # workers): they still go through the cell pool and its watchdog.
+        (["oltp_db2"], 3, 4, "oltp_db2/confluence"),
+    ], ids=["four-cells", "two-wide-cells"])
+    def test_hung_worker_trips_the_timeout_watchdog(
+        self, profiles, cores, workers, hang
+    ):
+        kwargs = dict(GRID_KW, cores=cores, cache=False)
+        clear_workload_memo()
+        reference = run_sweep(profiles, DESIGNS, **kwargs).summaries
         plan = FaultPlan()
-        plan.hang("cell:simulate", seconds=30.0, match="dss_qry2/confluence",
-                  attempts=1)
+        plan.hang("cell:simulate", seconds=30.0, match=hang, attempts=1)
         clear_workload_memo()
         with active(plan):
-            outcome = sweep(
-                workers=2,
+            outcome = run_sweep(
+                profiles, DESIGNS, workers=workers,
                 policy=RetryPolicy(retries=2, backoff=0.0, cell_timeout=3.0),
+                **kwargs,
             )
         assert outcome.stats.timed_out >= 1
         assert outcome.stats.pool_rebuilds >= 1
@@ -383,19 +393,3 @@ class TestRunJournal:
         foreign = RunJournal("/tmp/nowhere", ["not-a-cell-key"])
         with pytest.raises(ValueError, match="different cell-key set"):
             run_sweep(PROFILES, DESIGNS, **GRID_KW, cache=False, journal=foreign)
-
-
-class TestReplayCoreWrapping:
-    def test_replay_worker_failure_names_the_core(self):
-        profile = get_profile("oltp_db2").scaled(0.08)
-        cmp_model = ChipMultiprocessor(
-            workload_program(profile), cores=2, instructions_per_core=4_000
-        )
-        plan = FaultPlan()
-        plan.fail("cmp:replay_core", error=RuntimeError("vanished"))
-        with active(plan):
-            with pytest.raises(
-                CellExecutionError,
-                match=r"replay worker for oltp_db2.*/core1.*failed",
-            ):
-                cmp_model.run_design(resolve_design("baseline"), workers=2)

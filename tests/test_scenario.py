@@ -1,5 +1,5 @@
 """Tests for consolidation scenarios: the spec, the heterogeneous CMP,
-the sweep integration and the zero-copy core fan-out.
+the sweep integration and the memoized driver's trace-store attachment.
 
 The two load-bearing pins:
 
@@ -19,8 +19,14 @@ import dataclasses
 import pytest
 
 from repro.api import Session, run_grid
-from repro.core.cmp import ChipMultiprocessor, _replay_core
-from repro.sweep import SweepCell, TraceStore, clear_workload_memo, run_sweep
+from repro.core.cmp import ChipMultiprocessor
+from repro.sweep import (
+    SweepCell,
+    TraceStore,
+    clear_workload_memo,
+    cmp_driver,
+    run_sweep,
+)
 from repro.workloads import get_profile, workload_program
 from repro.workloads.scenario import (
     SCENARIOS,
@@ -250,13 +256,6 @@ class TestHeterogeneousExecution:
         assert sum(group["cycles"] for group in breakdown.values()) \
             == result.cycles
 
-    def test_parallel_fanout_is_bit_identical(self, mixed):
-        serial = ChipMultiprocessor(scenario=mixed).run_design("confluence")
-        parallel = ChipMultiprocessor(scenario=mixed).run_design(
-            "confluence", workers=2
-        )
-        assert parallel.core_results == serial.core_results
-
     def test_scenario_and_program_are_mutually_exclusive(self, tiny_program, mixed):
         with pytest.raises(ValueError, match="not both"):
             ChipMultiprocessor(tiny_program, scenario=mixed)
@@ -264,86 +263,27 @@ class TestHeterogeneousExecution:
             ChipMultiprocessor()
 
 
-class TestZeroCopyCoreFanout:
-    """Workers receive trace-store artifact paths, never pickled columns."""
+class TestMemoizedDriverStore:
+    """The memoized driver follows the latest caller's trace-store knob."""
 
-    def test_store_backed_traces_ship_as_paths(self, tmp_path):
-        bound = get_scenario("consolidated_oltp_dss").bind(
-            cores=4, scale=SCALE, instructions_per_core=INSTRUCTIONS
-        )
-        store = TraceStore(tmp_path / "traces")
-        cold = ChipMultiprocessor(scenario=bound, trace_store=store)
-        serial = cold.run_design("baseline")
-        assert cold._trace_paths is not None
-        assert all(path is not None for path in cold._trace_paths)
-
-        warm = ChipMultiprocessor(scenario=bound, trace_store=store)
-        parallel = warm.run_design("baseline", workers=2)
-        assert warm.traces_loaded == 4 and warm.traces_mapped == 4
-        assert parallel.core_results == serial.core_results
-
-    def test_replay_worker_maps_the_artifact(self, tmp_path, tiny_program):
-        """_replay_core with (path, no trace) equals the in-process result."""
-        store = TraceStore(tmp_path / "traces")
-        cmp_model = ChipMultiprocessor(
-            tiny_program, cores=2, instructions_per_core=INSTRUCTIONS,
-            trace_store=store,
-        )
-        serial = cmp_model.run_design("baseline")
-        from repro.core.designs import resolve_design
-        from repro.prefetch.shift import ShiftHistory
-        from repro.caches.llc import SharedLLC
-
-        llc = SharedLLC(cmp_model._llc_config())
-        history = ShiftHistory(llc=llc)
-        # Replays core 1 from its on-disk artifact, exactly as a pool worker
-        # does; the recorded history is empty on the baseline design (no
-        # SHIFT), so an empty snapshot reproduces the serial replay.
-        job = (
-            resolve_design("baseline"),
-            tiny_program,
-            None,
-            cmp_model._trace_paths[1],
-            cmp_model._core_traces()[1].name,
-            history.snapshot(),
-            cmp_model._llc_config(),
-            None,
-            None,
-            "test/core1",
-        )
-        assert _replay_core(job) == serial.core_results[1]
-
-    def test_detaching_the_store_drops_stale_artifact_paths(self, tmp_path):
-        # A memoized driver that recorded artifact paths under one store must
-        # not keep shipping them to workers after the store is detached (or
-        # swapped to another directory): the paths may no longer exist, and
-        # the driver holds perfectly good heap traces.
-        from repro.sweep import cmp_driver
-
+    def test_detached_driver_runs_from_heap_traces_after_prune(self, tmp_path):
+        # Detaching the store from a memoized driver must leave it running
+        # from the traces it already holds, even once the store's artifacts
+        # are gone.
         clear_workload_memo()
         profile = get_profile("oltp_db2").scaled(SCALE)
         store = TraceStore(tmp_path / "traces")
         attached = cmp_driver(profile, 2, INSTRUCTIONS, trace_store=store)
         with_store = attached.run_design("baseline")
-        assert attached._trace_paths and all(attached._trace_paths)
 
         detached = cmp_driver(profile, 2, INSTRUCTIONS, trace_store=None)
         assert detached is attached
-        assert detached._trace_paths is None
-        store.prune(0)  # the old artifacts are gone; heap traces must serve
-        without_store = detached.run_design("baseline", workers=2)
+        assert detached.trace_store is None
+        removed, _ = store.prune(0)
+        assert removed == 2  # both cores' artifacts are gone
+        without_store = detached.run_design("baseline")
         assert without_store.core_results == with_store.core_results
         clear_workload_memo()
-
-    def test_without_a_store_traces_still_travel(self, tiny_program):
-        cmp_model = ChipMultiprocessor(
-            tiny_program, cores=3, instructions_per_core=INSTRUCTIONS
-        )
-        serial = cmp_model.run_design("baseline")
-        parallel = ChipMultiprocessor(
-            tiny_program, cores=3, instructions_per_core=INSTRUCTIONS
-        ).run_design("baseline", workers=2)
-        assert parallel.core_results == serial.core_results
 
 
 class TestScenarioSweeps:
@@ -394,7 +334,14 @@ class TestScenarioSweeps:
             instructions_per_core=6_000,
         )
         assert mixed.stats.traces_generated == 0
-        assert mixed.stats.traces_loaded == 4
+        assert mixed.stats.traces_loaded == mixed.stats.traces_mapped == 4
+        # Store-fed (mmap) cores reproduce freshly generated ones bit for bit.
+        clear_workload_memo()
+        generated = run_sweep(
+            [], ["baseline"], scenarios=["consolidated_oltp_dss"],
+            scale=SCALE, cores=4, instructions_per_core=6_000,
+        )
+        assert mixed.summaries == generated.summaries
 
     def test_mixed_grid_runs_profiles_and_scenarios_together(self):
         outcome = run_sweep(

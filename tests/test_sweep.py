@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+import repro.sweep as sweep_module
 from repro.api import Session, reports_from_sweep, run_grid
 from repro.core.designs import resolve_design
 from repro.core.frontend import FrontendConfig
@@ -462,13 +463,23 @@ class TestSweepParityAndCache:
         parallel = run_grid(PROFILES, DESIGNS, workers=4, **GRID_KW)
         assert parallel == serial_reports
 
-    def test_core_level_budget_identical_to_serial(self):
-        # More workers than cells and cells wider than the pool they would
-        # fill: the budget goes to each cell's core-level fan-out instead.
+    def test_more_workers_than_cells_uses_the_cell_pool(self, monkeypatch):
+        # More workers than pending cells, each wider than the grid is long:
+        # the cells still go through the cell pool (one process per cell).
+        pooled = []
+        run_pooled = sweep_module._run_pending_pooled
+
+        def spy(cells, pending, *args):
+            pooled.append(list(pending))
+            return run_pooled(cells, pending, *args)
+
+        monkeypatch.setattr(sweep_module, "_run_pending_pooled", spy)
         kw = dict(scale=0.08, cores=3, instructions_per_core=5_000)
         serial = run_grid(["oltp_db2"], DESIGNS, **kw)
-        boosted = run_grid(["oltp_db2"], DESIGNS, workers=8, **kw)
-        assert boosted == serial
+        assert pooled == []
+        wide = run_grid(["oltp_db2"], DESIGNS, workers=8, **kw)
+        assert pooled == [[0, 1]]
+        assert wide == serial
 
     def test_grid_matches_per_profile_sessions(self, serial_reports):
         for profile in PROFILES:
