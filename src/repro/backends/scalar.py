@@ -3,8 +3,9 @@
 This is the production simulation path (and :data:`~repro.backends.base.DEFAULT_BACKEND`).
 It walks the trace's packed structure-of-arrays form directly — no
 :class:`~repro.workloads.trace.FetchRecord` objects, no per-region allocation
-— and is pinned bit-exact against the ``reference`` backend by the parity
-suite.  The loop body is covered by staticcheck rule R001 through the
+— reads the design-invariant branch predictions from the trace's
+:mod:`repro.branch.columns`, and is pinned bit-exact against the
+``reference`` backend by the parity suite.  The loop body is covered by staticcheck rule R001 through the
 ``@hot_loop`` marker: comprehensions, container displays and constructor
 calls inside the loop are build errors, not review comments.
 """
@@ -14,9 +15,10 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.backends.base import BACKEND_REGISTRY, SimBackend
+from repro.branch.columns import USE_BTB, columns_for
 from repro.branch.unit import PredictionSlot
 from repro.core.frontend import FrontendResult
-from repro.isa.instruction import BLOCK_SIZE_BYTES, INSTRUCTION_SIZE_BYTES
+from repro.isa.instruction import BLOCK_SIZE_BYTES
 from repro.prefetch.base import NullPrefetcher, PrefetchContext
 from repro.staticcheck.markers import hot_loop
 from repro.workloads.packed import KIND_CODES, NO_VALUE
@@ -42,14 +44,15 @@ class ScalarBackend(SimBackend):
     ) -> FrontendResult:
         """Simulate ``trace``; statistics cover the post-warmup portion.
 
-        This mirrors the ``reference`` backend operation for operation — same
-        component calls, same accumulation order — so the results are
-        bit-identical; only the Python-level record/attribute overhead is
-        gone.  The loop is also *allocation-free*: one reusable
-        :class:`~repro.branch.unit.PredictionSlot` receives every region's
-        prediction (no ``BranchPrediction``/``BTBLookupResult`` objects on
-        BTBs that override ``lookup_into``), a single
-        :class:`~repro.prefetch.base.PrefetchContext` is mutated per
+        Bit-identical to the ``reference`` backend, with two differences in
+        how the work is done.  The design-invariant predictors (direction,
+        RAS, indirect cache) are read from the trace's branch columns
+        (:func:`~repro.branch.columns.columns_for`), so the loop calls only
+        what depends on the design: the BTB's ``lookup_into``/``update``,
+        the L1-I, the LLC and the prefetcher.  And the loop is
+        *allocation-free*: one reusable
+        :class:`~repro.branch.unit.PredictionSlot` receives every BTB lookup,
+        a single :class:`~repro.prefetch.base.PrefetchContext` is mutated per
         iteration instead of constructed, and designs with no prefetcher
         (plain :class:`~repro.prefetch.base.NullPrefetcher`) or a perfect
         L1-I skip the corresponding machinery entirely.
@@ -72,8 +75,11 @@ class ScalarBackend(SimBackend):
         )
         perfect = simulator.perfect_l1i
         bpu = simulator.bpu
-        predict_into = bpu.predict_region_into
-        resolve = bpu.resolve_region
+        columns = columns_for(bpu, packed)
+        predicted_takens = columns.predicted_takens
+        target_hits = columns.target_hits
+        lookup_into = bpu.btb.lookup_into
+        btb_update = bpu.btb.update
         l1i = simulator.l1i
         l1i_access = l1i.access
         l1i_fill = l1i.fill
@@ -84,9 +90,10 @@ class ScalarBackend(SimBackend):
         max_lead = prefetcher.max_lead_cycles
         inflight = simulator._inflight
         cycle = simulator._cycle
+        misfetches = 0
 
-        # The one prediction scratch the whole loop writes into, and — for
-        # designs that prefetch at all — the one context the prefetcher sees
+        # The one BTB scratch the whole loop writes into, and — for designs
+        # that prefetch at all — the one context the prefetcher sees
         # (index/cycle/demand_miss_block are rewritten per iteration).  A
         # plain NullPrefetcher never observes anything, so its designs skip
         # the context and the target loop altogether (a subclass overriding
@@ -101,9 +108,9 @@ class ScalarBackend(SimBackend):
             bpu=bpu,
             demand_miss_block=None,
             packed=packed,
+            columns=columns,
         )
 
-        starts = packed.starts
         instruction_counts = packed.instruction_counts
         branch_pcs = packed.branch_pcs
         kinds = packed.kinds
@@ -113,33 +120,38 @@ class ScalarBackend(SimBackend):
         block_firsts = packed.block_firsts
         block_counts = packed.block_counts
         block_size = BLOCK_SIZE_BYTES
-        instruction_size = INSTRUCTION_SIZE_BYTES
         kind_table = KIND_CODES
 
         for index in range(total):
             count = instruction_counts[index]
-            raw_branch_pc = branch_pcs[index]
-            taken = bool(takens[index])
-            next_pc = next_pcs[index]
-            if raw_branch_pc == NO_VALUE:
-                branch_pc = None
-                kind = None
-                fallthrough = starts[index] + count * instruction_size
-            else:
-                branch_pc = raw_branch_pc
-                # A branch may still carry no kind (records are permitted to);
-                # the -1 sentinel must decode to None, never wrap the table.
-                code = kinds[index]
-                kind = kind_table[code] if code >= 0 else None
-                fallthrough = raw_branch_pc + instruction_size
+            branch_pc = branch_pcs[index]
+            has_branch = branch_pc != NO_VALUE
 
             # --- branch prediction ------------------------------------------
-            predict_into(slot, branch_pc, kind, taken, next_pc, fallthrough)
+            taken = False
+            btb_hit = False
             btb_bubble = 0
-            if slot.btb_hit and slot.btb_latency_cycles > 1:
-                btb_bubble = slot.btb_latency_cycles - 1
-            misfetch = slot.misfetch
-            direction_miss = not slot.direction_correct and branch_pc is not None
+            second_level = False
+            misfetch = False
+            direction_miss = False
+            if has_branch:
+                taken = takens[index] != 0
+                lookup_into(slot, branch_pc, taken)
+                btb_hit = slot.btb_hit
+                if btb_hit and slot.btb_latency_cycles > 1:
+                    btb_bubble = slot.btb_latency_cycles - 1
+                second_level = slot.btb_level == "l2"
+                if (predicted_takens[index] != 0) != taken:
+                    direction_miss = True
+                elif taken:
+                    # Fetch was steered the right way; decode catches a
+                    # missing or wrong target (RAS/indirect, else the BTB's).
+                    hit = target_hits[index]
+                    misfetch = not btb_hit or (
+                        slot.btb_target != next_pcs[index] if hit == USE_BTB
+                        else hit == 0
+                    )
+                    misfetches += misfetch
 
             # --- instruction fetch ------------------------------------------
             fetch_stall = 0
@@ -191,16 +203,18 @@ class ScalarBackend(SimBackend):
                     l1i_fill(target, demand=False)
                     issued += 1
 
-            # --- resolution / training --------------------------------------
-            raw_target = target_col[index]
-            resolve(
-                branch_pc,
-                kind,
-                taken,
-                raw_target if raw_target != NO_VALUE else None,
-                next_pc,
-                fallthrough,
-            )
+            # --- resolution / training (the BTB; the rest is in columns) ----
+            if has_branch:
+                # A branch may still carry no kind (records are permitted to);
+                # the -1 sentinel must decode to None, never wrap the table.
+                code = kinds[index]
+                raw_target = target_col[index]
+                btb_update(
+                    branch_pc,
+                    kind_table[code] if code >= 0 else None,
+                    raw_target if raw_target != NO_VALUE else None,
+                    taken,
+                )
 
             if index < warmup_boundary:
                 continue
@@ -212,20 +226,24 @@ class ScalarBackend(SimBackend):
             result.btb_latency_stall_cycles += btb_bubble
             result.l1i_stall_cycles += fetch_stall
             result.misfetches += int(misfetch)
-            if branch_pc is not None and taken:
+            if taken:
                 result.btb_taken_lookups += 1
-                if not slot.btb_hit:
+                if not btb_hit:
                     result.btb_taken_misses += 1
-            if slot.btb_level in ("l2",):
+            if second_level:
                 result.second_level_accesses += 1
             result.l1i_accesses += accesses
             result.l1i_misses += misses
             result.l1i_prefetch_hits += prefetch_hits
-            # Counted with the same guarded predicate the stall charge uses:
-            # a branchless region can never report a direction misprediction.
+            # A branchless region can never report a direction misprediction
+            # (the stall charge above uses the same predicate).
             result.direction_mispredictions += int(direction_miss)
             result.prefetches_issued += issued
 
+        bpu.predictions += total
+        bpu.misfetches += misfetches
+        bpu.direction_mispredictions += columns.direction_mispredictions
+        columns.settle(bpu)
         simulator._cycle = cycle
         simulator._finalize(result)
         return result

@@ -7,7 +7,10 @@ them per branch.  All tables use 2-bit saturating counters.
 
 from __future__ import annotations
 
-from typing import List, Protocol
+from typing import List, Protocol, Tuple
+
+#: Value snapshot of a :class:`HybridDirectionPredictor` (see its ``state``).
+DirectionState = Tuple[int, int, bytes, bytes, bytes, int, int]
 
 
 class DirectionPredictor(Protocol):
@@ -131,6 +134,32 @@ class HybridDirectionPredictor:
             self._meta.train(self._meta_index(branch_pc), gshare_correct)
         self.gshare.update(branch_pc, taken)
         self.bimodal.update(branch_pc, taken)
+
+    def state(self) -> DirectionState:
+        """Everything that shapes later predictions and statistics, as a value:
+        history length and register, the three counter tables, the counters."""
+        return (
+            self.gshare.history_bits,
+            self.gshare._history,
+            bytes(self.gshare._table.counters),
+            bytes(self.bimodal._table.counters),
+            bytes(self._meta.counters),
+            self.predictions,
+            self.mispredictions,
+        )
+
+    def load_state(self, state: DirectionState) -> None:
+        """Take over a :meth:`state` snapshot of a predictor of this geometry
+        (the three tables always share one size)."""
+        history_bits, history, gshare, bimodal, meta, predictions, mispredictions = state
+        if history_bits != self.gshare.history_bits or len(meta) != self._meta.entries:
+            raise ValueError("direction predictor state of a different geometry")
+        self.gshare._history = history
+        self.gshare._table.counters[:] = gshare
+        self.bimodal._table.counters[:] = bimodal
+        self._meta.counters[:] = meta
+        self.predictions = predictions
+        self.mispredictions = mispredictions
 
     @property
     def misprediction_rate(self) -> float:

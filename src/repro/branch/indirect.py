@@ -6,7 +6,12 @@ branch (Table 1).  Return instructions are predicted by the RAS instead.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+#: Value snapshot of an :class:`IndirectTargetCache` (see its ``state``).
+IndirectState = Tuple[
+    int, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...], int, int, int
+]
 
 
 class IndirectTargetCache:
@@ -42,6 +47,27 @@ class IndirectTargetCache:
         index = self._index(branch_pc)
         self._tags[index] = branch_pc
         self._targets[index] = target
+
+    def state(self) -> IndirectState:
+        """Capacity, tag and target entries and counters, as a value."""
+        return (
+            self.entries,
+            tuple(self._tags.items()),
+            tuple(self._targets.items()),
+            self.lookups,
+            self.hits,
+            self.correct,
+        )
+
+    def load_state(self, state: IndirectState) -> None:
+        """Take over a :meth:`state` snapshot of a cache of this capacity."""
+        entries, tags, targets, self.lookups, self.hits, self.correct = state
+        if entries != self.entries:
+            raise ValueError("indirect target cache state of a different capacity")
+        self._tags.clear()
+        self._tags.update(tags)
+        self._targets.clear()
+        self._targets.update(targets)
 
     @property
     def accuracy(self) -> float:

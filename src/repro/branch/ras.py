@@ -8,7 +8,10 @@ and matter for deeply layered server software.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+#: Value snapshot of a :class:`ReturnAddressStack` (see its ``state``).
+RASState = Tuple[int, Tuple[int, ...], int, int, int, int]
 
 
 class ReturnAddressStack:
@@ -50,3 +53,21 @@ class ReturnAddressStack:
 
     def clear(self) -> None:
         self._stack.clear()
+
+    def state(self) -> RASState:
+        """Capacity, stacked addresses and counters, as a value."""
+        return (
+            self.entries,
+            tuple(self._stack),
+            self.pushes,
+            self.pops,
+            self.underflows,
+            self.overflows,
+        )
+
+    def load_state(self, state: RASState) -> None:
+        """Take over a :meth:`state` snapshot of a stack of this capacity."""
+        entries, stack, self.pushes, self.pops, self.underflows, self.overflows = state
+        if entries != self.entries:
+            raise ValueError("return address stack state of a different capacity")
+        self._stack[:] = stack

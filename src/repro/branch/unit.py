@@ -16,40 +16,26 @@ from repro.branch.direction import HybridDirectionPredictor
 from repro.branch.indirect import IndirectTargetCache
 from repro.branch.ras import ReturnAddressStack
 from repro.isa.instruction import BranchKind
-from repro.staticcheck.markers import hot_loop
 from repro.workloads.trace import FetchRecord
 
 
 class PredictionSlot:
-    """Mutable, reusable scratch holding one region's prediction outcome.
+    """Mutable, reusable scratch holding one region's BTB lookup outcome.
 
-    The packed simulation loop owns exactly one slot and has the branch
-    prediction unit (and, through :meth:`~repro.branch.btb_base.BaseBTB.
-    lookup_into`, the BTB) write into it every region —
-    :meth:`BranchPredictionUnit.predict_region_into` is the allocation-free
-    twin of :meth:`BranchPredictionUnit.predict_region`.  Field meanings and
-    the derived predicates (:attr:`direction_correct`, :attr:`misfetch`)
-    mirror :class:`BranchPrediction`/:class:`~repro.branch.btb_base.
-    BTBLookupResult` exactly; the parity suite pins the equivalence.
+    The ``scalar`` simulation loop owns exactly one slot and has the BTB
+    write into it every region through
+    :meth:`~repro.branch.btb_base.BaseBTB.lookup_into`, the allocation-free
+    twin of :meth:`~repro.branch.btb_base.BaseBTB.lookup`.  Field meanings
+    mirror :class:`~repro.branch.btb_base.BTBLookupResult` exactly; the
+    parity suite pins the equivalence.  (The direction, RAS and indirect
+    predictions the loop combines them with come from the trace's
+    :mod:`repro.branch.columns`.)
     """
 
-    __slots__ = (
-        "btb_hit",
-        "btb_target",
-        "btb_latency_cycles",
-        "btb_level",
-        "predicted_taken",
-        "predicted_target",
-        "actual_taken",
-        "actual_target",
-    )
+    __slots__ = ("btb_hit", "btb_target", "btb_latency_cycles", "btb_level")
 
     def __init__(self) -> None:
         self.set_btb(False, None, 0, "none")
-        self.predicted_taken = False
-        self.predicted_target: Optional[int] = None
-        self.actual_taken = False
-        self.actual_target = 0
 
     def set_btb(
         self, hit: bool, target: Optional[int], latency_cycles: int, level: str
@@ -59,17 +45,6 @@ class PredictionSlot:
         self.btb_target = target
         self.btb_latency_cycles = latency_cycles
         self.btb_level = level
-
-    @property
-    def direction_correct(self) -> bool:
-        return self.predicted_taken == self.actual_taken
-
-    @property
-    def misfetch(self) -> bool:
-        """Same predicate as :attr:`BranchPrediction.misfetch`."""
-        if not (self.actual_taken and self.predicted_taken):
-            return False
-        return not self.btb_hit or self.predicted_target != self.actual_target
 
 
 @dataclass(frozen=True)
@@ -158,9 +133,10 @@ class BranchPredictionUnit:
         next_pc: int,
         fallthrough: int,
     ) -> BranchPrediction:
-        """Record-free :meth:`predict`: the packed fast path calls this with
-        column values directly (``fallthrough`` is the address following the
-        terminating branch, or the region end when there is no branch)."""
+        """Record-free :meth:`predict` (``fallthrough`` is the address
+        following the terminating branch, or the region end when there is no
+        branch).  :func:`repro.branch.columns.build_branch_columns` makes the
+        same direction, RAS and indirect calls, in the same order."""
         self.predictions += 1
         if branch_pc is None:
             result = BTBLookupResult(False, None, 0, "none")
@@ -196,62 +172,6 @@ class BranchPredictionUnit:
             self.direction_mispredictions += 1
         return prediction
 
-    @hot_loop
-    def predict_region_into(
-        self,
-        slot: PredictionSlot,
-        branch_pc: Optional[int],
-        kind: Optional[BranchKind],
-        taken: bool,
-        next_pc: int,
-        fallthrough: int,
-    ) -> PredictionSlot:
-        """Allocation-free :meth:`predict_region`: writes into ``slot``.
-
-        The packed hot loop calls this with one preallocated
-        :class:`PredictionSlot` instead of constructing a
-        :class:`BranchPrediction` (and, for BTBs overriding
-        :meth:`~repro.branch.btb_base.BaseBTB.lookup_into`, a
-        :class:`~repro.branch.btb_base.BTBLookupResult`) per region.  The
-        decision logic and every statistics side effect are identical to
-        :meth:`predict_region` — subclasses overriding one must override
-        both.
-        """
-        self.predictions += 1
-        if branch_pc is None:
-            slot.set_btb(False, None, 0, "none")
-            slot.predicted_taken = False
-            slot.predicted_target = next_pc
-            slot.actual_taken = False
-            slot.actual_target = next_pc
-            return slot
-
-        self.btb.lookup_into(slot, branch_pc, taken=taken)
-
-        if kind is BranchKind.CONDITIONAL:
-            predicted_taken = self.direction.predict(branch_pc)
-        else:
-            predicted_taken = True
-
-        if not predicted_taken:
-            predicted_target: Optional[int] = fallthrough
-        elif kind is BranchKind.RETURN:
-            predicted_target = self.ras.peek()
-        elif kind is not None and kind.is_indirect:
-            predicted_target = self.indirect.predict(branch_pc)
-        else:
-            predicted_target = slot.btb_target
-
-        slot.predicted_taken = predicted_taken
-        slot.predicted_target = predicted_target
-        slot.actual_taken = taken
-        slot.actual_target = next_pc
-        if slot.misfetch:
-            self.misfetches += 1
-        if not slot.direction_correct:
-            self.direction_mispredictions += 1
-        return slot
-
     def resolve(self, record: FetchRecord) -> None:
         """Train every component with the resolved branch."""
         self.resolve_region(
@@ -272,7 +192,8 @@ class BranchPredictionUnit:
         next_pc: int,
         fallthrough: int,
     ) -> None:
-        """Record-free :meth:`resolve` (the packed fast path's trainer)."""
+        """Record-free :meth:`resolve` (mirrored, minus the BTB update, by
+        :func:`repro.branch.columns.build_branch_columns`)."""
         if branch_pc is None:
             return
         if kind is BranchKind.CONDITIONAL:

@@ -39,12 +39,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    """Timing parameters of the modelled core (Table 1 and Section 4.1)."""
+    """Timing parameters of the modelled core (Table 1 and Section 4.1).
+
+    Table 1's fetch queue depth belongs to the prefetcher that uses it:
+    ``FetchDirectedPrefetcher(queue_depth_basic_blocks=...)``, set through a
+    design's ``prefetcher_params``.
+    """
 
     base_cpi: float = 1.0
     misfetch_penalty_cycles: int = 4
     direction_mispredict_penalty_cycles: int = 12
-    fetch_queue_basic_blocks: int = 6
     warmup_fraction: float = 0.2
 
     def __post_init__(self) -> None:

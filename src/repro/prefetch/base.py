@@ -18,6 +18,7 @@ from repro.workloads.packed import PackedTrace
 from repro.workloads.trace import FetchRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.branch.columns import BranchColumns
     from repro.branch.unit import BranchPredictionUnit
     from repro.caches.l1i import InstructionCache
 
@@ -37,13 +38,19 @@ class PrefetchContext:
         index: position of the region the core is currently fetching.
         cycle: current simulation cycle.
         l1i: the core's instruction cache (presence checks only).
-        bpu: the core's branch prediction unit (used by FDP to run ahead).
+        bpu: the core's branch prediction unit (FDP's runahead checks its
+            BTB).  During a ``scalar`` run its direction predictor, RAS and
+            indirect cache are not advanced region by region: the run reads
+            their outcomes from ``columns``.
         demand_miss_block: block address of the L1-I miss that triggered this
             call, or None when the current region hit.
         packed: the columnar form of the trace, when the engine runs the
             packed fast path; prefetchers that walk ahead (FDP) read the
             columns directly, and :meth:`region_blocks` serves the current
             region's block span from the precomputed columns.
+        columns: the trace's branch predictor columns
+            (:mod:`repro.branch.columns`), set with ``packed`` by the
+            ``scalar`` backend; FDP's runahead reads its stop column there.
     """
 
     records: Sequence[FetchRecord]
@@ -53,6 +60,7 @@ class PrefetchContext:
     bpu: Optional["BranchPredictionUnit"] = None
     demand_miss_block: Optional[int] = None
     packed: Optional[PackedTrace] = None
+    columns: Optional["BranchColumns"] = None
 
     @property
     def current_record(self) -> FetchRecord:

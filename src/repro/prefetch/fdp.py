@@ -22,9 +22,10 @@ from typing import TYPE_CHECKING, Any, Iterable, List
 from repro.isa.instruction import BLOCK_SIZE_BYTES, BranchKind
 from repro.prefetch.base import InstructionPrefetcher, PrefetchContext
 from repro.registry import PREFETCHER_REGISTRY, BuildContext
-from repro.workloads.packed import NO_VALUE, kind_code
+from repro.workloads.packed import NO_VALUE, PackedTrace
 
 if TYPE_CHECKING:  # import cycle guard: frontend wiring imports both sides
+    from repro.branch.columns import BranchColumns
     from repro.branch.unit import BranchPredictionUnit
 
 
@@ -50,8 +51,10 @@ class FetchDirectedPrefetcher(InstructionPrefetcher):
         bpu = context.bpu
         if bpu is None:
             return []
-        if context.packed is not None:
-            targets = self._targets_packed(context, bpu)
+        if context.packed is not None and context.columns is not None:
+            targets = self._targets_packed(
+                context, bpu, context.packed, context.columns
+            )
         else:
             targets = self._targets_records(context, bpu)
         self.issued_prefetches += len(targets)
@@ -83,31 +86,39 @@ class FetchDirectedPrefetcher(InstructionPrefetcher):
         return targets
 
     def _targets_packed(
-        self, context: PrefetchContext, bpu: "BranchPredictionUnit"
+        self,
+        context: PrefetchContext,
+        bpu: "BranchPredictionUnit",
+        packed: PackedTrace,
+        columns: "BranchColumns",
     ) -> List[int]:
-        """Columnar runahead: same walk, straight off the packed columns."""
+        """Columnar runahead: same walk, straight off the packed columns.
+
+        The direction predictor is not consulted: the trace's stop column
+        says where, for this queue depth, it first mispredicts.
+        """
         targets: List[int] = []
-        packed = context.packed
         branch_pcs = packed.branch_pcs
-        kinds = packed.kinds
         takens = packed.takens
         block_firsts = packed.block_firsts
         block_counts = packed.block_counts
-        conditional = kind_code(BranchKind.CONDITIONAL)
         l1i = context.l1i
-        limit = min(len(packed), context.index + 1 + self.queue_depth)
-        for position in range(context.index + 1, limit):
+        index = context.index
+        mispredicted = index + columns.runahead_stops(packed, self.queue_depth)[index]
+        limit = min(len(packed), index + 1 + self.queue_depth)
+        for position in range(index + 1, limit):
             previous = position - 1
+            if previous == mispredicted:
+                self.runahead_stops_on_misprediction += 1
+                break
             branch_pc = branch_pcs[previous]
-            if branch_pc != NO_VALUE:
-                if kinds[previous] == conditional:
-                    predicted_taken = bpu.direction.predict(branch_pc)
-                    if predicted_taken != bool(takens[previous]):
-                        self.runahead_stops_on_misprediction += 1
-                        break
-                if takens[previous] and not self._btb_has(bpu, branch_pc):
-                    self.runahead_stops_on_btb_miss += 1
-                    break
+            if (
+                branch_pc != NO_VALUE
+                and takens[previous]
+                and not self._btb_has(bpu, branch_pc)
+            ):
+                self.runahead_stops_on_btb_miss += 1
+                break
             first = block_firsts[position]
             stop = first + block_counts[position] * BLOCK_SIZE_BYTES
             for block in range(first, stop, BLOCK_SIZE_BYTES):

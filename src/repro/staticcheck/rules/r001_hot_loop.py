@@ -12,8 +12,10 @@ Hot region:
 
 * a marked function containing loops is checked inside its loop bodies
   (the prelude may allocate — hoisting is the point of the discipline);
-* a marked function without loops is a per-iteration leaf (``lookup_into``,
-  ``predict_region_into``) and is checked in full.
+  ``ScalarBackend.run`` and the branch column builder
+  ``build_branch_columns`` are of this kind;
+* a marked function without loops is a per-iteration leaf
+  (``lookup_into``) and is checked in full.
 
 Flagged inside the hot region: comprehensions and generator expressions,
 ``lambda`` and nested ``def`` (closure objects), list/set/dict displays and

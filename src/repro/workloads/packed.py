@@ -73,6 +73,7 @@ from repro.isa.instruction import (
 )
 
 if TYPE_CHECKING:  # import cycle guard: trace.py imports this module
+    from repro.branch.columns import BranchColumns
     from repro.workloads.trace import FetchRecord
 
 # Optional-numpy dance lives in one place; ``_np`` is None when absent and
@@ -177,6 +178,7 @@ class PackedTrace:
     __slots__ = tuple(name for name, _ in _COLUMNS) + (
         "name",
         "_instruction_count",
+        "_branch_columns",
     )
 
     def __init__(self, columns: Iterable[Column], name: str = "trace") -> None:
@@ -197,6 +199,8 @@ class PackedTrace:
             setattr(self, attr, column)
         self.name = name
         self._instruction_count: Optional[int] = None
+        #: Memo of :func:`repro.branch.columns.trace_columns` (never pickled).
+        self._branch_columns: Optional["BranchColumns"] = None
 
     @classmethod
     def from_buffers(

@@ -185,6 +185,12 @@ class TestFrontendSimulator:
         with pytest.raises(ValueError):
             FrontendConfig(warmup_fraction=1.0)
 
+    def test_config_has_no_fetch_queue_knob(self):
+        # FDP's lookahead is its own queue_depth_basic_blocks parameter; a
+        # config field nothing read only split the cell-key space.
+        with pytest.raises(TypeError):
+            FrontendConfig(fetch_queue_basic_blocks=4)
+
     def test_mpki_properties(self, tiny_program, tiny_trace):
         simulator, _ = build_design("baseline", tiny_program)
         result = simulator.run(tiny_trace)

@@ -41,6 +41,38 @@ def _run_vs_reference(program, trace, design, backend):
     )
 
 
+def _run_sequence(program, traces, design, backend):
+    """One simulator runs ``traces`` in order; its predictors stay warm."""
+    simulator, _ = design_from_spec(resolve_design(design), program)
+    return [dataclasses.asdict(simulator.run(trace, backend=backend)) for trace in traces]
+
+
+def _hand_built_fdp(backend):
+    """An FDP core whose direction predictor is not the default geometry."""
+    from repro.branch.btb_conventional import ConventionalBTB
+    from repro.branch.direction import HybridDirectionPredictor
+    from repro.branch.unit import BranchPredictionUnit
+    from repro.core.frontend import FrontendSimulator
+    from repro.prefetch.fdp import FetchDirectedPrefetcher
+
+    bpu = BranchPredictionUnit(
+        ConventionalBTB(),
+        direction=HybridDirectionPredictor(entries=4096, history_bits=8),
+    )
+    return FrontendSimulator(
+        bpu=bpu, prefetcher=FetchDirectedPrefetcher(), design_name="hand_fdp",
+        backend=backend,
+    )
+
+
+@pytest.fixture(scope="module")
+def second_tiny_trace(tiny_program):
+    """The tiny profile under another seed (a core's next trace)."""
+    from repro.workloads import generate_trace
+
+    return generate_trace(tiny_program, 30_000, seed=4)
+
+
 class TestBackendReferenceParity:
     """Two profiles x the design set: identical results field for field."""
 
@@ -56,6 +88,59 @@ class TestBackendReferenceParity:
         fast, oracle = _run_vs_reference(
             small_program, small_trace, design, sim_backend
         )
+        assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
+
+    @pytest.mark.parametrize("design", ("baseline", "fdp", "confluence"))
+    def test_warm_reuse_parity(
+        self, tiny_program, tiny_trace, second_tiny_trace, design, sim_backend
+    ):
+        # Predictors and caches stay warm across run() calls: the second and
+        # third runs must start where the oracle's do, so a backend that
+        # served per-trace predictions without leaving the live predictors
+        # at their end state diverges here.
+        traces = (tiny_trace, second_tiny_trace, tiny_trace)
+        assert _run_sequence(tiny_program, traces, design, sim_backend) == (
+            _run_sequence(tiny_program, traces, design, "reference")
+        )
+
+    def test_each_fdp_queue_depth_gets_its_own_stop_column(
+        self, tiny_program, tiny_trace, sim_backend
+    ):
+        # The stop column is per queue depth: after the default fdp, a
+        # shallower and then a deeper queue on the same trace (a copy whose
+        # memo starts empty) must each match the oracle.  The tiny trace
+        # barely misses in the L1-I, so the runahead's own stop counters are
+        # what would show a wrong column.
+        from repro.workloads.trace import Trace
+
+        trace = Trace.from_packed(tiny_trace.packed.slice(0))
+
+        def runahead(design, backend):
+            simulator, _ = design_from_spec(design, tiny_program)
+            result = simulator.run(trace, backend=backend)
+            fdp = simulator.prefetcher
+            return dataclasses.asdict(result), (
+                fdp.runahead_stops_on_misprediction,
+                fdp.runahead_stops_on_btb_miss,
+                fdp.issued_prefetches,
+            )
+
+        fdp = resolve_design("fdp")
+        for design in (
+            fdp,
+            fdp.derive("fdp_q3", prefetcher_params={"queue_depth_basic_blocks": 3}),
+            fdp.derive("fdp_q12", prefetcher_params={"queue_depth_basic_blocks": 12}),
+        ):
+            assert runahead(design, sim_backend) == runahead(design, "reference"), (
+                design.name
+            )
+
+    def test_non_default_predictor_parity(self, tiny_trace, sim_backend):
+        # A non-default predictor geometry cannot use the trace's memo: its
+        # columns (FDP stop column included) are built over the live
+        # components.
+        fast = _hand_built_fdp(sim_backend).run(tiny_trace)
+        oracle = _hand_built_fdp("reference").run(tiny_trace)
         assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
 
     def test_parity_with_kindless_branch_records(self, tiny_program, sim_backend):
@@ -166,10 +251,10 @@ class TestMmapHeapParity:
 class TestAllocationFreeKernel:
     """The scalar loop must not construct per-region Python objects.
 
-    The scratch-slot API (``predict_region_into``/``lookup_into``) and the
-    hoisted ``PrefetchContext`` are regression-pinned by counting
+    The scratch-slot API (``lookup_into``), the per-trace branch columns and
+    the hoisted ``PrefetchContext`` are regression-pinned by counting
     constructor/entry-point calls: a design on the hot path must complete a
-    whole run with zero ``predict_region`` calls (slot API used instead),
+    whole run with zero ``predict_region`` calls (columns used instead),
     zero ``lookup`` calls on slot-capable BTBs, and at most one
     ``PrefetchContext`` ever built (zero when the design has no prefetcher).
     These pins target the default ``scalar`` backend specifically — the
@@ -205,7 +290,7 @@ class TestAllocationFreeKernel:
         simulator, _ = design_from_spec(resolve_design("baseline"), tiny_program)
         result = simulator.run(tiny_trace, backend="scalar")
         assert result.fetch_regions > 0
-        assert predictions["count"] == 0  # slot API replaced predict_region
+        assert predictions["count"] == 0  # branch columns replaced it
         assert lookups["count"] == 0  # lookup_into replaced lookup
         assert contexts["count"] == 0  # no prefetcher: no context at all
         assert slots["count"] == 1  # one reusable scratch for the whole run
@@ -242,6 +327,35 @@ class TestAllocationFreeKernel:
                 tiny_program, tiny_trace, design, "scalar"
             )
             assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
+
+
+class TestBranchColumnMemo:
+    """Fresh default predictors share one per-trace column build."""
+
+    def test_two_designs_build_the_columns_once(
+        self, tiny_program, tiny_trace, monkeypatch
+    ):
+        from repro.branch import columns
+        from repro.workloads.trace import Trace
+
+        builds = TestAllocationFreeKernel._count_calls(
+            monkeypatch, columns, "build_branch_columns"
+        )
+        trace = Trace.from_packed(tiny_trace.packed.slice(0))  # no memo yet
+        for design in ("baseline", "confluence"):
+            simulator, _ = design_from_spec(resolve_design(design), tiny_program)
+            simulator.run(trace, backend="scalar")
+        assert builds["count"] == 1
+        assert trace.packed._branch_columns is not None
+
+    def test_pickled_trace_carries_no_memo(self, tiny_program, tiny_trace):
+        import pickle
+
+        simulator, _ = design_from_spec(resolve_design("baseline"), tiny_program)
+        simulator.run(tiny_trace, backend="scalar")
+        assert tiny_trace.packed._branch_columns is not None
+        restored = pickle.loads(pickle.dumps(tiny_trace.packed))
+        assert restored._branch_columns is None
 
 
 class TestDirectionMispredictionPredicate:

@@ -44,11 +44,11 @@ class TestRepositoryIsClean:
         from repro.backends.scalar import ScalarBackend
         from repro.branch.btb_conventional import ConventionalBTB, PerfectBTB
         from repro.branch.btb_two_level import TwoLevelBTB
-        from repro.branch.unit import BranchPredictionUnit
+        from repro.branch.columns import build_branch_columns
 
         for func in (
             ScalarBackend.run,
-            BranchPredictionUnit.predict_region_into,
+            build_branch_columns,
             ConventionalBTB.lookup_into,
             PerfectBTB.lookup_into,
             TwoLevelBTB.lookup_into,
