@@ -13,10 +13,10 @@ The package is organised as the paper's system is:
 * :mod:`repro.prefetch` — FDP and SHIFT instruction prefetchers.
 * :mod:`repro.registry` — pluggable component registries (BTBs and
   prefetchers self-register; user code can add its own).
-* :mod:`repro.backends` — pluggable simulation backends behind one parity
-  gate: ``scalar`` (the zero-allocation columnar hot loop, the default) and
-  ``reference`` (the record-view oracle), selected with ``backend=``
-  everywhere from :class:`FrontendSimulator` to ``python -m repro sweep``.
+* :mod:`repro.backends` — the simulation loops: ``scalar`` (the
+  zero-allocation columnar hot loop every :class:`FrontendSimulator` run
+  executes) and ``reference`` (the record-view oracle the parity tests pin
+  it against).
 * :mod:`repro.core` — the contribution: AirBTB, Confluence, the frontend
   timing model, the declarative :class:`DesignSpec` catalog, the area model
   and the CMP driver.
@@ -81,13 +81,6 @@ from repro.registry import (
     build_btb,
     build_prefetcher,
 )
-from repro.backends import (
-    BACKEND_REGISTRY,
-    DEFAULT_BACKEND,
-    SimBackend,
-    backend_names,
-    get_backend,
-)
 from repro.core import (
     AirBTB,
     AirBTBConfig,
@@ -148,11 +141,6 @@ __all__ = [
     "BuildContext",
     "build_btb",
     "build_prefetcher",
-    "BACKEND_REGISTRY",
-    "DEFAULT_BACKEND",
-    "SimBackend",
-    "backend_names",
-    "get_backend",
     "AirBTB",
     "AirBTBConfig",
     "ChipMultiprocessor",

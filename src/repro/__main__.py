@@ -18,10 +18,9 @@ The ``bench`` subcommand measures the simulation kernel
 the committed ``BENCH_kernel.json`` tracks the history PR over PR (``--json``
 *appends* a point), and ``--expect-schema`` lets CI fail on schema drift
 without failing on raw timing.  Throughput is gated by ``report --check``.
-
-The ``backends`` subcommand lists the registered simulation backends
-(:mod:`repro.backends`); every ``sweep``/``bench`` invocation picks one with
-``--backend`` (default ``scalar``, the zero-allocation columnar loop).
+Every ``sweep`` cell and every ``bench`` design runs the ``scalar`` loop;
+``bench`` also times the ``reference`` oracle (:mod:`repro.backends`) on the
+first design.
 
 The ``report`` subcommand (:mod:`repro.report`) collects recorded evidence —
 bench trajectories, saved sweep reports (``sweep --save-report``), run
@@ -57,11 +56,6 @@ Examples::
     REPRO_BENCH_SMOKE=1 python -m repro bench --json /tmp/bench.json \\
         --expect-schema BENCH_kernel.json
 
-    # list the registered simulation backends / sweep on the oracle loop
-    python -m repro backends
-    python -m repro sweep --backend reference --profiles oltp_db2 \\
-        --designs baseline --scale 0.1 --cores 2
-
     # render the committed trajectory + a saved sweep as one HTML page,
     # then gate the newest point against the committed baseline
     python -m repro sweep --profiles oltp_db2 --designs baseline confluence \\
@@ -87,7 +81,6 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Union
 
 from repro.analysis.reporting import format_table
 from repro.api import reports_from_sweep
-from repro.backends import DEFAULT_BACKEND
 from repro.core.designs import DESIGN_POINTS
 from repro.resilience import CellExecutionError, RetryPolicy
 from repro.sweep import (
@@ -148,10 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-core trace seeds are base + core (default 100)")
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes for grid cells (default: serial)")
-    sweep.add_argument("--backend", default=DEFAULT_BACKEND, metavar="NAME",
-                       help="simulation backend for every cell (see "
-                            "'python -m repro backends'; default "
-                            f"{DEFAULT_BACKEND})")
     sweep.add_argument("--baseline", default=None,
                        help="speedup reference design (default: 'baseline' when "
                             "present, else the first design)")
@@ -248,10 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=None,
                        help="timing repeats per design, best-of reported "
                             "(default: operating point)")
-    bench.add_argument("--backend", default=DEFAULT_BACKEND, metavar="NAME",
-                       help="simulation backend to time per design (every "
-                            "registered backend is also timed on the first "
-                            f"design; default {DEFAULT_BACKEND})")
     bench.add_argument("--json", default=None, metavar="PATH", dest="json_out",
                        help="append this run to the trajectory file at PATH "
                             "(created when missing)")
@@ -259,22 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fail (exit 1) if this run's JSON schema drifts "
                             "from the latest trajectory point at PATH")
     bench.set_defaults(handler=_run_bench_command)
-
-    backends = commands.add_parser(
-        "backends",
-        help="list the registered simulation backends",
-        description=(
-            "List every registered simulation backend (the scalar columnar "
-            "hot loop, the record-view reference oracle, and anything user "
-            "code registered). All backends are bit-exact with the "
-            "reference oracle; tests/test_frontend_parity.py pins each one."
-        ),
-    )
-    backends.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the listing as JSON instead of text",
-    )
-    backends.set_defaults(handler=_run_backends_command)
 
     report = commands.add_parser(
         "report",
@@ -413,7 +382,6 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             cache=cache,
             trace_store=trace_store,
             scenarios=args.scenarios,
-            backend=args.backend,
             policy=policy,
             journal=journal,
             resume=args.resume,
@@ -686,10 +654,9 @@ def _run_bench_command(args: argparse.Namespace) -> int:
             seed=args.seed,
             designs=args.designs,
             repeats=args.repeats if args.repeats is not None else settings["repeats"],
-            backend=args.backend,
         )
     except KeyError as error:
-        # Unknown profile/design/backend names; usage errors exit 2.
+        # Unknown profile/design names; usage errors exit 2.
         print(f"bench: {error}", file=sys.stderr)
         return 2
     print(format_bench_report(payload))
@@ -723,33 +690,6 @@ def _run_bench_command(args: argparse.Namespace) -> int:
         print(f"wrote {args.json_out} ({count} trajectory "
               f"point{'s' if count != 1 else ''})")
 
-    return 0
-
-
-def _run_backends_command(args: argparse.Namespace) -> int:
-    from repro.backends import backend_names, get_backend
-
-    rows = []
-    for name in backend_names():
-        impl = get_backend(name)
-        doc = (type(impl).__doc__ or "").strip().splitlines()
-        rows.append({
-            "name": name,
-            "default": name == DEFAULT_BACKEND,
-            "trace form": impl.trace_form,
-            "summary": doc[0] if doc else "",
-        })
-
-    if args.as_json:
-        print(json.dumps({"backends": rows}, indent=2, sort_keys=True))
-        return 0
-
-    for row in rows:
-        marker = " (default)" if row["default"] else ""
-        print(f"{row['name']}{marker}")
-        print(f"    trace form: {row['trace form']}")
-        if row["summary"]:
-            print(f"    {row['summary']}")
     return 0
 
 

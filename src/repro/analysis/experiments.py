@@ -148,10 +148,6 @@ class DesignOutcome:
     result: FrontendResult
     area: FrontendAreaReport
 
-    @property
-    def speedup_reference(self) -> float:
-        return self.result.ipc
-
 
 def frontend_comparison(
     program: SyntheticProgram,

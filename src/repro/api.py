@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.backends.base import DEFAULT_BACKEND, get_backend
 from repro.core.cmp import ChipMultiprocessor
 from repro.core.designs import DesignSpec, resolve_design
 from repro.core.frontend import FrontendConfig
@@ -209,11 +208,6 @@ class Session:
             ``trace_seed_base``) or a pre-bound assignment.  When given it
             replaces ``profile``; ``session.profile`` is then ``None`` and
             the report is keyed by the scenario's name.
-        backend: simulation backend name for every run (a
-            :data:`repro.backends.BACKEND_REGISTRY` entry; default
-            ``"scalar"``, the zero-allocation columnar loop).  The name
-            joins every cell's cache key, so sessions on different backends
-            never share cache entries.
         retry_policy: resilience knobs for every :meth:`run` — bounded
             retry with deterministic backoff, per-cell timeouts and pool
             rebuilds (see :class:`repro.resilience.RetryPolicy` and
@@ -232,11 +226,8 @@ class Session:
         cache: Union[None, bool, str, Path, ResultCache] = None,
         trace_store: Union[None, bool, str, Path, TraceStore] = None,
         scenario: Union[None, str, Scenario, BoundScenario] = None,
-        backend: str = DEFAULT_BACKEND,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        # Fail on unknown backend names at construction, not mid-run.
-        get_backend(backend)
         if scenario is not None:
             if not isinstance(scenario, BoundScenario):
                 scenario = resolve_scenario(scenario).bind(
@@ -262,7 +253,6 @@ class Session:
                 if instructions_per_core is None else instructions_per_core
             )
         self.scale = scale
-        self.backend = backend
         self.frontend_config = frontend_config
         self.trace_seed_base = trace_seed_base
         self.workers = workers
@@ -312,7 +302,6 @@ class Session:
                 self.trace_seed_base,
                 self.frontend_config,
                 trace_store=self.trace_store,
-                backend=self.backend,
             )
         return self._cmp
 
@@ -353,7 +342,6 @@ class Session:
             cache=self.cache,
             trace_store=self.trace_store,
             scenarios=[self.scenario] if self.scenario is not None else None,
-            backend=self.backend,
             policy=self.retry_policy,
         )
         return _assemble_report(
@@ -413,8 +401,8 @@ def run_grid(
     result cache (see :mod:`repro.sweep`).  ``scenarios=[...]`` adds
     heterogeneous consolidation rows (``profiles`` may then be empty); the
     remaining keyword arguments (``scale``, ``cores``,
-    ``instructions_per_core``, ``frontend_config``, ``trace_seed_base``,
-    ``backend``) apply to every cell.  Returns ``{workload name: RunReport}``, identical
+    ``instructions_per_core``, ``frontend_config``, ``trace_seed_base``)
+    apply to every cell.  Returns ``{workload name: RunReport}``, identical
     to running one serial :class:`Session` per workload.
     """
     outcome = run_sweep(profiles, designs, **sweep_kwargs)
@@ -480,14 +468,21 @@ def load_reports(
             f"{path} uses sweep-report schema {payload['schema']!r} "
             f"(this build reads schema {SWEEP_REPORT_SCHEMA_VERSION})"
         )
-    reports = {
-        str(name): RunReport.from_dict(data)
-        for name, data in payload["reports"].items()
-    }
-    stats_raw = payload.get("stats", {})
-    stats = (
-        {str(key): int(value) for key, value in stats_raw.items()}
-        if isinstance(stats_raw, dict)
-        else {}
-    )
+    try:
+        reports = {
+            str(name): RunReport.from_dict(data)
+            for name, data in payload["reports"].items()
+        }
+        stats_raw = payload.get("stats", {})
+        stats = (
+            {str(key): int(value) for key, value in stats_raw.items()}
+            if isinstance(stats_raw, dict)
+            else {}
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        # A missing field, a non-object entry or a non-numeric counter.
+        raise ValueError(
+            f"{path} is not a saved sweep-report file: "
+            f"{type(error).__name__}: {error}"
+        ) from error
     return reports, stats

@@ -1,19 +1,19 @@
 """The ``reference`` backend: record-view oracle loop.
 
 This is the original per-record simulation path, kept as the bit-exact
-parity oracle for every other backend.  It deliberately trades speed for
+parity oracle for the ``scalar`` loop.  It deliberately trades speed for
 legibility: each region is a :class:`~repro.workloads.trace.FetchRecord`,
 each prediction is a fresh object from ``bpu.predict``, and each region
-constructs its own :class:`~repro.prefetch.base.PrefetchContext`.  Nothing
-performance-sensitive may depend on it — sweeps and benchmarks select it
-only when explicitly asked (``backend="reference"``).
+constructs its own :class:`~repro.prefetch.base.PrefetchContext`.  No
+simulation path runs it: the parity tests and ``python -m repro bench``
+call it directly (``ReferenceBackend().run(simulator, trace, warmup)``).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, TYPE_CHECKING
 
-from repro.backends.base import BACKEND_REGISTRY, SimBackend
+from repro.backends.base import SimBackend
 from repro.core.frontend import FrontendResult
 from repro.prefetch.base import PrefetchContext
 from repro.workloads.trace import FetchRecord
@@ -23,15 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.workloads.trace import Trace
 
 
-@BACKEND_REGISTRY.register("reference")
 class ReferenceBackend(SimBackend):
     """Record-at-a-time oracle loop (slow, legible, the parity anchor)."""
 
     name = "reference"
-    trace_form = "record view (.records)"
-
-    def consumes(self, trace: "Trace") -> bool:
-        return getattr(trace, "records", None) is not None
 
     def run(
         self, simulator: "FrontendSimulator", trace: "Trace", warmup: float

@@ -1,20 +1,21 @@
 """The ``scalar`` backend: zero-allocation columnar hot loop.
 
-This is the production simulation path (and :data:`~repro.backends.base.DEFAULT_BACKEND`).
-It walks the trace's packed structure-of-arrays form directly — no
-:class:`~repro.workloads.trace.FetchRecord` objects, no per-region allocation
-— reads the design-invariant branch predictions from the trace's
-:mod:`repro.branch.columns`, and is pinned bit-exact against the
-``reference`` backend by the parity suite.  The loop body is covered by staticcheck rule R001 through the
-``@hot_loop`` marker: comprehensions, container displays and constructor
-calls inside the loop are build errors, not review comments.
+This is the simulation path: :meth:`repro.core.frontend.FrontendSimulator.run`
+always runs it.  It walks the trace's packed structure-of-arrays form
+directly — no :class:`~repro.workloads.trace.FetchRecord` objects, no
+per-region allocation — reads the design-invariant branch predictions from
+the trace's :mod:`repro.branch.columns`, and is pinned bit-exact against the
+``reference`` oracle by the parity suite.  The loop body is covered by
+staticcheck rule R001 through the ``@hot_loop`` marker: comprehensions,
+container displays and constructor calls inside the loop are build errors,
+not review comments.
 """
 
 from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from repro.backends.base import BACKEND_REGISTRY, SimBackend
+from repro.backends.base import SimBackend
 from repro.branch.columns import USE_BTB, columns_for
 from repro.branch.unit import PredictionSlot
 from repro.core.frontend import FrontendResult
@@ -28,15 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.workloads.trace import Trace
 
 
-@BACKEND_REGISTRY.register("scalar")
 class ScalarBackend(SimBackend):
     """Columnar fast loop: one pass over the packed arrays, no records."""
 
     name = "scalar"
-    trace_form = "columnar (.packed)"
-
-    def consumes(self, trace: "Trace") -> bool:
-        return getattr(trace, "packed", None) is not None
 
     @hot_loop
     def run(

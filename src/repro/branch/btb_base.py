@@ -29,7 +29,7 @@ class BTBEntry:
     """One branch target buffer entry."""
 
     branch_pc: int
-    kind: BranchKind
+    kind: Optional[BranchKind]
     target: Optional[int]
 
 
@@ -70,16 +70,6 @@ class BTBStats:
     insertions: int = 0
     second_level_accesses: int = 0
 
-    @property
-    def taken_hit_rate(self) -> float:
-        if self.taken_lookups == 0:
-            return 0.0
-        return 1.0 - self.taken_misses / self.taken_lookups
-
-    @property
-    def total_misses(self) -> int:
-        return self.taken_misses + self.not_taken_misses
-
     def record(self, hit: bool, taken: bool, second_level: bool = False) -> None:
         self.lookups += 1
         if taken:
@@ -92,6 +82,16 @@ class BTBStats:
                 self.not_taken_misses += 1
         if second_level:
             self.second_level_accesses += 1
+
+
+def allocates_entry(kind: Optional[BranchKind], taken: bool) -> bool:
+    """Whether a resolved branch trains a BTB that skips not-taken branches.
+
+    Taken branches and unconditional ones get an entry; a not-taken
+    conditional branch needs no target.  A branch without a kind (a trace
+    record may carry none) counts as conditional.
+    """
+    return taken or (kind is not None and kind.is_unconditional)
 
 
 class BaseBTB(abc.ABC):
@@ -128,8 +128,13 @@ class BaseBTB(abc.ABC):
         slot.set_btb(result.hit, result.target, result.latency_cycles, result.level)
 
     @abc.abstractmethod
-    def update(self, branch_pc: int, kind: BranchKind, target: Optional[int], taken: bool) -> None:
-        """Train the BTB with the resolved branch (insert/refresh its entry)."""
+    def update(
+        self, branch_pc: int, kind: Optional[BranchKind], target: Optional[int], taken: bool
+    ) -> None:
+        """Train the BTB with the resolved branch (insert/refresh its entry).
+
+        ``kind`` is ``None`` for a branch whose trace record carries no kind.
+        """
 
     def on_block_fill(self, predecoded: PredecodedBlock, demand: bool = False) -> None:
         """Hook called when an instruction block is installed in the L1-I.

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult
+from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry
 from repro.caches.sram import SetAssociativeCache
 from repro.isa.instruction import BranchKind
 from repro.registry import BTB_REGISTRY, BuildContext
@@ -136,13 +136,15 @@ class ConventionalBTB(BaseBTB):
             return True
         return self._victim is not None and self._victim.contains(branch_pc)
 
-    def update(self, branch_pc: int, kind: BranchKind, target: Optional[int], taken: bool) -> None:
+    def update(
+        self, branch_pc: int, kind: Optional[BranchKind], target: Optional[int], taken: bool
+    ) -> None:
         """Insert/refresh the entry after the branch resolves.
 
         Conventional BTBs allocate entries for taken branches (a not-taken
         branch needs no target) — the same policy the paper's baseline uses.
         """
-        if not taken and not kind.is_unconditional:
+        if not allocates_entry(kind, taken):
             return
         entry = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
         self.stats.insertions += 1
@@ -184,7 +186,9 @@ class PerfectBTB(BaseBTB):
     def peek_hit(self, branch_pc: int) -> bool:
         return branch_pc in self._entries
 
-    def update(self, branch_pc: int, kind: BranchKind, target: Optional[int], taken: bool) -> None:
+    def update(
+        self, branch_pc: int, kind: Optional[BranchKind], target: Optional[int], taken: bool
+    ) -> None:
         self.stats.insertions += 1
         self._entries[branch_pc] = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, List, Optional
 
-from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult
+from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry
 from repro.branch.btb_conventional import conventional_entry_bits
 from repro.caches.llc import SharedLLC
 from repro.caches.sram import SetAssociativeCache
@@ -128,8 +128,10 @@ class PhantomBTB(BaseBTB):
     def peek_hit(self, branch_pc: int) -> bool:
         return self._l1.contains(branch_pc) or self._prefetch_buffer.contains(branch_pc)
 
-    def update(self, branch_pc: int, kind: BranchKind, target: Optional[int], taken: bool) -> None:
-        if not taken and not kind.is_unconditional:
+    def update(
+        self, branch_pc: int, kind: Optional[BranchKind], target: Optional[int], taken: bool
+    ) -> None:
+        if not allocates_entry(kind, taken):
             return
         entry = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
         self.stats.insertions += 1

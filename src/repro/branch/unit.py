@@ -205,9 +205,3 @@ class BranchPredictionUnit:
         if kind is not None and kind.is_indirect and kind is not BranchKind.RETURN:
             self.indirect.update(branch_pc, next_pc)
         self.btb.update(branch_pc, kind, target, taken)
-
-    @property
-    def misfetch_rate(self) -> float:
-        if self.predictions == 0:
-            return 0.0
-        return self.misfetches / self.predictions

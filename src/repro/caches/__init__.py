@@ -10,7 +10,6 @@ number of its blocks to hold prefetcher metadata instead of data.
 from repro.caches.sram import CacheStats, EvictionCallback, SetAssociativeCache
 from repro.caches.l1i import InstructionCache, L1IConfig
 from repro.caches.llc import SharedLLC, LLCConfig, VirtualizedRegion
-from repro.caches.hierarchy import MemoryHierarchy, HierarchyLatencies
 
 __all__ = [
     "SetAssociativeCache",
@@ -21,6 +20,4 @@ __all__ = [
     "SharedLLC",
     "LLCConfig",
     "VirtualizedRegion",
-    "MemoryHierarchy",
-    "HierarchyLatencies",
 ]

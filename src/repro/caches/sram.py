@@ -27,18 +27,6 @@ class CacheStats:
     insertions: int = 0
     evictions: int = 0
 
-    @property
-    def miss_rate(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.misses / self.lookups
-
-    @property
-    def hit_rate(self) -> float:
-        if self.lookups == 0:
-            return 0.0
-        return self.hits / self.lookups
-
     def reset(self) -> None:
         self.lookups = 0
         self.hits = 0

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult
+from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry
 from repro.caches.sram import SetAssociativeCache
 from repro.isa.block import InstructionBlock
 from repro.isa.instruction import BranchKind, block_address, block_offset
@@ -157,7 +157,9 @@ class AirBTB(BaseBTB):
             return self._overflow is not None and self._overflow.contains(branch_pc)
         return False
 
-    def update(self, branch_pc: int, kind: BranchKind, target: Optional[int], taken: bool) -> None:
+    def update(
+        self, branch_pc: int, kind: Optional[BranchKind], target: Optional[int], taken: bool
+    ) -> None:
         """Insert/refresh on branch resolution.
 
         Under Confluence the bundle normally already exists (the block was
@@ -165,7 +167,7 @@ class AirBTB(BaseBTB):
         standalone operation the update allocates bundles according to the
         configured insertion policy.
         """
-        if not taken and not kind.is_unconditional:
+        if not allocates_entry(kind, taken):
             return
         self.stats.insertions += 1
         block = block_address(branch_pc)

@@ -43,7 +43,6 @@ from repro.workloads.scenario import BoundScenario, CoreWorkload, Scenario
 from repro.workloads.trace import Trace
 
 if TYPE_CHECKING:  # import cycle guard: sweep.py imports this module
-    from repro.backends.base import SimBackend
     from repro.sweep import TraceStore
 
 @dataclass
@@ -163,7 +162,6 @@ class ChipMultiprocessor:
         trace_seed_base: int = 100,
         trace_store: Optional["TraceStore"] = None,
         scenario: Union[None, Scenario, BoundScenario] = None,
-        backend: Union[str, "SimBackend", None] = None,
     ) -> None:
         if scenario is not None:
             if program is not None:
@@ -212,10 +210,6 @@ class ChipMultiprocessor:
             self._programs = {self.profile: program}
         self.frontend_config = frontend_config
         self.trace_seed_base = trace_seed_base
-        #: Default simulation backend for every core (a registry name, a
-        #: ready backend instance, or ``None`` for the stack default);
-        #: :meth:`run_design` accepts a per-run override.
-        self.backend = backend
         #: Optional :class:`repro.sweep.TraceStore`: per-core traces become
         #: shared on-disk artifacts, loaded instead of re-generated.
         self.trace_store = trace_store
@@ -274,20 +268,13 @@ class ChipMultiprocessor:
         # predictor metadata lives in.
         return LLCConfig(cores=max(self.cores, LLCConfig().cores))
 
-    def run_design(
-        self,
-        design: Union[str, DesignSpec],
-        backend: Union[str, "SimBackend", None] = None,
-    ) -> CMPResult:
+    def run_design(self, design: Union[str, DesignSpec]) -> CMPResult:
         """Run every core under ``design`` with per-profile shared histories.
 
         The first core running each profile records that profile's SHIFT
-        history; every other core of the profile replays it.  ``backend``
-        (or the constructor's default) selects the simulation loop for every
-        core, recorded and replayed alike.
+        history; every other core of the profile replays it.
         """
         spec = resolve_design(design)
-        backend = backend if backend is not None else self.backend
         llc = SharedLLC(self._llc_config())
         traces = self._core_traces()
         result = CMPResult(
@@ -324,14 +311,12 @@ class ChipMultiprocessor:
             )
             if result.area is None:
                 result.area = area
-            core_results[index] = simulator.run(traces[index], backend=backend)
+            core_results[index] = simulator.run(traces[index])
         result.core_results.extend(core_results[index] for index in range(self.cores))
         return result
 
     def run_designs(
-        self,
-        designs: Iterable[Union[str, DesignSpec]],
-        backend: Union[str, "SimBackend", None] = None,
+        self, designs: Iterable[Union[str, DesignSpec]]
     ) -> Dict[str, CMPResult]:
         """Run a set of design points; returns ``{design name: CMPResult}``.
 
@@ -341,7 +326,4 @@ class ChipMultiprocessor:
         """
         specs = [resolve_design(design) for design in designs]
         ensure_unique_names("design", [spec.name for spec in specs])
-        return {
-            spec.name: self.run_design(spec, backend=backend)
-            for spec in specs
-        }
+        return {spec.name: self.run_design(spec) for spec in specs}

@@ -23,7 +23,7 @@ come from the frontend terms, which is what this model reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING, Union
+from typing import Dict, Optional
 
 from repro.branch.unit import BranchPredictionUnit
 from repro.caches.l1i import InstructionCache
@@ -32,9 +32,6 @@ from repro.core.confluence import Confluence
 from repro.core.metrics import mpki
 from repro.prefetch.base import InstructionPrefetcher, NullPrefetcher
 from repro.workloads.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.backends.base import SimBackend
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,6 @@ class FrontendSimulator:
         config: Optional[FrontendConfig] = None,
         perfect_l1i: bool = False,
         design_name: str = "frontend",
-        backend: Union[str, "SimBackend", None] = None,
     ) -> None:
         self.bpu = bpu
         # Note: "l1i or InstructionCache()" would silently replace an *empty*
@@ -150,10 +146,6 @@ class FrontendSimulator:
         self.config = config or FrontendConfig()
         self.perfect_l1i = perfect_l1i
         self.design_name = design_name
-        #: Default simulation backend for :meth:`run` — a registry name, a
-        #: ready :class:`~repro.backends.base.SimBackend`, or ``None`` for
-        #: the stack-wide default (``scalar``).
-        self.backend = backend
         #: Prefetched blocks still in flight: block address -> ready cycle.
         self._inflight: Dict[int, float] = {}
         self._cycle: float = 0.0
@@ -162,42 +154,18 @@ class FrontendSimulator:
     # Simulation loop
     # ------------------------------------------------------------------ #
 
-    def run(
-        self,
-        trace: Trace,
-        warmup_fraction: Optional[float] = None,
-        backend: Union[str, "SimBackend", None] = None,
-    ) -> FrontendResult:
+    def run(self, trace: Trace, warmup_fraction: Optional[float] = None) -> FrontendResult:
         """Simulate ``trace``; statistics cover the post-warmup portion.
 
-        The simulation loop itself lives in :mod:`repro.backends`; ``backend``
-        selects it — a registry name, a ready
-        :class:`~repro.backends.base.SimBackend`, or ``None`` to use the
-        simulator's configured backend (itself defaulting to ``scalar``, the
-        zero-allocation columnar loop).  Every registered backend produces
-        bit-identical results — the parity suite in
-        ``tests/test_frontend_parity.py`` pins each one against the
-        ``reference`` oracle.
-
-        Raises :class:`ValueError` when the selected backend cannot consume
-        the trace's form (e.g. the ``scalar`` backend on a trace-like object
-        with no ``.packed`` columnar view).  There is deliberately no silent
-        fallback to another backend: a sweep that quietly ran 40x slower —
-        or a benchmark that quietly measured the wrong loop — is worse than
-        an error.
+        The loop is :class:`~repro.backends.scalar.ScalarBackend`, the
+        zero-allocation columnar loop; ``tests/test_frontend_parity.py`` pins
+        it bit-exact against the record-view
+        :class:`~repro.backends.reference.ReferenceBackend` oracle.
         """
-        from repro.backends.base import resolve_backend
+        from repro.backends.scalar import ScalarBackend  # it imports this module
 
         warmup = warmup_fraction if warmup_fraction is not None else self.config.warmup_fraction
-        impl = resolve_backend(backend if backend is not None else self.backend)
-        if not impl.consumes(trace):
-            raise ValueError(
-                f"backend {impl.name!r} cannot consume trace {trace.name!r}: "
-                f"it requires the {impl.trace_form} trace form, which this "
-                "trace does not provide; pick a backend that matches the "
-                "trace (see repro.backends.backend_names())"
-            )
-        return impl.run(self, trace, warmup)
+        return ScalarBackend().run(self, trace, warmup)
 
     def _finalize(self, result: FrontendResult) -> None:
         # Repeated run() calls start clean: drop stale in-flight entries AND

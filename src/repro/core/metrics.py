@@ -72,13 +72,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     return product ** (1.0 / len(values))
 
 
-def arithmetic_mean(values: Iterable[float]) -> float:
-    values = list(values)
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
-
-
 def fraction_of_ideal(design_speedup: float, ideal_speedup: float) -> float:
     """How much of the ideal design's *improvement* a design captures.
 

@@ -2,9 +2,9 @@
 
 Performance PRs need a recorded baseline to argue against, so this module
 measures the simulation kernel end to end — trace generation, the columnar
-artifact round trip, and the per-design hot loop on a selected backend —
-and emits the numbers in a *stable* JSON schema.  ``python -m repro bench
---json BENCH_kernel.json`` appends one trajectory point; the committed
+artifact round trip, and the per-design ``scalar`` hot loop — and emits
+the numbers in a *stable* JSON schema.  ``python -m repro bench --json
+BENCH_kernel.json`` appends one trajectory point; the committed
 ``BENCH_kernel.json`` at the repo root holds the recorded history, and CI
 re-runs the benchmark at smoke scale on every push, failing on schema drift;
 ``python -m repro report --check`` gates throughput against the committed
@@ -13,14 +13,13 @@ past the tolerance is a real regression, not noise).
 
 The headline numbers:
 
-* ``designs[*].regions_per_sec`` — hot-loop throughput per design on the
-  selected backend,
-* ``backends[*].regions_per_sec`` — the first design driven through every
-  registered backend (``scalar``, ``reference``, anything user-registered),
-  giving ``speedup_over_reference`` for the selected backend,
+* ``designs[*].regions_per_sec`` — ``scalar`` hot-loop throughput per
+  design,
+* ``backends[*].regions_per_sec`` — the first design on the ``reference``
+  oracle loop and on ``scalar``, giving ``speedup_over_reference``,
 * ``stages`` — per-stage wall times (generate / save / load, and the
   one-off build of the trace's branch predictor columns, which every design
-  on the ``scalar`` backend then reads),
+  then reads),
 * ``peak_rss_kb`` — the process's peak resident set, which the mmap-backed
   trace store is meant to keep flat as worker counts grow.
 
@@ -40,7 +39,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.backends.base import DEFAULT_BACKEND, backend_names, get_backend
+from repro.backends.reference import ReferenceBackend
 from repro.branch.columns import trace_columns
 from repro.core.designs import design_from_spec, resolve_design
 from repro.core.frontend import FrontendResult, FrontendSimulator
@@ -103,10 +102,16 @@ def _peak_rss_kb() -> int:
 
 
 def _time_run(
-    simulator: FrontendSimulator, trace: Trace, backend: str
+    simulator: FrontendSimulator, trace: Trace, oracle: bool
 ) -> Tuple[FrontendResult, float]:
+    """Time one run on the ``scalar`` loop, or on the oracle when ``oracle``."""
     start = time.perf_counter()
-    result = simulator.run(trace, backend=backend)
+    if oracle:
+        result = ReferenceBackend().run(
+            simulator, trace, simulator.config.warmup_fraction
+        )
+    else:
+        result = simulator.run(trace)
     return result, time.perf_counter() - start
 
 
@@ -118,25 +123,23 @@ def run_kernel_benchmark(
     designs: Sequence[str] = ("baseline", "confluence"),
     repeats: int = 3,
     artifact_dir: Optional[str] = None,
-    backend: str = DEFAULT_BACKEND,
 ) -> Dict[str, object]:
     """Measure the simulation kernel and return one trajectory point.
 
     The trace is generated once, round-tripped through the columnar artifact
     format, mapped back in zero-copy, and then driven through every design's
-    hot loop on ``backend`` ``repeats`` times (best-of is reported — the
+    ``scalar`` hot loop ``repeats`` times (best-of is reported — the
     interesting quantity is the kernel's speed, not the scheduler's noise).
-    The first design is additionally driven through *every* registered
-    backend, so the point records each backend's regions/sec and the
-    selected backend's ``speedup_over_reference`` (the gated trajectory
-    metric; both sides of the ratio get the same repeats/best-of treatment
-    so they absorb scheduler noise identically).
+    The first design is additionally driven through the ``reference``
+    oracle loop, so the point records both loops' regions/sec and
+    ``speedup_over_reference`` (the gated trajectory metric; both sides of
+    the ratio get the same repeats/best-of treatment so they absorb
+    scheduler noise identically).
     """
     if repeats <= 0:
         raise ValueError("repeats must be positive")
     if not designs:
         raise ValueError("at least one design is required")
-    get_backend(backend)  # unknown names fail before any simulation
     specs = [resolve_design(design) for design in designs]
 
     profile = get_profile(profile_name)
@@ -179,46 +182,30 @@ def run_kernel_benchmark(
     trace_columns(bench_trace.packed)
     branch_columns_s = time.perf_counter() - start
 
-    def _best_of(spec_name: str, run_backend: str) -> Tuple[float, FrontendResult]:
+    def _best_of(spec_name: str, oracle: bool) -> Tuple[float, Dict[str, object]]:
+        """(regions/sec, row) of the best of ``repeats`` runs."""
         best_s: Optional[float] = None
         result: Optional[FrontendResult] = None
         for _ in range(repeats):
             simulator, _ = design_from_spec(resolve_design(spec_name), program)
-            result, elapsed = _time_run(simulator, bench_trace, run_backend)
+            result, elapsed = _time_run(simulator, bench_trace, oracle)
             best_s = elapsed if best_s is None else min(best_s, elapsed)
         assert best_s is not None and result is not None
-        return best_s, result
-
-    design_rows: List[Dict[str, object]] = []
-    for spec in specs:
-        best_s, result = _best_of(spec.name, backend)
-        design_rows.append({
-            "design": spec.name,
-            "backend": backend,
-            "seconds": best_s,
-            "regions_per_sec": regions / best_s if best_s else 0.0,
-            "ipc": result.ipc,
-        })
-
-    # Every registered backend drives the first design: the per-backend
-    # regions/sec table is what makes a new backend's cost/benefit visible
-    # the moment it registers.
-    backend_rows: List[Dict[str, object]] = []
-    per_backend_rps: Dict[str, float] = {}
-    for name in backend_names():
-        best_s, result = _best_of(specs[0].name, name)
         rps = regions / best_s if best_s else 0.0
-        per_backend_rps[name] = rps
-        backend_rows.append({
-            "backend": name,
-            "design": specs[0].name,
+        return rps, {
+            "design": spec_name,
+            "backend": "reference" if oracle else "scalar",
             "seconds": best_s,
             "regions_per_sec": rps,
             "ipc": result.ipc,
-        })
+        }
 
-    reference_rps = per_backend_rps.get("reference", 0.0)
-    selected_rps = per_backend_rps.get(backend, 0.0)
+    timed = [_best_of(spec.name, oracle=False) for spec in specs]
+    design_rows = [row for _, row in timed]
+    scalar_rps = timed[0][0]
+    # The per-loop table: the first design on the oracle, then its scalar row.
+    reference_rps, reference_row = _best_of(specs[0].name, oracle=True)
+    backend_rows = [reference_row, dict(design_rows[0])]
 
     return {
         "schema": BENCH_SCHEMA_VERSION,
@@ -230,7 +217,7 @@ def run_kernel_benchmark(
             "seed": seed,
             "designs": [spec.name for spec in specs],
             "repeats": repeats,
-            "backend": backend,
+            "backend": "scalar",
         },
         "trace": {
             "regions": regions,
@@ -247,7 +234,7 @@ def run_kernel_benchmark(
         "designs": design_rows,
         "backends": backend_rows,
         "speedup_over_reference": (
-            selected_rps / reference_rps if reference_rps else 0.0
+            scalar_rps / reference_rps if reference_rps else 0.0
         ),
         "peak_rss_kb": _peak_rss_kb(),
         "host": {

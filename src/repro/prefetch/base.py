@@ -92,9 +92,6 @@ class InstructionPrefetcher(abc.ABC):
     def prefetch_targets(self, context: PrefetchContext) -> Iterable[int]:
         """Return block addresses to prefetch, in priority order."""
 
-    def observe_fill(self, block_addr: int, demand: bool) -> None:
-        """Hook: a block was installed in the L1-I (demand or prefetch)."""
-
     @property
     def storage_kb(self) -> float:
         """Dedicated per-core storage of the prefetcher."""

@@ -77,7 +77,7 @@ class FetchDirectedPrefetcher(InstructionPrefetcher):
                     if predicted_taken != previous.taken:
                         self.runahead_stops_on_misprediction += 1
                         break
-                if previous.is_taken_branch and not self._btb_has(bpu, previous.branch_pc):
+                if previous.is_taken_branch and not bpu.btb.peek_hit(previous.branch_pc):
                     self.runahead_stops_on_btb_miss += 1
                     break
             for block in record.blocks():
@@ -115,7 +115,7 @@ class FetchDirectedPrefetcher(InstructionPrefetcher):
             if (
                 branch_pc != NO_VALUE
                 and takens[previous]
-                and not self._btb_has(bpu, branch_pc)
+                and not bpu.btb.peek_hit(branch_pc)
             ):
                 self.runahead_stops_on_btb_miss += 1
                 break
@@ -125,15 +125,6 @@ class FetchDirectedPrefetcher(InstructionPrefetcher):
                 if not l1i.contains(block) and block not in targets:
                     targets.append(block)
         return targets
-
-    @staticmethod
-    def _btb_has(bpu: "BranchPredictionUnit", branch_pc: int) -> bool:
-        """Non-destructive BTB presence check for the runahead path."""
-        btb = bpu.btb
-        peek = getattr(btb, "peek_hit", None)
-        if peek is not None:
-            return bool(peek(branch_pc))
-        return True
 
     @property
     def storage_kb(self) -> float:

@@ -108,9 +108,8 @@ class Registry:
 
     ``loader`` is an optional zero-argument hook invoked on the first lookup
     miss; it imports whatever modules self-register into this registry (the
-    component registries use :func:`load_builtin_components`, the backend
-    registry in :mod:`repro.backends` imports its kernel modules).  The hook
-    must be idempotent — it runs on every miss until the name resolves.
+    BTB and prefetcher registries use :func:`load_builtin_components`).  The
+    hook must be idempotent — it runs on every miss until the name resolves.
     """
 
     def __init__(self, kind: str, loader: Optional[Callable[[], None]] = None) -> None:

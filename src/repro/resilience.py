@@ -12,7 +12,7 @@ here keeps the import graph acyclic — :mod:`repro.core.cmp` raises
   decorrelation — the content-addressed stores already make duplicated
   work harmless.
 * :class:`CellExecutionError` — a worker failure that *names the cell*
-  (workload, design, seed base, backend).  It carries one message string,
+  (workload, design, seed base).  It carries one message string,
   so it pickles losslessly across the process-pool boundary (chained
   ``__cause__`` exceptions do not survive pickling).
 * :class:`RunJournal` — an append-only JSONL record of completed cells,

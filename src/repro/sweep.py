@@ -81,7 +81,6 @@ from typing import (
     Union,
 )
 
-from repro.backends.base import BACKEND_REGISTRY, DEFAULT_BACKEND, get_backend
 from repro.core.cmp import ChipMultiprocessor, CMPResult
 from repro.core.designs import DesignSpec, resolve_design
 from repro.core.frontend import FrontendConfig
@@ -255,11 +254,8 @@ def cell_key(cell: "SweepCell") -> str:
     complete per-core assignment (every core's full profile parameters, seed
     and instruction budget) — plus the design spec (component names and
     every parameter override), the source fingerprints of the registered
-    component factories the spec names, the frontend timing config and the
-    simulation backend (name plus the registered backend factory's source
-    fingerprint — all backends are bit-exact by contract, but an edited or
-    swapped backend must re-earn its results, not inherit them): the closure
-    of inputs the simulation is a pure function of.
+    component factories the spec names and the frontend timing config: the
+    closure of inputs the simulation is a pure function of.
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
@@ -270,8 +266,6 @@ def cell_key(cell: "SweepCell") -> str:
         ),
         "frontend_config": _jsonable(cell.frontend_config),
         "cores": cell.cores,
-        "backend": cell.backend,
-        "backend_factory": _factory_fingerprint(BACKEND_REGISTRY, cell.backend),
     }
     if isinstance(cell.profile, BoundScenario):
         # The bound assignment is the scenario's full parameter closure:
@@ -682,11 +676,6 @@ class SweepCell:
     instructions_per_core: int
     trace_seed_base: int = 100
     frontend_config: Optional[FrontendConfig] = None
-    #: Simulation backend *name* (a :data:`repro.backends.BACKEND_REGISTRY`
-    #: entry).  A name, not an instance: cells are hashed into cache keys and
-    #: pickled across pool boundaries, and the name pins the registered
-    #: implementation whose source fingerprint joins the key.
-    backend: str = DEFAULT_BACKEND
 
     def key(self) -> str:
         return cell_key(self)
@@ -799,7 +788,6 @@ def cmp_driver(
     trace_seed_base: int = 100,
     frontend_config: Optional[FrontendConfig] = None,
     trace_store: Optional[TraceStore] = None,
-    backend: Optional[str] = None,
 ) -> ChipMultiprocessor:
     """The per-process memoized CMP driver for one workload configuration.
 
@@ -808,10 +796,7 @@ def cmp_driver(
     ``profile`` may be a :class:`~repro.workloads.scenario.BoundScenario`,
     in which case the driver runs its heterogeneous per-core assignment.  A
     ``trace_store`` attaches to the memoized driver: traces it has not yet
-    materialized are loaded from (or saved to) the store.  ``backend`` sets
-    the driver's default simulation backend; like the store it does not join
-    the memo key (it never shapes the cached traces) — the latest caller's
-    knob wins, and per-``run_design`` overrides always take precedence.
+    materialized are loaded from (or saved to) the store.
     """
     memo_key = (profile, cores, instructions_per_core, trace_seed_base,
                 frontend_config)
@@ -822,7 +807,6 @@ def cmp_driver(
                 frontend_config=frontend_config,
                 trace_store=trace_store,
                 scenario=profile,
-                backend=backend,
             )
         else:
             cmp_model = ChipMultiprocessor(
@@ -832,7 +816,6 @@ def cmp_driver(
                 frontend_config=frontend_config,
                 trace_seed_base=trace_seed_base,
                 trace_store=trace_store,
-                backend=backend,
             )
         _CMP_MEMO[memo_key] = cmp_model
         while len(_CMP_MEMO) > _CMP_MEMO_MAX_ENTRIES:
@@ -845,7 +828,6 @@ def cmp_driver(
         # in-process" default must not silently keep using an old store).
         # Traces the driver already holds stay on its heap either way.
         cmp_model.trace_store = trace_store
-        cmp_model.backend = backend
     return cmp_model
 
 
@@ -863,12 +845,15 @@ def _cmp_for_cell(
 
 
 def summarize_result(
-    result: CMPResult, spec: DesignSpec, cores: int, backend: str = DEFAULT_BACKEND
+    result: CMPResult, spec: DesignSpec, cores: int
 ) -> Dict[str, object]:
     """Flatten one CMP result into plain JSON-compatible data.
 
     This is the cacheable unit: everything in it is baseline-independent
     (speedups are derived later, when a report picks its reference design).
+    Its ``"backend"`` entry always names ``scalar``, the loop every cell
+    runs; it stays in the layout because saved reports, the golden
+    summaries and the benchmark's digests hash it.
     """
     summary: Dict[str, object] = {
         "design": result.design,
@@ -876,7 +861,7 @@ def summarize_result(
         "workload": result.workload,
         "scenario": result.scenario,
         "cores": cores,
-        "backend": backend,
+        "backend": "scalar",
         "instructions": result.instructions,
         "cycles": result.cycles,
         "ipc": result.ipc,
@@ -895,10 +880,7 @@ def summarize_result(
 
 def _cell_label(cell: SweepCell) -> str:
     """Human identity of a cell for errors and fault-injection matching."""
-    return (
-        f"{cell.profile.name}/{cell.spec.name}"
-        f"[seed_base={cell.trace_seed_base}, backend={cell.backend}]"
-    )
+    return f"{cell.profile.name}/{cell.spec.name}[seed_base={cell.trace_seed_base}]"
 
 
 def _cell_failure(
@@ -944,8 +926,8 @@ def _simulate_cell_counted(
     loaded_before = cmp_model.traces_loaded
     mapped_before = cmp_model.traces_mapped
     quarantined_before = trace_store.quarantined if trace_store is not None else 0
-    result = cmp_model.run_design(cell.spec, backend=cell.backend)
-    summary = summarize_result(result, cell.spec, cell.cores, backend=cell.backend)
+    result = cmp_model.run_design(cell.spec)
+    summary = summarize_result(result, cell.spec, cell.cores)
     return (
         summary,
         cmp_model.traces_generated - generated_before,
@@ -1314,7 +1296,6 @@ def run_sweep(
     cache: Union[None, bool, str, Path, ResultCache] = None,
     trace_store: Union[None, bool, str, Path, TraceStore] = None,
     scenarios: Optional[Iterable[Union[str, Scenario, BoundScenario]]] = None,
-    backend: str = DEFAULT_BACKEND,
     policy: Optional[RetryPolicy] = None,
     journal: Union[None, bool, str, Path, RunJournal] = None,
     resume: bool = False,
@@ -1331,10 +1312,7 @@ def run_sweep(
     when scenarios are given.  ``trace_store`` shares per-core traces as
     on-disk artifacts across designs, runs, processes *and scenarios*: any
     two grid rows assigning the same (profile, seed, length) to a core share
-    one artifact (see :class:`TraceStore`).  ``backend`` names the
-    simulation backend every cell runs on (a
-    :data:`repro.backends.BACKEND_REGISTRY` entry); it joins each cell's
-    cache key, so the same grid on two backends never shares entries.
+    one artifact (see :class:`TraceStore`).
 
     ``policy``, ``journal`` and ``resume`` are the resilience knobs,
     forwarded to :func:`run_cells`: bounded deterministic retry / per-cell
@@ -1346,10 +1324,9 @@ def run_sweep(
     before any cell is built; :meth:`repro.api.Session.run` runs through
     here too, so both entry points reject the same knobs.
     """
-    # Resolve the backend and check the chip shape up front: a bad knob must
-    # fail before any cell simulates (or, with caching disabled, before a
-    # deep stack of drivers has been built around it).
-    get_backend(backend)
+    # Check the chip shape up front: a bad knob must fail before any cell
+    # simulates (or, with caching disabled, before a deep stack of drivers
+    # has been built around it).
     if cores < 1:
         raise ValueError(f"cores must be at least 1 (got {cores})")
     if instructions_per_core is not None and instructions_per_core < 1:
@@ -1408,7 +1385,6 @@ def run_sweep(
             ),
             trace_seed_base=trace_seed_base,
             frontend_config=frontend_config,
-            backend=backend,
         )
         for profile in resolved_profiles
         for spec in specs
@@ -1421,7 +1397,6 @@ def run_sweep(
             instructions_per_core=scenario.instructions_per_core,
             trace_seed_base=trace_seed_base,
             frontend_config=frontend_config,
-            backend=backend,
         )
         for scenario in bound_scenarios
         for spec in specs

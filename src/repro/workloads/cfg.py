@@ -119,10 +119,6 @@ class ControlFlowGraph:
         return [function for function in self.functions if function.layer == layer]
 
     @property
-    def basic_block_count(self) -> int:
-        return len(self._block_by_start)
-
-    @property
     def branch_count(self) -> int:
         return len(self._behavior_by_pc)
 

@@ -280,10 +280,6 @@ class PackedTrace:
     # Columnar walks
     # ------------------------------------------------------------------ #
 
-    def iter_block_spans(self) -> Iterator[Tuple[int, int]]:
-        """(first block address, block count) per region, in trace order."""
-        return zip(self.block_firsts, self.block_counts, strict=True)
-
     def iter_blocks(self) -> Iterator[int]:
         """Every block address touched, region by region, in fetch order
         (duplicates included — the L1-I dedup lives in ``Trace.block_stream``).

@@ -276,16 +276,6 @@ class Trace:
                 yield block
                 previous = block
 
-    def taken_branches(self) -> Iterator[Tuple[int, Optional[int]]]:
-        """(branch_pc, actual_target) pairs for every taken branch."""
-        packed = self._packed
-        for branch_pc, taken, next_pc in zip(
-            packed.branch_pcs, packed.takens, packed.next_pcs,
-            strict=True,
-        ):
-            if branch_pc != NO_VALUE and taken:
-                yield branch_pc, next_pc
-
     def statistics(self) -> TraceStatistics:
         (
             instructions,

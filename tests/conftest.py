@@ -1,10 +1,4 @@
-"""Shared fixtures: tiny synthetic workloads so the suite stays fast.
-
-Also home of the ``--backend`` test option: tests that take the
-``sim_backend`` fixture run once per registered simulation backend
-(:mod:`repro.backends`), and CI's backend-parity matrix legs narrow the
-parameterization with e.g. ``pytest --backend reference``.
-"""
+"""Shared fixtures: tiny synthetic workloads so the suite stays fast."""
 
 from __future__ import annotations
 
@@ -12,28 +6,6 @@ import pytest
 
 from repro.workloads import get_profile, generate_trace, synthesize_program
 from repro.workloads.profiles import WorkloadProfile
-
-
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--backend",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="restrict the sim_backend fixture to these simulation backends; "
-             "repeatable (default: every backend in "
-             "repro.backends.BACKEND_REGISTRY)",
-    )
-
-
-def pytest_generate_tests(metafunc: pytest.Metafunc) -> None:
-    if "sim_backend" in metafunc.fixturenames:
-        from repro.backends import backend_names, get_backend
-
-        selected = metafunc.config.getoption("backend") or backend_names()
-        for name in selected:
-            get_backend(name)  # unknown names fail collection
-        metafunc.parametrize("sim_backend", selected)
 
 
 @pytest.fixture(scope="session")

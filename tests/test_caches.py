@@ -1,13 +1,11 @@
-"""Tests for the cache substrate (generic SRAM, L1-I, LLC, hierarchy)."""
+"""Tests for the cache substrate (generic SRAM, L1-I, LLC)."""
 
 import pytest
 
 from repro.caches import (
-    HierarchyLatencies,
     InstructionCache,
     L1IConfig,
     LLCConfig,
-    MemoryHierarchy,
     SetAssociativeCache,
     SharedLLC,
 )
@@ -189,31 +187,3 @@ class TestSharedLLC:
         assert latency == llc.round_trip_latency_cycles
         assert llc.instruction_reads == 1
 
-
-class TestMemoryHierarchy:
-    def test_demand_fetch_miss_then_hit(self):
-        hierarchy = MemoryHierarchy()
-        miss_latency = hierarchy.demand_fetch(0x1000)
-        hit_latency = hierarchy.demand_fetch(0x1000)
-        assert miss_latency > hit_latency
-        assert hit_latency == hierarchy.l1i.config.hit_latency_cycles
-
-    def test_prefetch_installs_block(self):
-        hierarchy = MemoryHierarchy()
-        latency = hierarchy.prefetch(0x2000)
-        assert latency > 0
-        assert hierarchy.l1i.contains(0x2000)
-        assert hierarchy.prefetch(0x2000) == 0
-
-    def test_latencies_summary(self):
-        hierarchy = MemoryHierarchy()
-        latencies = hierarchy.latencies
-        assert isinstance(latencies, HierarchyLatencies)
-        assert latencies.llc_round_trip_cycles > latencies.l1i_hit_cycles
-
-    def test_uses_provided_components(self):
-        l1i = InstructionCache()
-        llc = SharedLLC()
-        hierarchy = MemoryHierarchy(l1i=l1i, llc=llc)
-        assert hierarchy.l1i is l1i
-        assert hierarchy.llc is llc

@@ -110,7 +110,6 @@ class TestBenchCommand:
     ]
 
     def test_bench_appends_a_stable_schema_point(self, tmp_path, capsys):
-        from repro.backends import backend_names
         from repro.perfbench import BENCH_SCHEMA_VERSION
 
         out = tmp_path / "bench.json"
@@ -126,8 +125,7 @@ class TestBenchCommand:
         assert payload["designs"][0]["design"] == "baseline"
         assert payload["designs"][0]["backend"] == "scalar"
         assert payload["designs"][0]["regions_per_sec"] > 0
-        assert {row["backend"] for row in payload["backends"]} \
-            == set(backend_names())
+        assert [row["backend"] for row in payload["backends"]] == ["reference", "scalar"]
         assert payload["speedup_over_reference"] > 0
         assert payload["peak_rss_kb"] > 0
 
@@ -138,16 +136,13 @@ class TestBenchCommand:
         capsys.readouterr()
         assert len(json.loads(out.read_text())["points"]) == 2
 
-    def test_bench_on_the_reference_backend(self, capsys):
-        code = main(self.BENCH_ARGS + ["--backend", "reference"])
-        assert code == 0
-        assert "reference backend" in capsys.readouterr().out
-
     def test_unknown_backend_is_a_usage_error(self, capsys):
-        code = main(self.BENCH_ARGS + ["--backend", "vector9000"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown backend" in err and "scalar" in err
+        # There is one loop, so bench takes no --backend, not even "scalar".
+        for name in ("vector9000", "scalar"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(self.BENCH_ARGS + ["--backend", name])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_expect_schema_accepts_an_equivalent_run(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
@@ -258,14 +253,16 @@ class TestSweepCommand:
         assert "unknown scenario" in err and "consolidated_oltp_dss" in err
 
     def test_unknown_backend_exits_with_usage_error(self, capsys):
-        code = main([
-            "sweep", "--profiles", "oltp_db2", "--designs", "baseline",
-            "--scale", "0.08", "--cores", "1", "--backend", "vector9000",
-            "--no-cache", "--no-trace-store",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "unknown backend" in err and "scalar" in err
+        # There is one loop, so sweep takes no --backend, not even "scalar".
+        for name in ("vector9000", "scalar"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([
+                    "sweep", "--profiles", "oltp_db2", "--designs", "baseline",
+                    "--scale", "0.08", "--cores", "1", "--backend", name,
+                    "--no-cache", "--no-trace-store",
+                ])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, message", [
         (["--workers", "0"], "workers must be positive"),
@@ -297,41 +294,13 @@ class TestSweepCommand:
         assert "Traceback" not in err
         assert plan.fired == []
 
-    def test_sweep_on_the_reference_backend(self, capsys):
-        from repro.sweep import clear_workload_memo
 
-        clear_workload_memo()
-        code = main([
-            "sweep", "--profiles", "oltp_db2", "--designs", "baseline",
-            "--scale", "0.08", "--cores", "1", "--instructions-per-core",
-            "5000", "--backend", "reference", "--no-cache",
-            "--no-trace-store",
-        ])
-        assert code == 0
-        assert "baseline" in capsys.readouterr().out
-
-
-class TestBackendsCommand:
-    def test_listing_names_every_backend(self, capsys):
-        from repro.backends import backend_names
-
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        for name in backend_names():
-            assert name in out
-        assert "(default)" in out
-        assert "trace form" in out
-
-    def test_json_listing_is_machine_readable(self, capsys):
-        from repro.backends import DEFAULT_BACKEND, backend_names
-
-        assert main(["backends", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        rows = {row["name"]: row for row in payload["backends"]}
-        assert set(rows) == set(backend_names())
-        assert rows[DEFAULT_BACKEND]["default"] is True
-        assert rows["reference"]["default"] is False
-        assert rows["scalar"]["trace form"] == "columnar (.packed)"
+def test_backends_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["backends"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "backends" in err
 
 
 class TestSweepScenarios:

@@ -1,16 +1,13 @@
-"""The tentpole acceptance pin: every backend == the reference oracle.
+"""The acceptance pin: the ``scalar`` loop == the ``reference`` oracle.
 
-``FrontendSimulator.run`` delegates to a registered simulation backend
-(:mod:`repro.backends`); the ``reference`` backend is the record-at-a-time
-oracle loop, and every other backend — today the zero-allocation columnar
-``scalar`` loop — must produce a bit-identical :class:`FrontendResult` on
-multiple profiles x multiple design points (covering the SHIFT/Confluence
-prefetch machinery, FDP's columnar runahead and the bare baseline).  A
-backend is an optimization, never a model change.
-
-The ``sim_backend`` fixture (see ``conftest.py``) parameterizes these tests
-over every registered backend; CI's backend-parity matrix runs this file
-once per backend with ``pytest --backend NAME``.
+``FrontendSimulator.run`` always runs the zero-allocation columnar
+``scalar`` loop; the record-at-a-time ``reference`` loop
+(:class:`~repro.backends.reference.ReferenceBackend`) is the oracle, called
+directly here on a twin simulator.  The two must produce a bit-identical
+:class:`FrontendResult` on multiple profiles x multiple design points
+(covering the SHIFT/Confluence prefetch machinery, FDP's columnar runahead
+and the bare baseline).  The fast loop is an optimization, never a model
+change.
 """
 
 from __future__ import annotations
@@ -19,7 +16,9 @@ import dataclasses
 
 import pytest
 
+from repro.backends.reference import ReferenceBackend
 from repro.core.designs import design_from_spec, resolve_design
+from repro.core.frontend import FrontendSimulator
 from repro.sweep import TraceStore
 
 #: Designs chosen to exercise disjoint machinery: baseline (BTB+L1-I only),
@@ -28,31 +27,43 @@ from repro.sweep import TraceStore
 PARITY_DESIGNS = ("baseline", "confluence", "fdp", "2level_shift")
 
 
-def _run_backend(program, trace, design, backend):
-    spec = resolve_design(design)
-    simulator, _ = design_from_spec(spec, program)
-    return simulator.run(trace, backend=backend)
-
-
-def _run_vs_reference(program, trace, design, backend):
-    return (
-        _run_backend(program, trace, design, backend),
-        _run_backend(program, trace, design, "reference"),
+def scalar_legs(*designs):
+    """Parametrize ``design``; each id names the loop checked and the design."""
+    return pytest.mark.parametrize(
+        "design", designs, ids=[f"scalar-{design}" for design in designs]
     )
 
 
-def _run_sequence(program, traces, design, backend):
-    """One simulator runs ``traces`` in order; its predictors stay warm."""
+def _simulator(program, design):
     simulator, _ = design_from_spec(resolve_design(design), program)
-    return [dataclasses.asdict(simulator.run(trace, backend=backend)) for trace in traces]
+    return simulator
 
 
-def _hand_built_fdp(backend):
+def _oracle_run(simulator, trace, warmup_fraction=None):
+    """``simulator.run`` on the ``reference`` oracle loop instead of ``scalar``."""
+    if warmup_fraction is None:
+        warmup_fraction = simulator.config.warmup_fraction
+    return ReferenceBackend().run(simulator, trace, warmup_fraction)
+
+
+def _run_vs_reference(program, trace, design):
+    return (
+        _simulator(program, design).run(trace),
+        _oracle_run(_simulator(program, design), trace),
+    )
+
+
+def _run_sequence(program, traces, design, run):
+    """One simulator runs ``traces`` in order; its predictors stay warm."""
+    simulator = _simulator(program, design)
+    return [dataclasses.asdict(run(simulator, trace)) for trace in traces]
+
+
+def _hand_built_fdp():
     """An FDP core whose direction predictor is not the default geometry."""
     from repro.branch.btb_conventional import ConventionalBTB
     from repro.branch.direction import HybridDirectionPredictor
     from repro.branch.unit import BranchPredictionUnit
-    from repro.core.frontend import FrontendSimulator
     from repro.prefetch.fdp import FetchDirectedPrefetcher
 
     bpu = BranchPredictionUnit(
@@ -60,8 +71,7 @@ def _hand_built_fdp(backend):
         direction=HybridDirectionPredictor(entries=4096, history_bits=8),
     )
     return FrontendSimulator(
-        bpu=bpu, prefetcher=FetchDirectedPrefetcher(), design_name="hand_fdp",
-        backend=backend,
+        bpu=bpu, prefetcher=FetchDirectedPrefetcher(), design_name="hand_fdp"
     )
 
 
@@ -76,35 +86,31 @@ def second_tiny_trace(tiny_program):
 class TestBackendReferenceParity:
     """Two profiles x the design set: identical results field for field."""
 
-    @pytest.mark.parametrize("design", PARITY_DESIGNS)
-    def test_oltp_parity(self, tiny_program, tiny_trace, design, sim_backend):
-        fast, oracle = _run_vs_reference(
-            tiny_program, tiny_trace, design, sim_backend
-        )
+    @scalar_legs(*PARITY_DESIGNS)
+    def test_oltp_parity(self, tiny_program, tiny_trace, design):
+        fast, oracle = _run_vs_reference(tiny_program, tiny_trace, design)
         assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
 
-    @pytest.mark.parametrize("design", ("baseline", "confluence"))
-    def test_web_parity(self, small_program, small_trace, design, sim_backend):
-        fast, oracle = _run_vs_reference(
-            small_program, small_trace, design, sim_backend
-        )
+    @scalar_legs("baseline", "confluence")
+    def test_web_parity(self, small_program, small_trace, design):
+        fast, oracle = _run_vs_reference(small_program, small_trace, design)
         assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
 
-    @pytest.mark.parametrize("design", ("baseline", "fdp", "confluence"))
+    @scalar_legs("baseline", "fdp", "confluence")
     def test_warm_reuse_parity(
-        self, tiny_program, tiny_trace, second_tiny_trace, design, sim_backend
+        self, tiny_program, tiny_trace, second_tiny_trace, design
     ):
         # Predictors and caches stay warm across run() calls: the second and
-        # third runs must start where the oracle's do, so a backend that
-        # served per-trace predictions without leaving the live predictors
-        # at their end state diverges here.
+        # third runs must start where the oracle's do, so a loop that served
+        # per-trace predictions without leaving the live predictors at their
+        # end state diverges here.
         traces = (tiny_trace, second_tiny_trace, tiny_trace)
-        assert _run_sequence(tiny_program, traces, design, sim_backend) == (
-            _run_sequence(tiny_program, traces, design, "reference")
+        assert _run_sequence(tiny_program, traces, design, FrontendSimulator.run) == (
+            _run_sequence(tiny_program, traces, design, _oracle_run)
         )
 
     def test_each_fdp_queue_depth_gets_its_own_stop_column(
-        self, tiny_program, tiny_trace, sim_backend
+        self, tiny_program, tiny_trace
     ):
         # The stop column is per queue depth: after the default fdp, a
         # shallower and then a deeper queue on the same trace (a copy whose
@@ -115,9 +121,9 @@ class TestBackendReferenceParity:
 
         trace = Trace.from_packed(tiny_trace.packed.slice(0))
 
-        def runahead(design, backend):
+        def runahead(design, run):
             simulator, _ = design_from_spec(design, tiny_program)
-            result = simulator.run(trace, backend=backend)
+            result = run(simulator, trace)
             fdp = simulator.prefetcher
             return dataclasses.asdict(result), (
                 fdp.runahead_stops_on_misprediction,
@@ -131,22 +137,26 @@ class TestBackendReferenceParity:
             fdp.derive("fdp_q3", prefetcher_params={"queue_depth_basic_blocks": 3}),
             fdp.derive("fdp_q12", prefetcher_params={"queue_depth_basic_blocks": 12}),
         ):
-            assert runahead(design, sim_backend) == runahead(design, "reference"), (
-                design.name
-            )
+            assert runahead(design, FrontendSimulator.run) == runahead(
+                design, _oracle_run
+            ), design.name
 
-    def test_non_default_predictor_parity(self, tiny_trace, sim_backend):
+    def test_non_default_predictor_parity(self, tiny_trace):
         # A non-default predictor geometry cannot use the trace's memo: its
         # columns (FDP stop column included) are built over the live
         # components.
-        fast = _hand_built_fdp(sim_backend).run(tiny_trace)
-        oracle = _hand_built_fdp("reference").run(tiny_trace)
+        fast = _hand_built_fdp().run(tiny_trace)
+        oracle = _oracle_run(_hand_built_fdp(), tiny_trace)
         assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
 
-    def test_parity_with_kindless_branch_records(self, tiny_program, sim_backend):
+    # One design per BTB family: conventional, two-level, PhantomBTB, AirBTB.
+    @scalar_legs("baseline", "2level_shift", "phantom_shift", "confluence")
+    def test_parity_with_kindless_branch_records(self, tiny_program, design):
         # A record may carry a branch_pc but no kind (the FetchRecord
         # contract allows it); the packed path must decode the -1 kind
-        # sentinel to None, not wrap it around the kind table into RETURN.
+        # sentinel to None, not wrap it around the kind table into RETURN,
+        # and a not-taken kindless branch trains every BTB like a
+        # conditional one (no entry) instead of crashing it.
         from repro.workloads.trace import FetchRecord, Trace
 
         base = 0x4000_0000
@@ -157,17 +167,20 @@ class TestBackendReferenceParity:
                 kind=None, taken=True, target=base + 0x400, next_pc=base + 0x400,
             ))
             records.append(FetchRecord(
-                start=base + 0x400, instruction_count=4, branch_pc=None,
+                start=base + 0x400, instruction_count=4, branch_pc=base + 0x40C,
+                kind=None, taken=False, target=base + 0x800, next_pc=base + 0x410,
+            ))
+            records.append(FetchRecord(
+                start=base + 0x410, instruction_count=4, branch_pc=None,
                 kind=None, taken=False, target=None, next_pc=base,
             ))
         trace = Trace(records, name="kindless")
-        fast, oracle = _run_vs_reference(
-            tiny_program, trace, "baseline", sim_backend
-        )
+        fast, oracle = _run_vs_reference(tiny_program, trace, design)
         assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
 
+    @scalar_legs("confluence")
     def test_parity_survives_the_trace_store_round_trip(
-        self, tiny_program, tiny_trace, tmp_path, sim_backend
+        self, tiny_program, tiny_trace, tmp_path, design
     ):
         # A store-loaded trace must drive the simulator to the exact result
         # the generated trace does (the store is a cache, not a model knob).
@@ -176,8 +189,8 @@ class TestBackendReferenceParity:
         store.put(profile, 30_000, 3, tiny_trace)
         loaded = store.load(profile, 30_000, 3, name=tiny_trace.name)
         assert loaded is not None
-        direct = _run_backend(tiny_program, tiny_trace, "confluence", sim_backend)
-        via_store = _run_backend(tiny_program, loaded, "confluence", sim_backend)
+        direct = _simulator(tiny_program, design).run(tiny_trace)
+        via_store = _simulator(tiny_program, design).run(loaded)
         assert dataclasses.asdict(direct) == dataclasses.asdict(via_store)
 
 
@@ -226,8 +239,9 @@ class TestMmapHeapParity:
                 mapped_result
             ), design
 
+    @scalar_legs("confluence")
     def test_mmap_parity_after_chunked_streaming_round_trip(
-        self, tiny_program, tiny_trace, tmp_path, sim_backend
+        self, tiny_program, tiny_trace, tmp_path, design
     ):
         # save_chunks with a small chunk size writes a multi-chunk artifact;
         # the mapper cannot serve it zero-copy and must fall back to the
@@ -241,10 +255,8 @@ class TestMmapHeapParity:
         )
         reloaded = load_packed(path, mmap=True)
         assert not reloaded.mapped  # multi-chunk: heap fallback
-        direct = _run_backend(tiny_program, tiny_trace, "confluence", sim_backend)
-        via_stream = _run_backend(
-            tiny_program, Trace.from_packed(reloaded), "confluence", sim_backend
-        )
+        direct = _simulator(tiny_program, design).run(tiny_trace)
+        via_stream = _simulator(tiny_program, design).run(Trace.from_packed(reloaded))
         assert dataclasses.asdict(direct) == dataclasses.asdict(via_stream)
 
 
@@ -257,8 +269,7 @@ class TestAllocationFreeKernel:
     whole run with zero ``predict_region`` calls (columns used instead),
     zero ``lookup`` calls on slot-capable BTBs, and at most one
     ``PrefetchContext`` ever built (zero when the design has no prefetcher).
-    These pins target the default ``scalar`` backend specifically — the
-    ``reference`` oracle allocates freely on purpose.
+    The ``reference`` oracle allocates freely on purpose.
     """
 
     @staticmethod
@@ -288,7 +299,7 @@ class TestAllocationFreeKernel:
         slots = self._count_calls(monkeypatch, PredictionSlot, "__init__")
 
         simulator, _ = design_from_spec(resolve_design("baseline"), tiny_program)
-        result = simulator.run(tiny_trace, backend="scalar")
+        result = simulator.run(tiny_trace)
         assert result.fetch_regions > 0
         assert predictions["count"] == 0  # branch columns replaced it
         assert lookups["count"] == 0  # lookup_into replaced lookup
@@ -304,7 +315,7 @@ class TestAllocationFreeKernel:
         simulator, _ = design_from_spec(
             resolve_design("2level_shift"), tiny_program
         )
-        result = simulator.run(tiny_trace, backend="scalar")
+        result = simulator.run(tiny_trace)
         assert result.fetch_regions > 0
         assert lookups["count"] == 0
 
@@ -315,7 +326,7 @@ class TestAllocationFreeKernel:
 
         contexts = self._count_calls(monkeypatch, PrefetchContext, "__init__")
         simulator, _ = design_from_spec(resolve_design("confluence"), tiny_program)
-        result = simulator.run(tiny_trace, backend="scalar")
+        result = simulator.run(tiny_trace)
         assert result.fetch_regions > 0
         assert contexts["count"] == 1  # hoisted out of the region loop
 
@@ -323,9 +334,7 @@ class TestAllocationFreeKernel:
         # PhantomBTB/AirBTB keep the generic lookup_into (which delegates to
         # lookup); the slot plumbing must not change their results either.
         for design in ("phantom_shift", "confluence"):
-            fast, oracle = _run_vs_reference(
-                tiny_program, tiny_trace, design, "scalar"
-            )
+            fast, oracle = _run_vs_reference(tiny_program, tiny_trace, design)
             assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
 
 
@@ -344,7 +353,7 @@ class TestBranchColumnMemo:
         trace = Trace.from_packed(tiny_trace.packed.slice(0))  # no memo yet
         for design in ("baseline", "confluence"):
             simulator, _ = design_from_spec(resolve_design(design), tiny_program)
-            simulator.run(trace, backend="scalar")
+            simulator.run(trace)
         assert builds["count"] == 1
         assert trace.packed._branch_columns is not None
 
@@ -352,7 +361,7 @@ class TestBranchColumnMemo:
         import pickle
 
         simulator, _ = design_from_spec(resolve_design("baseline"), tiny_program)
-        simulator.run(tiny_trace, backend="scalar")
+        simulator.run(tiny_trace)
         assert tiny_trace.packed._branch_columns is not None
         restored = pickle.loads(pickle.dumps(tiny_trace.packed))
         assert restored._branch_columns is None
@@ -363,7 +372,7 @@ class TestDirectionMispredictionPredicate:
 
     A region without a terminating branch can never report a direction
     misprediction — whatever its ``taken`` column says — because there is
-    no branch to mispredict; every backend must agree, counter and cycle
+    no branch to mispredict; both loops must agree, counter and cycle
     charge alike.
     """
 
@@ -385,16 +394,14 @@ class TestDirectionMispredictionPredicate:
             ))
         return Trace(records, name="branchless_taken")
 
-    def test_branchless_region_reports_no_direction_misprediction(
-        self, tiny_program, sim_backend
-    ):
+    def test_branchless_region_reports_no_direction_misprediction(self, tiny_program):
         trace = self._branchless_taken_trace()
-        simulator, _ = design_from_spec(resolve_design("baseline"), tiny_program)
-        result = simulator.run(trace, warmup_fraction=0.0, backend=sim_backend)
-        # Half the regions are branchless-with-taken; none may be counted.
-        assert result.fetch_regions == 100
-        assert result.direction_mispredictions == 0
-        assert result.direction_stall_cycles == 0
+        for run in (FrontendSimulator.run, _oracle_run):
+            result = run(_simulator(tiny_program, "baseline"), trace, 0.0)
+            # Half the regions are branchless-with-taken; none may be counted.
+            assert result.fetch_regions == 100
+            assert result.direction_mispredictions == 0
+            assert result.direction_stall_cycles == 0
 
     def test_counter_equals_charge_on_generated_traces(
         self, tiny_program, tiny_trace
@@ -430,3 +437,30 @@ class TestSpeedupOverPolicy:
         empty = CMPResult(design="empty", workload="none")
         with pytest.raises(ValueError, match="zero IPC"):
             empty.speedup_over(empty)
+
+
+def test_stack_has_no_backend_knob(tiny_program, tiny_trace):
+    # One loop: no layer takes a loop selector.  run_sweep gets cores=0 too,
+    # so a layer that still accepted the knob fails fast instead of running.
+    from repro.api import Session
+    from repro.core.cmp import ChipMultiprocessor
+    from repro.sweep import run_sweep
+
+    simulator = _simulator(tiny_program, "baseline")
+    chip = ChipMultiprocessor(tiny_program, cores=1, instructions_per_core=1_000)
+    calls = {
+        "FrontendSimulator": lambda: FrontendSimulator(simulator.bpu, backend="scalar"),
+        "FrontendSimulator.run": lambda: simulator.run(tiny_trace, backend="scalar"),
+        "ChipMultiprocessor": lambda: ChipMultiprocessor(
+            tiny_program, cores=1, backend="scalar"
+        ),
+        "run_design": lambda: chip.run_design("baseline", backend="scalar"),
+        "run_sweep": lambda: run_sweep(
+            ["oltp_db2"], ["baseline"], cores=0, backend="scalar"
+        ),
+        "Session": lambda: Session(profile="oltp_db2", backend="scalar"),
+    }
+    for layer, call in calls.items():
+        with pytest.raises(TypeError, match="backend"):
+            call()
+            pytest.fail(f"{layer} accepted backend=")

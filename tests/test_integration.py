@@ -16,7 +16,8 @@ from repro.analysis import (
 )
 from repro.analysis.experiments import performance_area_frontier, run_btb_coverage
 from repro.analysis.reporting import format_series, format_table
-from repro.branch import ConventionalBTB
+from repro.branch import ConventionalBTB, PhantomBTB, TwoLevelBTB
+from repro.core.airbtb import AirBTB
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,32 @@ class TestCoverageHarness:
         misses, instructions = run_btb_coverage(btb, small_trace, warmup_fraction=0.2)
         assert misses > 0
         assert instructions < small_trace.instruction_count
+
+    @pytest.mark.parametrize("btb_class", [ConventionalBTB, TwoLevelBTB, PhantomBTB, AirBTB])
+    def test_run_btb_coverage_skips_kindless_not_taken_branches(self, btb_class):
+        # A branch with no kind (permitted by FetchRecord) that is not taken
+        # trains the BTB like a conditional one: no entry, and no crash.
+        from repro.workloads.trace import FetchRecord, Trace
+
+        base = 0x4000_0000
+        records = []
+        for _repeat in range(10):
+            records.append(FetchRecord(
+                start=base, instruction_count=4, branch_pc=base + 0xC,
+                kind=None, taken=False, target=base + 0x800, next_pc=base + 0x10,
+            ))
+            records.append(FetchRecord(
+                start=base + 0x10, instruction_count=4, branch_pc=base + 0x1C,
+                kind=None, taken=True, target=base, next_pc=base,
+            ))
+        btb = btb_class()
+        misses, instructions = run_btb_coverage(
+            btb, Trace(records, name="kindless"), warmup_fraction=0.0
+        )
+        assert instructions == 80
+        assert misses == 1  # the taken branch's cold miss only
+        assert btb.peek_hit(base + 0x1C)
+        assert not btb.peek_hit(base + 0xC)
 
 
 class TestReporting:

@@ -414,11 +414,14 @@ class TestMmapLoad:
 
 class TestFrontendDefaultsToPacked:
     def test_run_uses_packed_and_matches_view(self, tiny_program, tiny_trace):
+        from repro.backends.reference import ReferenceBackend
         from repro.core.designs import design_from_spec, resolve_design
 
         spec = resolve_design("baseline")
         fast_sim, _ = design_from_spec(spec, tiny_program)
         slow_sim, _ = design_from_spec(spec, tiny_program)
-        fast = fast_sim.run(tiny_trace)  # default backend: scalar, columnar
-        slow = slow_sim.run(tiny_trace, backend="reference")
+        fast = fast_sim.run(tiny_trace)  # the scalar loop, columnar
+        slow = ReferenceBackend().run(  # the oracle, record view
+            slow_sim, tiny_trace, slow_sim.config.warmup_fraction
+        )
         assert dataclasses.asdict(fast) == dataclasses.asdict(slow)

@@ -257,10 +257,23 @@ class TestSavedSweepReports:
             load_reports(path)
 
     def test_wrong_layout_refused(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text(json.dumps({"whatever": 1}))
-        with pytest.raises(ValueError):
-            load_reports(path)
+        entry = _sweep_report().to_dict()
+        del entry["order"]
+        layouts = {
+            "junk.json": {"whatever": 1},
+            "no_order.json": {"reports": {"oltp_db2": entry}},
+            "not_an_object.json": {"reports": {"oltp_db2": [1, 2]}},
+            "bad_stats.json": {
+                "reports": {"oltp_db2": _sweep_report().to_dict()},
+                "stats": {"cells": [1]},
+            },
+        }
+        for name, payload in layouts.items():
+            path = tmp_path / name
+            path.write_text(json.dumps(payload))
+            # A ValueError naming the file: what `repro report` catches.
+            with pytest.raises(ValueError, match=name):
+                load_reports(path)
 
 
 # --------------------------------------------------------------------------- #

@@ -55,7 +55,6 @@ class TestCellKey:
         {"spec": resolve_design("confluence")},
         {"profile": get_profile("dss_qry2").scaled(0.08)},
         {"frontend_config": FrontendConfig(base_cpi=1.5)},
-        {"backend": "reference"},
     ])
     def test_any_parameter_change_changes_the_key(self, overrides):
         assert _cell(**overrides).key() != _cell().key()
@@ -83,23 +82,6 @@ class TestCellKey:
             assert _cell().key() != key_before
         finally:
             BTB_REGISTRY.register("conventional", original, overwrite=True)
-        assert _cell().key() == key_before
-
-    def test_swapping_a_registered_backend_changes_the_key(self):
-        # Same invalidation story for simulation backends: a cached cell
-        # must not survive its backend's implementation changing under it.
-        from repro.backends import BACKEND_REGISTRY, ScalarBackend
-
-        key_before = _cell().key()
-
-        class PatchedScalar(ScalarBackend):
-            pass
-
-        BACKEND_REGISTRY.register("scalar", PatchedScalar, overwrite=True)
-        try:
-            assert _cell().key() != key_before
-        finally:
-            BACKEND_REGISTRY.register("scalar", ScalarBackend, overwrite=True)
         assert _cell().key() == key_before
 
 
@@ -514,42 +496,6 @@ class TestSweepParityAndCache:
         bumped = dict(GRID_KW, instructions_per_core=7_000)
         outcome = run_sweep(["oltp_db2"], ["baseline"], cache=cache, **bumped)
         assert outcome.stats.simulated == 1  # different cell, not a stale hit
-
-    def test_backends_do_not_collide_in_the_cache(self, tmp_path):
-        # Same grid on two backends: the backend name is in the cell key, so
-        # neither run may be served the other's cells — and each backend's
-        # own warm rerun must still be free.
-        cache = ResultCache(tmp_path / "cache")
-        scalar = run_sweep(["oltp_db2"], ["baseline"], cache=cache, **GRID_KW)
-        assert scalar.stats.simulated == 1
-
-        reference = run_sweep(
-            ["oltp_db2"], ["baseline"], cache=cache, backend="reference",
-            **GRID_KW
-        )
-        assert reference.stats.simulated == 1  # no cross-backend hit
-        assert reference.stats.cache_hits == 0
-
-        warm = run_sweep(
-            ["oltp_db2"], ["baseline"], cache=cache, backend="reference",
-            **GRID_KW
-        )
-        assert warm.stats.simulated == 0
-        assert warm.stats.cache_hits == 1
-
-        # Backends are bit-exact, so everything but the tag agrees.
-        fast = dict(scalar.summary("oltp_db2", "baseline"))
-        slow = dict(warm.summary("oltp_db2", "baseline"))
-        assert fast.pop("backend") == "scalar"
-        assert slow.pop("backend") == "reference"
-        assert fast == slow
-
-    def test_unknown_backend_rejected_before_simulation(self):
-        from repro.registry import UnknownComponentError
-
-        with pytest.raises(UnknownComponentError, match="unknown backend"):
-            run_sweep(["oltp_db2"], ["baseline"], backend="vector9000",
-                      **GRID_KW)
 
 
 class TestSweepOutcome:
