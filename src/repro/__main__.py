@@ -7,11 +7,11 @@ traces mapped in zero-copy from the shared trace store — and prints one
 RunReport table per profile plus the cache and trace-store accounting.
 
 The ``trace`` subcommand works with packed trace artifacts directly:
-``--out`` generates a trace and streams it to a columnar file, ``--verify``
-reloads it and asserts its statistics match a fresh generator walk (the CI
-round-trip guard), ``--info`` describes an existing artifact, and
-``--prune BYTES`` LRU-evicts cold artifacts until the shared store fits the
-byte budget.
+``--out`` generates a trace in memory and saves it as a columnar file,
+``--verify`` maps the file back in and asserts its name and all nine
+columns equal the trace just written (the CI round-trip guard), ``--info``
+describes an existing artifact, and ``--prune BYTES`` LRU-evicts cold
+artifacts until the shared store fits the byte budget.
 
 The ``bench`` subcommand measures the simulation kernel
 (:mod:`repro.perfbench`) and emits one stable-schema JSON trajectory point;
@@ -77,7 +77,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro.analysis.reporting import format_table
 from repro.api import reports_from_sweep
@@ -95,7 +95,6 @@ from repro.workloads.profiles import WORKLOAD_PROFILES
 from repro.workloads.scenario import SCENARIOS
 
 if TYPE_CHECKING:
-    from repro.workloads.packed import PackedTrace
     from repro.workloads.trace import TraceStatistics
 
 
@@ -183,9 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "trace",
         help="pack, verify and inspect columnar trace artifacts",
         description=(
-            "Generate a workload trace into a packed columnar artifact "
-            "(--out, optionally --verify to prove the round trip) or "
-            "describe an existing one (--info)."
+            "Generate a workload trace and save it as a packed columnar "
+            "artifact (--out; --verify maps it back and compares every "
+            "column with the trace written), describe an existing artifact "
+            "(--info) or bound the trace store's size (--prune)."
         ),
     )
     trace.add_argument("--profile", default=None, metavar="NAME",
@@ -199,12 +199,10 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", default=None, metavar="PATH",
                        help="write the packed trace to PATH")
     trace.add_argument("--verify", action="store_true",
-                       help="after writing, reload the artifact and assert its "
-                            "statistics match a fresh generator walk")
+                       help="after writing, map the artifact back in and assert "
+                            "its name and columns equal the trace written")
     trace.add_argument("--info", default=None, metavar="PATH",
                        help="describe an existing packed trace artifact")
-    trace.add_argument("--chunk-regions", type=int, default=1 << 16,
-                       help="streaming chunk size in fetch regions (default 65536)")
     trace.add_argument("--prune", default=None, metavar="BYTES",
                        help="LRU-evict cold artifacts until the trace store is "
                             "at most BYTES (suffixes K/M/G accepted)")
@@ -447,8 +445,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         )
         print(
             f"traces: {outcome.stats.traces_generated} generated, "
-            f"{outcome.stats.traces_loaded} loaded from store "
-            f"({outcome.stats.traces_mapped} zero-copy mmap){trace_where}"
+            f"{outcome.stats.traces_loaded} loaded from store{trace_where}"
         )
         print(
             f"resilience: {outcome.stats.retried} retried, "
@@ -512,9 +509,9 @@ def _parse_byte_size(text: str) -> int:
 
 
 def _run_trace_command(args: argparse.Namespace) -> int:
-    from repro.workloads import TraceWalker, get_profile, load_packed, synthesize_program
-    from repro.workloads.packed import save_chunks
-    from repro.workloads.trace import Trace, TraceStatistics
+    from repro.workloads import generate_trace, get_profile, load_packed, synthesize_program
+    from repro.workloads.packed import COLUMN_NAMES
+    from repro.workloads.trace import Trace
 
     if args.prune is not None:
         if args.out is not None or args.info is not None or args.verify:
@@ -569,6 +566,10 @@ def _run_trace_command(args: argparse.Namespace) -> int:
     if args.profile is None:
         print("trace: --out requires --profile", file=sys.stderr)
         return 2
+    if args.instructions is not None and args.instructions < 1:
+        print(f"trace: --instructions must be positive, got {args.instructions}",
+              file=sys.stderr)
+        return 2
     profile = get_profile(args.profile)
     if args.scale != 1.0:
         profile = profile.scaled(args.scale)
@@ -577,57 +578,40 @@ def _run_trace_command(args: argparse.Namespace) -> int:
         if args.instructions is not None
         else profile.recommended_trace_instructions
     )
-    program = synthesize_program(profile)
-
-    # Stream the walk to disk chunk by chunk, folding statistics as each
-    # chunk passes through: the artifact never has to fit in memory, which
-    # is the point of the chunked on-disk format.
-    walker = TraceWalker(program, seed=args.seed)
-    counters = [0] * 9
-    blocks: Set[int] = set()
-    taken_pcs: Set[int] = set()
-
-    def folded(chunks: Iterator["PackedTrace"]) -> Iterator["PackedTrace"]:
-        for chunk in chunks:
-            chunk.fold_statistics(counters, blocks, taken_pcs)
-            yield chunk
-
+    trace = generate_trace(
+        synthesize_program(profile), instructions, seed=args.seed, name=profile.name
+    )
     try:
-        save_chunks(
-            args.out,
-            profile.name,
-            folded(walker.run_chunks(instructions, chunk_regions=args.chunk_regions)),
-        )
-    except (OSError, ValueError) as error:
+        trace.packed.save(args.out)
+    except OSError as error:
         print(f"trace: cannot write {args.out}: {error}", file=sys.stderr)
         return 1
-    stats = TraceStatistics(*counters, len(blocks), len(taken_pcs))
-    _print_trace_stats(profile.name, stats.instruction_count, stats)
+    _print_trace_stats(trace.name, trace.instruction_count, trace.statistics())
     print(f"wrote {args.out}")
 
     if args.verify:
-        # The round-trip proof: the artifact must read back and describe
-        # exactly the trace a fresh generator walk produces.
+        # The round-trip proof: the artifact must map back to exactly the
+        # trace just written — its name and every column, byte for byte.
         try:
-            reloaded = Trace.from_packed(load_packed(args.out))
+            reloaded = load_packed(args.out)
         except (OSError, ValueError) as error:
             print(f"--verify: cannot read back {args.out}: {error}",
                   file=sys.stderr)
             return 1
-        artifact_stats = reloaded.statistics()
-        fresh = TraceWalker(program, seed=args.seed).run(
-            instructions, name=profile.name
-        )
-        fresh_stats = fresh.statistics()
-        if fresh_stats != artifact_stats or artifact_stats != stats \
-                or len(fresh) != len(reloaded):
+        differing = [
+            attr for attr in COLUMN_NAMES
+            if getattr(reloaded, attr).tobytes() != getattr(trace.packed, attr).tobytes()
+        ]
+        if reloaded.name != trace.name:
+            differing.insert(0, "name")
+        if differing:
             print(
-                "--verify: reloaded artifact does not match the generator "
-                f"output\n  generator: {fresh_stats}\n  artifact:  {artifact_stats}",
+                f"--verify: {args.out} does not read back the trace written: "
+                f"{', '.join(differing)} differ",
                 file=sys.stderr,
             )
             return 1
-        print("--verify: artifact statistics match the generator output")
+        print("--verify: artifact name and columns match the trace written")
     return 0
 
 

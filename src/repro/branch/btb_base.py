@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.isa.instruction import BranchKind
 from repro.isa.predecode import PredecodedBlock
@@ -100,6 +100,18 @@ class BaseBTB(abc.ABC):
     def __init__(self, name: str) -> None:
         self.name = name
         self.stats = BTBStats()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        """Keep :meth:`lookup_into` in step with an overridden :meth:`lookup`.
+
+        A subclass that redefines ``lookup`` but inherits a parent's
+        specialised ``lookup_into`` would have the ``reference`` oracle call
+        its own lookup while the ``scalar`` loop still ran the parent's; such
+        a class gets the generic delegate back instead.
+        """
+        super().__init_subclass__(**kwargs)
+        if "lookup" in cls.__dict__ and "lookup_into" not in cls.__dict__:
+            setattr(cls, "lookup_into", BaseBTB.lookup_into)
 
     @abc.abstractmethod
     def lookup(self, branch_pc: int, taken: bool = True) -> BTBLookupResult:

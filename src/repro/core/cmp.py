@@ -215,11 +215,8 @@ class ChipMultiprocessor:
         self.trace_store = trace_store
         #: How this driver's traces were obtained (observability; the sweep
         #: engine folds these into :class:`repro.sweep.SweepStats`).
-        #: ``traces_mapped`` counts the loads served zero-copy — memoryviews
-        #: over an mmap of the store artifact, not a private heap copy.
         self.traces_generated = 0
         self.traces_loaded = 0
-        self.traces_mapped = 0
         self._traces: Optional[List[Trace]] = None
 
     def _program_for(self, profile: WorkloadProfile) -> SyntheticProgram:
@@ -243,8 +240,6 @@ class ChipMultiprocessor:
                     )
                 if trace is not None:
                     self.traces_loaded += 1
-                    if trace.packed.mapped:
-                        self.traces_mapped += 1
                 else:
                     trace = generate_trace(
                         self._program_for(workload.profile),

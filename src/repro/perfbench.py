@@ -157,7 +157,7 @@ def run_kernel_benchmark(
         trace.packed.save(artifact)
         save_s = time.perf_counter() - start
         start = time.perf_counter()
-        packed = load_packed(artifact, mmap=True)
+        packed = load_packed(artifact)
         load_s = time.perf_counter() - start
         mapped_trace = Trace.from_packed(packed)
         return {

@@ -55,8 +55,7 @@ _SWEEP_COLUMNS = ("design", "ipc", "speedup", "btb_mpki", "l1i_mpki", "area_mm2"
 _RESILIENCE_ORDER = (
     "cells", "simulated", "cache_hits", "resumed", "retried", "timed_out",
     "pool_rebuilds", "quarantined", "traces_generated", "traces_loaded",
-    "traces_mapped", "journals", "journal_cells_expected",
-    "journal_cells_recorded",
+    "journals", "journal_cells_expected", "journal_cells_recorded",
 )
 
 

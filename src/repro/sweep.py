@@ -447,25 +447,17 @@ class TraceStore:
     ``hits``/``misses`` count :meth:`load` outcomes for observability.
     """
 
-    def __init__(
-        self, directory: Union[str, Path, None] = None, mmap: bool = True
-    ) -> None:
+    def __init__(self, directory: Union[str, Path, None] = None) -> None:
         self.directory = Path(directory) if directory is not None else default_trace_dir()
-        #: Serve loads as memoryviews over an mmap of the artifact (the
-        #: zero-copy default): N processes sharing a store read one
-        #: page-cache copy of each trace instead of N heap copies.
-        self.mmap = mmap
         self.hits = 0
         self.misses = 0
-        #: How many :meth:`load` hits were served zero-copy (mmap-backed).
-        self.mapped = 0
         #: Corrupt artifacts moved aside by :meth:`load`.
         self.quarantined = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TraceStore({str(self.directory)!r}, hits={self.hits}, "
-            f"misses={self.misses}, mapped={self.mapped})"
+            f"misses={self.misses})"
         )
 
     @classmethod
@@ -540,7 +532,7 @@ class TraceStore:
                 expected = None  # legacy artifact predating checksums
             if expected is not None and _file_sha256(path) != expected:
                 raise ValueError("artifact does not match its stored checksum")
-            packed = load_packed(path, mmap=self.mmap)
+            packed = load_packed(path)
         except (FileNotFoundError, NotADirectoryError):
             # Absent artifact — or an unusable store directory, which is not
             # an artifact's fault and must not read as a quarantine.
@@ -551,8 +543,6 @@ class TraceStore:
             self.misses += 1
             return None
         self.hits += 1
-        if packed.mapped:
-            self.mapped += 1
         return Trace.from_packed(packed, name=name)
 
     def put(
@@ -691,9 +681,7 @@ class SweepStats:
     simulated cells' per-core traces were obtained (generator walk vs
     :class:`TraceStore` artifact).  A warm trace-store run reports
     ``traces_generated == 0`` — CI pins this like ``--expect-cached`` pins
-    ``simulated == 0``.  ``traces_mapped`` counts the loaded traces that
-    were served zero-copy (memoryviews over an mmap of the artifact rather
-    than a private heap copy).
+    ``simulated == 0``.
 
     The resilience counters make fault handling observable: ``retried``
     counts cell re-executions (after a failure, a pool break or a timeout),
@@ -707,7 +695,6 @@ BrokenProcessPool` / stuck-worker recoveries, and ``quarantined`` counts
     cache_hits: int = 0
     traces_generated: int = 0
     traces_loaded: int = 0
-    traces_mapped: int = 0
     retried: int = 0
     timed_out: int = 0
     quarantined: int = 0
@@ -895,9 +882,9 @@ def _cell_failure(
     return CellExecutionError(f"sweep cell {_cell_label(cell)} failed: {detail}")
 
 
-#: (summary, traces generated, loaded, mapped, artifacts quarantined) — the
+#: (summary, traces generated, loaded, artifacts quarantined) — the
 #: per-cell deltas a scheduler folds into :class:`SweepStats`.
-_CellOutcome = Tuple[Dict[str, object], int, int, int, int]
+_CellOutcome = Tuple[Dict[str, object], int, int, int]
 
 
 def simulate_cell(cell: SweepCell) -> Dict[str, object]:
@@ -910,8 +897,7 @@ def _simulate_cell_counted(
     trace_store: Optional[TraceStore],
     attempt: int = 0,
 ) -> _CellOutcome:
-    """Run one cell; returns (summary, traces generated, loaded, mapped,
-    quarantined).
+    """Run one cell; returns (summary, traces generated, loaded, quarantined).
 
     The trace counters are deltas over this run, so the scheduler can fold
     them into :class:`SweepStats` even when the memoized driver already holds
@@ -924,7 +910,6 @@ def _simulate_cell_counted(
     cmp_model = _cmp_for_cell(cell, trace_store=trace_store)
     generated_before = cmp_model.traces_generated
     loaded_before = cmp_model.traces_loaded
-    mapped_before = cmp_model.traces_mapped
     quarantined_before = trace_store.quarantined if trace_store is not None else 0
     result = cmp_model.run_design(cell.spec)
     summary = summarize_result(result, cell.spec, cell.cores)
@@ -932,7 +917,6 @@ def _simulate_cell_counted(
         summary,
         cmp_model.traces_generated - generated_before,
         cmp_model.traces_loaded - loaded_before,
-        cmp_model.traces_mapped - mapped_before,
         (trace_store.quarantined - quarantined_before)
         if trace_store is not None else 0,
     )
@@ -1254,12 +1238,11 @@ def run_cells(
 
     def complete(index: int, outcome: _CellOutcome) -> None:
         """Stream one fresh simulation into stats, cache and journal."""
-        summary, generated, loaded, mapped, quarantined = outcome
+        summary, generated, loaded, quarantined = outcome
         summaries[index] = summary
         stats.simulated += 1
         stats.traces_generated += generated
         stats.traces_loaded += loaded
-        stats.traces_mapped += mapped
         stats.quarantined += quarantined
         if store is not None:
             store.put(keys[index], summary)

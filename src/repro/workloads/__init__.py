@@ -48,12 +48,7 @@ from repro.workloads.scenario import (
 )
 from repro.workloads.packed import PackedTrace, PackedTraceBuilder, load_packed
 from repro.workloads.trace import FetchRecord, RecordView, Trace, TraceStatistics
-from repro.workloads.generator import (
-    TraceWalker,
-    build_workload,
-    generate_packed_trace,
-    generate_trace,
-)
+from repro.workloads.generator import TraceWalker, build_workload, generate_trace
 
 __all__ = [
     "WorkloadProfile",
@@ -84,7 +79,6 @@ __all__ = [
     "Trace",
     "TraceStatistics",
     "TraceWalker",
-    "generate_packed_trace",
     "generate_trace",
     "load_packed",
     "build_workload",

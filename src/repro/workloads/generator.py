@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instruction import BranchKind
 from repro.workloads.cfg import BranchBehavior, SyntheticProgram, synthesize_program
@@ -92,47 +92,16 @@ class TraceWalker:
     ) -> PackedTrace:
         """Generate the trace directly in columnar form.
 
-        The walker appends scalar columns into a chunked
+        The walker appends scalar columns into a
         :class:`~repro.workloads.packed.PackedTraceBuilder` — no
         ``FetchRecord`` objects exist on this path.
         """
         builder = PackedTraceBuilder(name=name or self.profile.name)
-        for _ in self._walk_requests(max_instructions, builder):
-            pass
+        self._walk_requests(max_instructions, builder)
         return builder.build()
 
-    def run_chunks(
-        self,
-        max_instructions: int,
-        name: Optional[str] = None,
-        chunk_regions: int = 1 << 16,
-    ) -> Iterator[PackedTrace]:
-        """Generate the trace as a stream of packed chunks.
-
-        Each yielded chunk is detached from the builder before the next one
-        is produced, so traces larger than memory can be streamed straight to
-        disk (see :func:`repro.workloads.packed.save_chunks`).  Requests are
-        never split across chunks; chunk sizes are therefore approximate.
-        """
-        builder = PackedTraceBuilder(
-            name=name or self.profile.name, chunk_regions=chunk_regions
-        )
-        for _ in self._walk_requests(max_instructions, builder):
-            if len(builder) >= chunk_regions:
-                chunk = builder.take_chunk()
-                if chunk is not None:
-                    yield chunk
-        chunk = builder.take_chunk()
-        if chunk is not None:
-            yield chunk
-
-    def _walk_requests(
-        self, max_instructions: int, builder: PackedTraceBuilder
-    ) -> Iterator[None]:
-        """THE walk loop: serve requests into ``builder``, yielding after
-        each one.  Both trace-producing entry points drive this generator,
-        so the request order and RNG consumption can never diverge between
-        the in-memory and streamed forms."""
+    def _walk_requests(self, max_instructions: int, builder: PackedTraceBuilder) -> None:
+        """Serve requests into ``builder`` until ``max_instructions`` ran."""
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
         instructions = 0
@@ -141,7 +110,6 @@ class TraceWalker:
             parameter = self._rng.randrange(self.profile.request_parameters)
             instructions += self._run_request(request_type, parameter, builder)
             self.requests_completed += 1
-            yield
 
     def _pick_request_type(self) -> int:
         draw = self._rng.random()
@@ -333,14 +301,6 @@ def generate_trace(
     """Convenience wrapper: build a walker and generate ``instructions``."""
     walker = TraceWalker(program, seed=seed)
     return walker.run(instructions, name=name)
-
-
-def generate_packed_trace(
-    program: SyntheticProgram, instructions: int, seed: int = 1, name: Optional[str] = None
-) -> PackedTrace:
-    """Like :func:`generate_trace` but returns the bare columnar form."""
-    walker = TraceWalker(program, seed=seed)
-    return walker.run_packed(instructions, name=name)
 
 
 def build_workload(

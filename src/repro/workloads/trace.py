@@ -6,12 +6,15 @@ is recorded at that granularity: one fetch region per executed basic block,
 carrying the terminating branch and its dynamic outcome.
 
 The canonical storage is columnar — a :class:`~repro.workloads.packed.PackedTrace`
-holding one ``array`` per field — which the hot simulation loops index
-directly.  :class:`Trace` and :class:`FetchRecord` are the record-level API
-on top: ``trace.records`` is a lazy view that materializes a
-:class:`FetchRecord` only when one is actually asked for, so code written
-against the record interface keeps working while the columnar fast paths
-never pay for it.
+holding one column per field: an ``array`` for a generated trace, a
+``memoryview`` over the mapped artifact for a loaded one — which the hot
+simulation loops index directly.  :class:`Trace` and :class:`FetchRecord`
+are the record-level API on top: ``trace.records`` is a lazy view that
+materializes a :class:`FetchRecord` only when one is actually asked for, so
+code written against the record interface keeps working while the columnar
+fast paths never pay for it.  The statistics (:meth:`Trace.statistics`,
+:meth:`Trace.branch_density`) are single pure-Python passes over the
+columns.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ from repro.workloads.packed import (
     PackedTraceBuilder,
     kind_from_code,
 )
-
-# Optional-numpy dance lives in one place; ``_np`` is None when absent and
-# the pure path below is the reference.
-from repro._np import np as _np
 
 
 @dataclass(frozen=True)
@@ -312,45 +311,7 @@ class Trace:
         number of distinct taken branches exercised per block per visit
         episode, the quantity Table 2 reports for block residency in the
         L1-I.
-
-        With numpy present the reduction is vectorized;
-        :meth:`branch_density_reference` keeps the pure columnar loop as the
-        behavioral reference, and the test suite asserts the two agree.
         """
-        if _np is not None and len(self._packed):
-            return self._branch_density_numpy()
-        return self.branch_density_reference()
-
-    def _branch_density_numpy(self) -> Dict[str, float]:
-        np = _np
-        packed = self._packed
-        branch_pcs = np.frombuffer(packed.branch_pcs, dtype=np.int64)
-        takens = np.frombuffer(packed.takens, dtype=np.int8) != 0
-        has_branch = branch_pcs != NO_VALUE
-        branch_pcs = branch_pcs[has_branch]
-        takens = takens[has_branch]
-        if branch_pcs.size == 0:
-            return {"static": 0.0, "dynamic": 0.0}
-        blocks = branch_pcs & ~np.int64(BLOCK_SIZE_BYTES - 1)
-
-        # Static: each branch PC belongs to exactly one block, so the mean
-        # per-block set size is simply (distinct PCs) / (distinct blocks).
-        static = np.unique(branch_pcs).size / np.unique(blocks).size
-
-        # Dynamic: an episode is a maximal run of branches in one block;
-        # the mean per-episode distinct-taken-PC count is the number of
-        # distinct (episode, PC) pairs among taken branches over the number
-        # of episodes.
-        episode = np.empty(blocks.size, dtype=np.int64)
-        episode[0] = 0
-        np.cumsum(blocks[1:] != blocks[:-1], out=episode[1:])
-        episodes = int(episode[-1]) + 1
-        taken_pairs = np.stack([episode[takens], branch_pcs[takens]], axis=1)
-        distinct_taken = np.unique(taken_pairs, axis=0).shape[0]
-        return {"static": float(static), "dynamic": distinct_taken / episodes}
-
-    def branch_density_reference(self) -> Dict[str, float]:
-        """The pure columnar density loop (the vectorized path's oracle)."""
         packed = self._packed
         static_branches: Dict[int, Set[int]] = {}
         dynamic_counts: List[int] = []

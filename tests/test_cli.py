@@ -3,26 +3,35 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from array import array
 from pathlib import Path
 
 import pytest
 
+import repro.workloads
 from repro.__main__ import main
 from repro.workloads import load_packed
+from repro.workloads.packed import COLUMN_NAMES, PackedTrace
+
+#: ``trace --out`` arguments for a tiny artifact (append ``--out PATH``).
+TINY_TRACE_ARGS = [
+    "trace", "--profile", "oltp_db2", "--scale", "0.08",
+    "--instructions", "5000", "--seed", "3",
+]
 
 
 class TestTraceCommand:
     def test_pack_verify_and_info(self, tmp_path, capsys):
         out = tmp_path / "oltp.trace"
-        code = main([
-            "trace", "--profile", "oltp_db2", "--scale", "0.08",
-            "--instructions", "5000", "--seed", "3",
-            "--out", str(out), "--verify", "--chunk-regions", "400",
-        ])
+        code = main([*TINY_TRACE_ARGS, "--out", str(out), "--verify"])
         captured = capsys.readouterr()
         assert code == 0
         assert out.exists()
-        assert "statistics match the generator output" in captured.out
+        assert "artifact name and columns match the trace written" in captured.out
 
         packed = load_packed(out)
         assert packed.instruction_count >= 5000
@@ -31,6 +40,41 @@ class TestTraceCommand:
         captured = capsys.readouterr()
         assert code == 0
         assert "fetch regions" in captured.out
+
+    def test_verify_compares_every_column(self, tmp_path, capsys, monkeypatch):
+        # Statistics never read ``targets``: a reader that returns one wrong
+        # target must still fail the round trip.
+        real_load = repro.workloads.load_packed
+
+        def tampered_load(path):
+            packed = real_load(path)
+            targets = array("q", packed.targets)
+            index = next(i for i, target in enumerate(targets) if target != -1)
+            targets[index] += 4
+            columns = [
+                targets if attr == "targets" else getattr(packed, attr)
+                for attr in COLUMN_NAMES
+            ]
+            return PackedTrace(columns, name=packed.name)
+
+        monkeypatch.setattr(repro.workloads, "load_packed", tampered_load)
+        out = tmp_path / "oltp.trace"
+        code = main([*TINY_TRACE_ARGS, "--out", str(out), "--verify"])
+        assert code == 1
+        assert "targets differ" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instructions", ["0", "-5"])
+    def test_nonpositive_instructions_is_a_usage_error_writing_nothing(
+        self, tmp_path, capsys, instructions
+    ):
+        out = tmp_path / "empty.trace"
+        code = main([
+            "trace", "--profile", "oltp_db2", "--scale", "0.08",
+            "--instructions", instructions, "--out", str(out),
+        ])
+        assert code == 2
+        assert "--instructions must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_requires_profile(self, tmp_path, capsys):
         code = main(["trace", "--out", str(tmp_path / "x.trace")])
@@ -41,6 +85,34 @@ class TestTraceCommand:
         code = main(["trace", "--profile", "oltp_db2"])
         assert code == 2
         assert "one of --out, --info or --prune" in capsys.readouterr().err
+
+
+def test_sweep_and_trace_never_import_numpy(tmp_path):
+    """The library is standard-library only: a fresh interpreter running a
+    tiny sweep and a verified trace round trip never loads numpy."""
+    script = textwrap.dedent(f"""
+        import sys
+        import repro, repro.sweep, repro.analysis.experiments
+        from repro.__main__ import main
+        assert main({[*TINY_TRACE_ARGS, "--out", str(tmp_path / "t.trace"), "--verify"]!r}) == 0
+        assert main([
+            "sweep", "--profiles", "oltp_db2", "--designs", "baseline",
+            "--scale", "0.08", "--cores", "1", "--instructions-per-core", "3000",
+            "--no-cache", "--no-trace-store", "--no-journal",
+        ]) == 0
+        print("numpy modules:", sorted(
+            name for name in sys.modules if name.split(".")[0] == "numpy"
+        ))
+    """)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, cwd=tmp_path, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "numpy modules: []" in result.stdout
 
 
 class TestTracePrune:

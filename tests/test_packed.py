@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import sys
 
 import pytest
 
 from repro.isa.instruction import BLOCK_SIZE_BYTES, BranchKind, block_address
-from repro.workloads import TraceWalker, generate_trace
+from repro.workloads import packed as packed_module
 from repro.workloads.packed import (
+    COLUMN_NAMES,
     KIND_CODES,
     NO_VALUE,
     PackedTrace,
@@ -16,7 +19,6 @@ from repro.workloads.packed import (
     kind_code,
     kind_from_code,
     load_packed,
-    save_chunks,
 )
 from repro.workloads.trace import FetchRecord, Trace, TraceStatistics, pack_records
 
@@ -68,6 +70,32 @@ def _reference_statistics(records) -> TraceStatistics:
     return stats
 
 
+def _reference_branch_density(records):
+    """Table 2's density walk over the record view (the columnar oracle)."""
+    static_branches, dynamic_counts = {}, []
+    current_block, current_branches = None, set()
+    for record in records:
+        if record.branch_pc is None:
+            continue
+        branch_block = block_address(record.branch_pc)
+        static_branches.setdefault(branch_block, set()).add(record.branch_pc)
+        if branch_block != current_block:
+            if current_block is not None:
+                dynamic_counts.append(len(current_branches))
+            current_block = branch_block
+            current_branches = set()
+        if record.taken:
+            current_branches.add(record.branch_pc)
+    if current_block is not None:
+        dynamic_counts.append(len(current_branches))
+    if not static_branches:
+        return {"static": 0.0, "dynamic": 0.0}
+    return {
+        "static": sum(len(p) for p in static_branches.values()) / len(static_branches),
+        "dynamic": sum(dynamic_counts) / len(dynamic_counts),
+    }
+
+
 class TestKindCodes:
     def test_round_trip_every_kind(self):
         for kind in BranchKind:
@@ -89,13 +117,15 @@ class TestPackedBuilder:
         assert len(packed) == len(tiny_trace)
         assert all(a == b for a, b in zip(Trace.from_packed(packed), tiny_trace, strict=True))
 
-    def test_chunked_flush_is_equivalent(self, tiny_trace):
+    def test_chunked_flush_is_equivalent(self, tiny_trace, monkeypatch):
         records = list(tiny_trace.records)[:500]
-        small = PackedTraceBuilder(name="t", chunk_regions=7)
         big = PackedTraceBuilder(name="t")
         for record in records:
-            small.append_record(record)
             big.append_record(record)
+        monkeypatch.setattr(packed_module, "_FLUSH_REGIONS", 7)
+        small = PackedTraceBuilder(name="t")
+        for record in records:
+            small.append_record(record)
         small_packed, big_packed = small.build(), big.build()
         for attr in ("starts", "branch_pcs", "kinds", "takens", "block_counts"):
             assert getattr(small_packed, attr) == getattr(big_packed, attr)
@@ -110,20 +140,10 @@ class TestPackedBuilder:
         builder = PackedTraceBuilder()
         builder.append(BASE, 4, BASE + 12, 0, 1, BASE + 64, BASE + 64)
         packed = builder.build()
-        columns = [getattr(packed, attr) for attr in
-                   ("starts", "instruction_counts", "branch_pcs", "kinds",
-                    "takens", "targets", "next_pcs", "block_firsts", "block_counts")]
+        columns = [getattr(packed, attr) for attr in COLUMN_NAMES]
         columns[0] = columns[0] + columns[0]  # starts twice as long
         with pytest.raises(ValueError, match="ragged"):
             PackedTrace(columns)
-
-    def test_take_chunk_detaches(self):
-        builder = PackedTraceBuilder(name="s")
-        assert builder.take_chunk() is None
-        builder.append(BASE, 4, BASE + 12, 0, 1, NO_VALUE, BASE + 16)
-        first = builder.take_chunk()
-        assert first is not None and len(first) == 1
-        assert builder.take_chunk() is None  # already detached
 
 
 class TestStatisticsParity:
@@ -139,65 +159,17 @@ class TestStatisticsParity:
             _record(BASE + 80, count=5, branch=False),
             _record(BASE + 100, count=2, kind=BranchKind.INDIRECT, next_pc=BASE),
             _record(BASE, count=4, taken=False),
+            _record(BASE + 0x800, count=40, kind=BranchKind.INDIRECT_CALL,
+                    next_pc=BASE),
         ]
         trace = Trace(records, name="hand")
         assert trace.statistics() == _reference_statistics(records)
 
-    def test_vectorized_statistics_match_the_pure_loop(self, tiny_trace):
-        # statistics_tuple may take the numpy path; the pure-array fold is
-        # the behavioral reference and the two must agree exactly.
-        assert tiny_trace.packed.statistics_tuple() == \
-            tiny_trace.packed.statistics_tuple_reference()
-
-    def test_vectorized_statistics_match_on_handcrafted_edge_cases(self):
-        records = [
-            _record(BASE, count=20, kind=BranchKind.CALL, target=BASE + 0x400),
-            _record(BASE + 0x400, count=3, kind=BranchKind.RETURN, next_pc=BASE + 80),
-            _record(BASE + 80, count=5, branch=False),
-            _record(BASE + 100, count=2, kind=BranchKind.INDIRECT, next_pc=BASE),
-            _record(BASE, count=4, taken=False),
-            _record(BASE + 0x800, count=40, kind=BranchKind.INDIRECT_CALL,
-                    next_pc=BASE),
-        ]
-        packed = Trace(records, name="edges").packed
-        assert packed.statistics_tuple() == packed.statistics_tuple_reference()
-
-    def test_vectorized_branch_density_matches_the_pure_loop(self, tiny_trace):
-        vectorized = tiny_trace.branch_density()
-        reference = tiny_trace.branch_density_reference()
-        assert vectorized["static"] == pytest.approx(reference["static"])
-        assert vectorized["dynamic"] == pytest.approx(reference["dynamic"])
-
-    def test_vectorized_branch_density_on_branchless_trace(self):
-        trace = Trace([_record(BASE, branch=False) for _ in range(5)], name="nb")
-        assert trace.branch_density() == {"static": 0.0, "dynamic": 0.0}
-        assert trace.branch_density_reference() == {"static": 0.0, "dynamic": 0.0}
-
     def test_branch_density_matches_record_walk(self, tiny_trace):
-        # Reference implementation over the record view.
-        from repro.isa.instruction import block_address as baddr
-
-        static_branches, dynamic_counts = {}, []
-        current_block, current_branches = None, set()
-        for record in tiny_trace.records:
-            if record.branch_pc is None:
-                continue
-            branch_block = baddr(record.branch_pc)
-            static_branches.setdefault(branch_block, set()).add(record.branch_pc)
-            if branch_block != current_block:
-                if current_block is not None:
-                    dynamic_counts.append(len(current_branches))
-                current_block = branch_block
-                current_branches = set()
-            if record.taken:
-                current_branches.add(record.branch_pc)
-        if current_block is not None:
-            dynamic_counts.append(len(current_branches))
-        expected_static = sum(len(p) for p in static_branches.values()) / len(static_branches)
-        expected_dynamic = sum(dynamic_counts) / len(dynamic_counts)
-        densities = tiny_trace.branch_density()
-        assert densities["static"] == pytest.approx(expected_static)
-        assert densities["dynamic"] == pytest.approx(expected_dynamic)
+        branchless = Trace([_record(BASE, branch=False) for _ in range(5)], name="nb")
+        for trace in (tiny_trace, branchless):
+            assert trace.branch_density() == _reference_branch_density(trace.records)
+        assert branchless.branch_density() == {"static": 0.0, "dynamic": 0.0}
 
 
 class TestBlockStream:
@@ -275,6 +247,31 @@ class TestRecordView:
             assert record == tiny_trace.records[index]
 
 
+#: Layouts :func:`load_packed` refuses, with the error text naming each.
+OTHER_LAYOUTS = {"second-block": "second column block", "byte-order": "other byte order"}
+
+
+def _other_layout(packed, tmp_path, layout):
+    """The artifact bytes of ``packed`` in one of :data:`OTHER_LAYOUTS`:
+    split across two column blocks (what multi-chunk writers produced) or
+    flagged with the other byte order."""
+    def saved(trace, name):
+        path = tmp_path / name
+        trace.save(path)
+        return path.read_bytes()
+
+    whole = saved(packed, "whole.trace")
+    if layout == "byte-order":
+        native = 0 if sys.byteorder == "little" else 1
+        return whole[:6] + bytes([1 - native]) + whole[7:]  # header byte 6
+    prefix = 8 + 2 + len(packed.name.encode("utf-8"))  # header + name
+    trailer = 1 + 16  # end marker + (regions, instructions)
+    half = len(packed) // 2
+    first = saved(packed.slice(0, half), "first.trace")[prefix:-trailer]
+    second = saved(packed.slice(half), "second.trace")[prefix:-trailer]
+    return whole[:prefix] + first + second + whole[-trailer:]
+
+
 class TestSaveLoad:
     def test_round_trip(self, tiny_trace, tmp_path):
         path = tmp_path / "t.trace"
@@ -284,22 +281,6 @@ class TestSaveLoad:
         assert len(reloaded) == len(tiny_trace)
         assert Trace.from_packed(reloaded).statistics() == tiny_trace.statistics()
         assert all(a == b for a, b in zip(Trace.from_packed(reloaded), tiny_trace, strict=True))
-
-    def test_chunked_write_equals_single_chunk(self, tiny_trace, tmp_path):
-        one = tmp_path / "one.trace"
-        many = tmp_path / "many.trace"
-        tiny_trace.packed.save(one)
-        tiny_trace.packed.save(many, chunk_regions=123)
-        assert load_packed(one).starts == load_packed(many).starts
-
-    def test_streamed_generation_matches_in_memory(self, tiny_program, tmp_path):
-        path = tmp_path / "s.trace"
-        walker = TraceWalker(tiny_program, seed=11)
-        save_chunks(path, "stream", walker.run_chunks(8_000, chunk_regions=300))
-        streamed = Trace.from_packed(load_packed(path))
-        in_memory = generate_trace(tiny_program, 8_000, seed=11)
-        assert len(streamed) == len(in_memory)
-        assert all(a == b for a, b in zip(streamed, in_memory, strict=True))
 
     def test_truncated_file_rejected(self, tiny_trace, tmp_path):
         path = tmp_path / "t.trace"
@@ -315,39 +296,75 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="not a packed trace"):
             load_packed(path)
 
+    @pytest.mark.parametrize("layout", sorted(OTHER_LAYOUTS))
+    def test_another_layout_is_rejected_naming_the_file(
+        self, tiny_trace, tmp_path, layout
+    ):
+        path = tmp_path / "other.trace"
+        path.write_bytes(_other_layout(tiny_trace.packed, tmp_path, layout))
+        with pytest.raises(ValueError, match=OTHER_LAYOUTS[layout]) as error:
+            load_packed(path)
+        assert str(path) in str(error.value)
+
+    def test_empty_file_is_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "empty.trace"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match="cannot map") as error:
+            load_packed(path)
+        assert str(path) in str(error.value)
+
+    @pytest.mark.parametrize("layout", sorted(OTHER_LAYOUTS))
+    def test_store_serves_another_layout_as_a_quarantined_miss(
+        self, tiny_program, tiny_trace, tmp_path, layout
+    ):
+        from repro.sweep import CorruptArtifactWarning, TraceStore
+
+        store = TraceStore(tmp_path / "store")
+        profile = tiny_program.profile
+        path = store.put(profile, 30_000, 3, tiny_trace)
+        data = _other_layout(tiny_trace.packed, tmp_path, layout)
+        path.write_bytes(data)
+        # A matching sidecar: the reader, not the checksum, must refuse it.
+        path.with_name(path.name + ".sum").write_text(
+            hashlib.sha256(data).hexdigest() + "\n", encoding="utf-8"
+        )
+        with pytest.warns(CorruptArtifactWarning, match=path.name):
+            assert store.load(profile, 30_000, 3) is None
+        assert (store.hits, store.misses, store.quarantined) == (0, 1, 1)
+        assert not path.exists()
+
 
 class TestMmapLoad:
-    """``load_packed(path, mmap=True)``: zero-copy memoryview columns."""
+    """``load_packed(path)`` maps the artifact: zero-copy memoryview columns."""
 
-    def _saved(self, tiny_trace, tmp_path, **save_kwargs):
+    def _saved(self, tiny_trace, tmp_path):
         path = tmp_path / "t.trace"
-        tiny_trace.packed.save(path, **save_kwargs)
+        tiny_trace.packed.save(path)
         return path
 
     def test_mapped_columns_equal_heap_columns(self, tiny_trace, tmp_path):
-        path = self._saved(tiny_trace, tmp_path)
-        heap = load_packed(path)
-        mapped = load_packed(path, mmap=True)
+        heap = tiny_trace.packed
+        mapped = load_packed(self._saved(tiny_trace, tmp_path))
         assert mapped.mapped and not heap.mapped
         assert isinstance(mapped.starts, memoryview)
-        for attr in ("starts", "instruction_counts", "branch_pcs", "kinds",
-                     "takens", "targets", "next_pcs", "block_firsts",
-                     "block_counts"):
+        for attr in COLUMN_NAMES:
             assert list(getattr(mapped, attr)) == list(getattr(heap, attr)), attr
         assert mapped.name == heap.name
         assert mapped.instruction_count == heap.instruction_count
         assert Trace.from_packed(mapped).statistics() == \
             Trace.from_packed(heap).statistics()
 
-    def test_multi_chunk_artifact_falls_back_to_heap(self, tiny_trace, tmp_path):
-        path = self._saved(tiny_trace, tmp_path, chunk_regions=123)
-        mapped = load_packed(path, mmap=True)
-        assert not mapped.mapped  # columns are split across chunks
-        assert list(mapped.starts) == list(tiny_trace.packed.starts)
+    def test_saving_a_mapped_trace_rewrites_the_same_bytes(
+        self, tiny_trace, tmp_path
+    ):
+        path = self._saved(tiny_trace, tmp_path)
+        again = tmp_path / "again.trace"
+        load_packed(path).save(again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_slices_of_mapped_traces_stay_views(self, tiny_trace, tmp_path):
         path = self._saved(tiny_trace, tmp_path)
-        mapped = load_packed(path, mmap=True)
+        mapped = load_packed(path)
         window = mapped.slice(10, 50)
         assert window.mapped and len(window) == 40
         assert list(window.starts) == list(tiny_trace.packed.starts[10:50])
@@ -358,7 +375,7 @@ class TestMmapLoad:
         import pickle
 
         path = self._saved(tiny_trace, tmp_path)
-        mapped = load_packed(path, mmap=True)
+        mapped = load_packed(path)
         clone = pickle.loads(pickle.dumps(mapped))
         assert not clone.mapped  # memoryviews cannot cross process boundaries
         assert clone.name == mapped.name
@@ -372,40 +389,34 @@ class TestMmapLoad:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(ValueError, match="truncated"):
-            load_packed(path, mmap=True)
+            load_packed(path)
         path.write_bytes(b"NOPE" + data[4:])
         with pytest.raises(ValueError, match="not a packed trace"):
-            load_packed(path, mmap=True)
+            load_packed(path)
 
     def test_torn_column_length_is_a_value_error_not_a_type_error(
         self, tiny_trace, tmp_path
     ):
         # A column byte length that is not a multiple of the element size is
-        # corruption; the mapped loader must raise ValueError (so a trace
-        # store counts a clean miss), never let memoryview.cast's TypeError
-        # escape.
+        # corruption; the loader must raise ValueError (so a trace store
+        # counts a clean miss), never let memoryview.cast's TypeError escape.
         import struct
 
         path = self._saved(tiny_trace, tmp_path)
         data = bytearray(path.read_bytes())
-        # Layout: header(8) + u16 name length + name + chunk marker(1) +
+        # Layout: header(8) + u16 name length + name + block marker(1) +
         # u64 region count, then the first column's u64 byte length.
         (name_length,) = struct.unpack_from("<H", data, 8)
         offset = 8 + 2 + name_length + 1 + 8
         (byte_length,) = struct.unpack_from("<Q", data, offset)
         struct.pack_into("<Q", data, offset, byte_length - 1)
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError):
-            load_packed(path, mmap=True)
-        with pytest.raises(ValueError):
-            load_packed(path)  # the heap reader agrees on the error type
+        with pytest.raises(ValueError, match="corrupt packed trace column"):
+            load_packed(path)
 
     def test_from_buffers_validates_like_the_constructor(self, tiny_trace):
         packed = tiny_trace.packed
-        columns = [getattr(packed, attr) for attr in
-                   ("starts", "instruction_counts", "branch_pcs", "kinds",
-                    "takens", "targets", "next_pcs", "block_firsts",
-                    "block_counts")]
+        columns = [getattr(packed, attr) for attr in COLUMN_NAMES]
         adopted = PackedTrace.from_buffers(columns, name="adopted")
         assert len(adopted) == len(packed)
         with pytest.raises(ValueError, match="columns"):

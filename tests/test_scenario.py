@@ -334,7 +334,7 @@ class TestScenarioSweeps:
             instructions_per_core=6_000,
         )
         assert mixed.stats.traces_generated == 0
-        assert mixed.stats.traces_loaded == mixed.stats.traces_mapped == 4
+        assert mixed.stats.traces_loaded == 4
         # Store-fed (mmap) cores reproduce freshly generated ones bit for bit.
         clear_workload_memo()
         generated = run_sweep(
