@@ -10,24 +10,51 @@ spec-driven construction path (:func:`~repro.core.designs.design_from_spec`)
 as everything else.  Bare-BTB studies build their components through
 :func:`repro.registry.build_btb`, so a custom registered BTB can join any
 sweep without new harness code.
+
+The figures compare design points on the same traces, so every simulation a
+study owns reads through one **study memo** on the trace's
+:class:`~repro.workloads.packed.PackedTrace`.  A design run is keyed on the
+caller's program object, the effective frontend config (warm-up included)
+and :func:`repro.sweep.design_closure` without the spec's name; a bare-BTB
+run on :func:`repro.sweep.btb_closure`, the program it was built with and
+the warm-up.  Each distinct configuration simulates once per trace, and a
+hit is a copy re-stamped with the requested design and trace names.  The
+memo is never pickled and dies with the trace; like
+:func:`~repro.sweep.cell_key` it does not hash the classes a factory calls,
+so a test that monkeypatches a component must use a fresh trace.
+:func:`run_btb_coverage` is not memoized: it trains a BTB the caller owns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields, replace
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+    cast,
+)
 
 from repro.api import RunReport, run_grid
 from repro.branch.btb_base import BaseBTB
+from repro.core.airbtb import AirBTBConfig
 from repro.core.area import FrontendAreaReport
 from repro.core.designs import (
     DesignSpec,
     design_from_spec,
     resolve_design,
 )
-from repro.core.frontend import FrontendConfig, FrontendResult
+from repro.core.frontend import FrontendConfig, FrontendResult, check_warmup_fraction
 from repro.core.metrics import geometric_mean, miss_coverage, mpki
-from repro.registry import build_btb
+from repro.registry import build_btb, ensure_unique_names
+from repro.sweep import btb_closure, content_key, design_closure
 from repro.workloads.cfg import SyntheticProgram
 from repro.workloads.profiles import EVALUATION_WORKLOADS
 from repro.workloads.trace import Trace
@@ -38,6 +65,85 @@ DEFAULT_WARMUP_FRACTION = 0.2
 #: Spec of the 1K-entry + victim-buffer BTB every coverage study is
 #: normalized against (the paper's baseline).
 BASELINE_BTB = "conventional_1k"
+
+_T = TypeVar("_T")
+
+
+# --------------------------------------------------------------------------- #
+# The per-trace study memo
+# --------------------------------------------------------------------------- #
+
+def _memoized(
+    trace: Trace,
+    payload: Dict[str, object],
+    program: Optional[SyntheticProgram],
+    simulate: Callable[[], _T],
+) -> _T:
+    """``simulate()``'s value for ``payload`` on ``trace``, computed once.
+
+    ``payload`` names the program by ``id``; the hit also requires the
+    stored program to be ``program`` itself, since a program is an
+    unhashable dataclass.  The memo holds a reference to the program, so
+    its ``id`` cannot be reused while the entry lives.
+    """
+    memo = trace.packed._study_memo
+    key = content_key({**payload, "program": id(program)})
+    entry = memo.get(key)
+    if entry is None or entry[0] is not program:
+        entry = (program, simulate())
+        memo[key] = entry
+    return cast(_T, entry[1])
+
+
+def _btb_coverage(
+    name: str,
+    trace: Trace,
+    warmup_fraction: float,
+    program: Optional[SyntheticProgram] = None,
+    **params: Any,
+) -> Tuple[int, int]:
+    """:func:`run_btb_coverage` of a fresh registry BTB, via the study memo."""
+    payload = {
+        **btb_closure(name, params),
+        "warmup_fraction": check_warmup_fraction(warmup_fraction),
+    }
+    return _memoized(trace, payload, program, lambda: run_btb_coverage(
+        build_btb(name, program=program, **params), trace, warmup_fraction
+    ))
+
+
+def _run_design(
+    spec: DesignSpec,
+    program: SyntheticProgram,
+    trace: Trace,
+    frontend_config: Optional[FrontendConfig] = None,
+    warmup_fraction: Optional[float] = None,
+) -> Tuple[FrontendResult, FrontendAreaReport]:
+    """Simulate ``spec`` on ``trace`` via the study memo.
+
+    The result and area report are fresh copies carrying ``spec.name`` and
+    ``trace.name``, so a caller may mutate them freely.
+    """
+    config = frontend_config if frontend_config is not None else FrontendConfig()
+    if warmup_fraction is not None:
+        config = replace(config, warmup_fraction=warmup_fraction)
+    closure = design_closure(spec)
+    content = cast(Dict[str, object], closure["design"])
+    del content["name"], content["label"]
+
+    def simulate() -> Tuple[FrontendResult, FrontendAreaReport]:
+        simulator, area = design_from_spec(
+            spec, program, frontend_config=frontend_config
+        )
+        return simulator.run(trace, warmup_fraction=warmup_fraction), area
+
+    result, area = _memoized(
+        trace, {**closure, "frontend_config": config}, program, simulate
+    )
+    return (
+        replace(result, design=spec.name, workload=trace.name),
+        FrontendAreaReport(design=spec.name, components_mm2=dict(area.components_mm2)),
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -54,12 +160,13 @@ def run_btb_coverage(
     Returns ``(taken_misses, measured_instructions)`` for the post-warmup
     portion, following the paper's miss definition (entry for a predicted
     taken branch absent at lookup time).  The walk reads the packed columns
-    directly — no record objects on this path.
+    directly — no record objects on this path.  ``btb`` is the caller's and
+    ends the walk trained, so this driver is never memoized.
     """
     from repro.workloads.packed import NO_VALUE, kind_from_code
 
     packed = trace.packed
-    boundary = int(len(packed) * warmup_fraction)
+    boundary = int(len(packed) * check_warmup_fraction(warmup_fraction))
     taken_misses = 0
     instructions = 0
     lookup = btb.lookup
@@ -92,13 +199,6 @@ def run_btb_coverage(
     return taken_misses, instructions
 
 
-def _baseline_coverage(
-    trace: Trace, warmup_fraction: float = DEFAULT_WARMUP_FRACTION
-) -> Tuple[int, int]:
-    """Taken misses + measured instructions of the baseline BTB."""
-    return run_btb_coverage(build_btb(BASELINE_BTB), trace, warmup_fraction)
-
-
 def btb_capacity_sweep(
     trace: Trace,
     capacities: Sequence[int] = (1024, 2048, 4096, 8192, 16384, 32768),
@@ -107,8 +207,10 @@ def btb_capacity_sweep(
     """Figure 1: BTB MPKI as a function of conventional BTB capacity."""
     series: Dict[int, float] = {}
     for capacity in capacities:
-        btb = build_btb("conventional", entries=capacity, victim_entries=0)
-        misses, instructions = run_btb_coverage(btb, trace, warmup_fraction)
+        misses, instructions = _btb_coverage(
+            "conventional", trace, warmup_fraction,
+            entries=capacity, victim_entries=0,
+        )
         series[capacity] = mpki(misses, instructions)
     return series
 
@@ -157,18 +259,17 @@ def frontend_comparison(
 ) -> Dict[str, DesignOutcome]:
     """Run a set of design points on one workload (Figures 2, 6 and 7).
 
-    ``designs`` may mix catalog names and ad-hoc specs.  Each design point
-    gets private structures (one core's view); SHIFT-based designs each get
-    their own history warmed by the same trace, which is equivalent to the
-    steady-state shared history of the CMP.
+    ``designs`` may mix catalog names and ad-hoc specs, each with a unique
+    name.  Each design point gets private structures (one core's view);
+    SHIFT-based designs each get their own history warmed by the same
+    trace, which is equivalent to the steady-state shared history of the
+    CMP.
     """
+    specs = [resolve_design(design) for design in designs]
+    ensure_unique_names("design", [spec.name for spec in specs])
     outcomes: Dict[str, DesignOutcome] = {}
-    for design in designs:
-        spec = resolve_design(design)
-        simulator, area = design_from_spec(
-            spec, program, frontend_config=frontend_config
-        )
-        result = simulator.run(trace)
+    for spec in specs:
+        result, area = _run_design(spec, program, trace, frontend_config)
         outcomes[spec.name] = DesignOutcome(design=spec.name, result=result, area=area)
     return outcomes
 
@@ -203,12 +304,22 @@ def confluence_variant(
     """A Confluence design-spec variant with AirBTB parameter overrides.
 
     The building block of the Figure 8/10 studies: each studied
-    configuration is one spec, so sweeps are data.
+    configuration is one spec, so sweeps are data.  Overrides equal to the
+    :class:`~repro.core.airbtb.AirBTBConfig` defaults and
+    ``synchronized=True`` are dropped, so a variant that builds
+    ``confluence`` carries ``confluence``'s content and shares its study
+    memo entry.
     """
-    return resolve_design("confluence").derive(
-        name,
-        btb_params={"synchronized": synchronized, **airbtb_params},
-    )
+    defaults = AirBTBConfig()
+    default_fields = {field.name for field in fields(AirBTBConfig)}
+    btb_params = {
+        key: value
+        for key, value in airbtb_params.items()
+        if key not in default_fields or value != getattr(defaults, key)
+    }
+    if not synchronized:
+        btb_params["synchronized"] = False
+    return resolve_design("confluence").derive(name, btb_params=btb_params)
 
 
 def run_design_coverage(
@@ -218,9 +329,9 @@ def run_design_coverage(
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
 ) -> Tuple[int, int]:
     """Measure a full design point's BTB taken misses on one workload."""
-    spec = resolve_design(design)
-    simulator, _ = design_from_spec(spec, program)
-    result = simulator.run(trace, warmup_fraction=warmup_fraction)
+    result, _ = _run_design(
+        resolve_design(design), program, trace, warmup_fraction=warmup_fraction
+    )
     return result.btb_taken_misses, result.instructions
 
 
@@ -236,15 +347,17 @@ def airbtb_ablation(
     eager (spatial-locality) insertion, prefetcher-driven insertion, and full
     block-based organization (content synchronization with the L1-I).
     """
-    baseline_misses, instructions = _baseline_coverage(trace, warmup_fraction)
+    baseline_misses, instructions = _btb_coverage(BASELINE_BTB, trace, warmup_fraction)
 
     # Steps 1 and 2 drive a standalone AirBTB (no prefetcher around it);
     # steps 3 and 4 are full Confluence design points.
-    capacity_btb = build_btb("airbtb_standalone", program=program, insertion_policy="demand")
-    capacity_misses, _ = run_btb_coverage(capacity_btb, trace, warmup_fraction)
-
-    spatial_btb = build_btb("airbtb_standalone", program=program)
-    spatial_misses, _ = run_btb_coverage(spatial_btb, trace, warmup_fraction)
+    capacity_misses, _ = _btb_coverage(
+        "airbtb_standalone", trace, warmup_fraction,
+        program=program, insertion_policy="demand",
+    )
+    spatial_misses, _ = _btb_coverage(
+        "airbtb_standalone", trace, warmup_fraction, program=program
+    )
 
     steps = {
         "prefetching": confluence_variant("airbtb_unsynced", synchronized=False),
@@ -267,17 +380,15 @@ def miss_coverage_comparison(
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
 ) -> Dict[str, float]:
     """Figure 9: misses eliminated by PhantomBTB, AirBTB and a 16K BTB."""
-    baseline_misses, _ = _baseline_coverage(trace, warmup_fraction)
-
-    phantom = build_btb("phantom")
-    phantom_misses, _ = run_btb_coverage(phantom, trace, warmup_fraction)
-
+    baseline_misses, _ = _btb_coverage(BASELINE_BTB, trace, warmup_fraction)
+    phantom_misses, _ = _btb_coverage("phantom", trace, warmup_fraction)
     airbtb_misses, _ = run_design_coverage(
         confluence_variant("airbtb_synced"), program, trace, warmup_fraction
     )
-
-    big_btb = build_btb("conventional", entries=16 * 1024)
-    big_misses, _ = run_btb_coverage(big_btb, trace, warmup_fraction)
+    # Spelled exactly as Figure 1's 16K point, so the two share a memo entry.
+    big_misses, _ = _btb_coverage(
+        "conventional", trace, warmup_fraction, entries=16 * 1024, victim_entries=0
+    )
 
     return {
         "phantombtb": miss_coverage(baseline_misses, phantom_misses),
@@ -298,7 +409,7 @@ def airbtb_sensitivity(
     The sweep is a grid of derived specs; add a point by adding a value to
     either axis.
     """
-    baseline_misses, _ = _baseline_coverage(trace, warmup_fraction)
+    baseline_misses, _ = _btb_coverage(BASELINE_BTB, trace, warmup_fraction)
     grid: Dict[Tuple[int, int], DesignSpec] = {
         (branches, overflow): confluence_variant(
             f"airbtb_b{branches}_ob{overflow}",

@@ -34,6 +34,17 @@ from repro.prefetch.base import InstructionPrefetcher, NullPrefetcher
 from repro.workloads.trace import Trace
 
 
+def check_warmup_fraction(warmup_fraction: float) -> float:
+    """Return ``warmup_fraction``, or raise :class:`ValueError` outside [0, 1).
+
+    The one range check for every warm-up share: the config field, the
+    :meth:`FrontendSimulator.run` override and the BTB coverage harness.
+    """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}")
+    return warmup_fraction
+
+
 @dataclass(frozen=True)
 class FrontendConfig:
     """Timing parameters of the modelled core (Table 1 and Section 4.1).
@@ -49,8 +60,7 @@ class FrontendConfig:
     warmup_fraction: float = 0.2
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
+        check_warmup_fraction(self.warmup_fraction)
         if self.base_cpi <= 0:
             raise ValueError("base_cpi must be positive")
 
@@ -157,15 +167,18 @@ class FrontendSimulator:
     def run(self, trace: Trace, warmup_fraction: Optional[float] = None) -> FrontendResult:
         """Simulate ``trace``; statistics cover the post-warmup portion.
 
-        The loop is :class:`~repro.backends.scalar.ScalarBackend`, the
-        zero-allocation columnar loop; ``tests/test_frontend_parity.py`` pins
-        it bit-exact against the record-view
+        ``warmup_fraction`` overrides the config's share (``ValueError``
+        outside [0, 1)).  The loop is
+        :class:`~repro.backends.scalar.ScalarBackend`, the zero-allocation
+        columnar loop; ``tests/test_frontend_parity.py`` pins it bit-exact
+        against the record-view
         :class:`~repro.backends.reference.ReferenceBackend` oracle.
         """
         from repro.backends.scalar import ScalarBackend  # it imports this module
 
-        warmup = warmup_fraction if warmup_fraction is not None else self.config.warmup_fraction
-        return ScalarBackend().run(self, trace, warmup)
+        if warmup_fraction is None:
+            warmup_fraction = self.config.warmup_fraction
+        return ScalarBackend().run(self, trace, check_warmup_fraction(warmup_fraction))
 
     def _finalize(self, result: FrontendResult) -> None:
         # Repeated run() calls start clean: drop stale in-flight entries AND

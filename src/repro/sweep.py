@@ -113,12 +113,15 @@ __all__ = [
     "SweepOutcome",
     "SweepStats",
     "TraceStore",
+    "btb_closure",
     "cell_key",
     "clear_workload_memo",
     "cmp_driver",
+    "content_key",
     "default_cache_dir",
     "default_journal_dir",
     "default_trace_dir",
+    "design_closure",
     "run_cells",
     "run_sweep",
     "simulate_cell",
@@ -246,6 +249,38 @@ def _factory_fingerprint(registry: Registry, name: str) -> str:
     return fingerprint
 
 
+def design_closure(spec: DesignSpec) -> Dict[str, object]:
+    """The design half of a :func:`cell_key` payload.
+
+    The spec's content (component names and every parameter override) plus
+    the source fingerprints of the BTB and prefetcher factories it names.
+    """
+    return {
+        "design": _jsonable(spec.to_dict()),
+        "btb_factory": _factory_fingerprint(BTB_REGISTRY, spec.btb),
+        "prefetcher_factory": _factory_fingerprint(
+            PREFETCHER_REGISTRY, spec.prefetcher
+        ),
+    }
+
+
+def btb_closure(name: str, params: Mapping[str, object]) -> Dict[str, object]:
+    """:func:`design_closure` for a bare registry BTB built with ``params``."""
+    return {
+        "btb": name,
+        "btb_params": _jsonable(params),
+        "btb_factory": _factory_fingerprint(BTB_REGISTRY, name),
+    }
+
+
+def content_key(payload: Mapping[str, object]) -> str:
+    """SHA-256 of ``payload``'s canonical JSON: the one content-key scheme."""
+    canonical = json.dumps(
+        _jsonable(payload), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def cell_key(cell: "SweepCell") -> str:
     """Stable content hash of everything that determines a cell's result.
 
@@ -259,11 +294,7 @@ def cell_key(cell: "SweepCell") -> str:
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
-        "design": _jsonable(cell.spec.to_dict()),
-        "btb_factory": _factory_fingerprint(BTB_REGISTRY, cell.spec.btb),
-        "prefetcher_factory": _factory_fingerprint(
-            PREFETCHER_REGISTRY, cell.spec.prefetcher
-        ),
+        **design_closure(cell.spec),
         "frontend_config": _jsonable(cell.frontend_config),
         "cores": cell.cores,
     }
@@ -277,8 +308,7 @@ def cell_key(cell: "SweepCell") -> str:
         payload["trace_seeds"] = [
             cell.trace_seed_base + core for core in range(cell.cores)
         ]
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_key(payload)
 
 
 class ResultCache:

@@ -48,6 +48,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Dict,
     Iterable,
     Iterator,
     List,
@@ -176,6 +177,7 @@ class PackedTrace:
         "name",
         "_instruction_count",
         "_branch_columns",
+        "_study_memo",
     )
 
     def __init__(self, columns: Iterable[Column], name: str = "trace") -> None:
@@ -198,6 +200,10 @@ class PackedTrace:
         self._instruction_count: Optional[int] = None
         #: Memo of :func:`repro.branch.columns.trace_columns` (never pickled).
         self._branch_columns: Optional["BranchColumns"] = None
+        #: Figure-study results by configuration key, each stored with the
+        #: program it ran against (:mod:`repro.analysis.experiments`; never
+        #: pickled).
+        self._study_memo: Dict[str, Tuple[object, Any]] = {}
 
     @classmethod
     def from_buffers(

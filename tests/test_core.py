@@ -185,6 +185,16 @@ class TestFrontendSimulator:
         with pytest.raises(ValueError):
             FrontendConfig(warmup_fraction=1.0)
 
+    @pytest.mark.parametrize("warmup", [1.0, 1.5, -0.5])
+    def test_warmup_override_outside_unit_interval_rejected(
+        self, tiny_program, tiny_trace, warmup
+    ):
+        # The override gets the config field's check: 1.0 would measure
+        # nothing, and a negative share would measure the whole trace.
+        simulator, _ = build_design("baseline", tiny_program)
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            simulator.run(tiny_trace, warmup_fraction=warmup)
+
     def test_config_has_no_fetch_queue_knob(self):
         # FDP's lookahead is its own queue_depth_basic_blocks parameter; a
         # config field nothing read only split the cell-key space.

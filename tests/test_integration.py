@@ -100,6 +100,15 @@ class TestCoverageHarness:
         assert misses > 0
         assert instructions < small_trace.instruction_count
 
+    @pytest.mark.parametrize("warmup", [1.0, 1.5, -0.5])
+    def test_run_btb_coverage_rejects_warmup_outside_unit_interval(
+        self, tiny_trace, warmup
+    ):
+        # 1.0 would measure nothing and read as (0, 0), not as an error.
+        btb = ConventionalBTB(entries=1024, victim_entries=64)
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            run_btb_coverage(btb, tiny_trace, warmup_fraction=warmup)
+
     @pytest.mark.parametrize("btb_class", [ConventionalBTB, TwoLevelBTB, PhantomBTB, AirBTB])
     def test_run_btb_coverage_skips_kindless_not_taken_branches(self, btb_class):
         # A branch with no kind (permitted by FetchRecord) that is not taken
