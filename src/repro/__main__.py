@@ -24,7 +24,7 @@ first design.
 
 The ``report`` subcommand (:mod:`repro.report`) collects recorded evidence —
 bench trajectories, saved sweep reports (``sweep --save-report``), run
-journals — into a versioned bundle and renders it as a self-contained HTML
+journals — into an in-memory bundle and renders it as a self-contained HTML
 page or CI-postable markdown; ``--check --tolerance X`` is the per-backend
 perf-regression gate CI fails on (see ``docs/report.md``).
 
@@ -249,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "gate on perf regressions",
         description=(
             "Collect bench trajectories, saved sweep reports and run "
-            "journals into a versioned report bundle, render it (HTML by "
+            "journals into one report bundle, render it (HTML by "
             "default, self-contained: inline CSS + SVG, no scripts), and "
             "optionally fail on per-backend throughput regressions "
             "(--check --tolerance X) — the CI regression gate."
@@ -281,12 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", default=None, metavar="PATH",
                         help="write the rendered report to PATH instead of "
                              "stdout")
-    report.add_argument("--save-bundle", action="store_true",
-                        help="also persist the collected bundle, "
-                             "content-addressed, under --report-dir")
-    report.add_argument("--report-dir", default=None, metavar="PATH",
-                        help="bundle directory for --save-bundle (default: "
-                             "$REPRO_REPORT_DIR or <cache dir>/reports)")
     report.add_argument("--check", action="store_true",
                         help="fail (exit 1) when any backend's regions/sec "
                              "in the newest point falls below --tolerance x "
@@ -508,6 +502,15 @@ def _parse_byte_size(text: str) -> int:
     return value * multiplier
 
 
+def _require_positive(command: str, **flags: Optional[float]) -> bool:
+    """False, after one usage line, when a flag given a value is not > 0."""
+    for name, value in flags.items():
+        if value is not None and not value > 0:
+            print(f"{command}: --{name} must be positive, got {value:g}", file=sys.stderr)
+            return False
+    return True
+
+
 def _run_trace_command(args: argparse.Namespace) -> int:
     from repro.workloads import generate_trace, get_profile, load_packed, synthesize_program
     from repro.workloads.packed import COLUMN_NAMES
@@ -566,11 +569,13 @@ def _run_trace_command(args: argparse.Namespace) -> int:
     if args.profile is None:
         print("trace: --out requires --profile", file=sys.stderr)
         return 2
-    if args.instructions is not None and args.instructions < 1:
-        print(f"trace: --instructions must be positive, got {args.instructions}",
-              file=sys.stderr)
+    if not _require_positive("trace", scale=args.scale, instructions=args.instructions):
         return 2
-    profile = get_profile(args.profile)
+    try:
+        profile = get_profile(args.profile)
+    except KeyError as error:
+        print(f"trace: {error}", file=sys.stderr)
+        return 2
     if args.scale != 1.0:
         profile = profile.scaled(args.scale)
     instructions = (
@@ -626,21 +631,25 @@ def _run_bench_command(args: argparse.Namespace) -> int:
     )
 
     settings = default_bench_settings()
+    for knob in ("scale", "instructions", "repeats"):
+        if getattr(args, knob) is None:  # explicit flags always win
+            setattr(args, knob, settings[knob])
+    if not _require_positive(
+        "bench", scale=args.scale, instructions=args.instructions, repeats=args.repeats
+    ):
+        return 2
     try:
         payload = run_kernel_benchmark(
             profile_name=args.profile,
-            scale=args.scale if args.scale is not None else settings["scale"],
-            instructions=(
-                args.instructions
-                if args.instructions is not None
-                else settings["instructions"]
-            ),
+            scale=args.scale,
+            instructions=args.instructions,
             seed=args.seed,
             designs=args.designs,
-            repeats=args.repeats if args.repeats is not None else settings["repeats"],
+            repeats=args.repeats,
         )
     except KeyError as error:
-        # Unknown profile/design names; usage errors exit 2.
+        # Unknown profile/design names, raised before anything is
+        # synthesized; usage errors exit 2.
         print(f"bench: {error}", file=sys.stderr)
         return 2
     print(format_bench_report(payload))
@@ -681,17 +690,9 @@ def _run_report_command(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.registry import UnknownComponentError
-    from repro.report import (
-        check_bundle,
-        collect_bundle,
-        default_report_dir,
-        format_check,
-        render_bundle,
-    )
+    from repro.report import check_bundle, collect_bundle, format_check, render_bundle
 
-    if args.check and not args.tolerance > 0:
-        print(f"report: --tolerance must be positive, got {args.tolerance:g}",
-              file=sys.stderr)
+    if args.check and not _require_positive("report", tolerance=args.tolerance):
         return 2
 
     bench_paths = args.bench
@@ -716,16 +717,6 @@ def _run_report_command(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         print(f"report: cannot collect: {error}", file=sys.stderr)
         return 1
-
-    if args.save_bundle:
-        directory = args.report_dir if args.report_dir is not None else default_report_dir()
-        try:
-            saved = bundle.save(directory)
-        except OSError as error:
-            print(f"--save-bundle: cannot write under {directory}: {error}",
-                  file=sys.stderr)
-            return 1
-        print(f"saved bundle {saved}", file=sys.stderr)
 
     if args.check:
         try:

@@ -27,8 +27,6 @@ simulator objects alive.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -45,6 +43,7 @@ from repro.sweep import (
     cmp_driver,
     run_sweep,
     workload_program,
+    write_json,
 )
 from repro.workloads.cfg import SyntheticProgram
 from repro.workloads.profiles import WorkloadProfile, get_profile
@@ -420,9 +419,9 @@ def save_reports(
     that prints tables and exits used to leave nothing behind for
     ``python -m repro report`` to collect.  The file carries a schema and a
     ``kind`` tag, every report as its :meth:`RunReport.to_dict` data, and
-    the sweep's :class:`~repro.sweep.SweepStats` counters; the write is
-    atomic (temp file + rename) like every store in the repo.  The CLI
-    exposes it as ``python -m repro sweep --save-report PATH``.
+    the sweep's :class:`~repro.sweep.SweepStats` counters; the write goes
+    through :func:`~repro.sweep.atomic_write` like every store in the repo.
+    The CLI exposes it as ``python -m repro sweep --save-report PATH``.
     """
     path = Path(path)
     payload = {
@@ -432,21 +431,7 @@ def save_reports(
         "stats": dict(stats) if stats is not None else {},
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    handle, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=".tmp-", suffix=".json"
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-            json.dump(payload, tmp, indent=2, sort_keys=True)
-            tmp.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
+    return write_json(path, payload, indent=2)
 
 
 def load_reports(

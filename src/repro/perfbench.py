@@ -43,6 +43,7 @@ from repro.backends.reference import ReferenceBackend
 from repro.branch.columns import trace_columns
 from repro.core.designs import design_from_spec, resolve_design
 from repro.core.frontend import FrontendResult, FrontendSimulator
+from repro.sweep import write_json
 from repro.workloads import generate_trace, get_profile, synthesize_program
 from repro.workloads.packed import load_packed
 from repro.workloads.trace import Trace
@@ -395,26 +396,11 @@ def append_trajectory_point(
 ) -> int:
     """Append one point to a trajectory file; returns the new point count.
 
-    Creates the file when missing.  The write is atomic (temp file +
-    rename), the ``put`` idiom of the result cache.
+    Creates the file when missing.  The write goes through
+    :func:`~repro.sweep.atomic_write`, like the result cache's ``put``.
     """
     path = Path(path)
     points = load_trajectory(path) if path.exists() else []
     points.append(dict(payload))
-    document = {"bench": "kernel_hotloop", "points": points}
-    handle, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent) if str(path.parent) else ".",
-        prefix=".tmp-", suffix=".json",
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-            json.dump(document, tmp, indent=2, sort_keys=True)
-            tmp.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_json(path, {"bench": "kernel_hotloop", "points": points}, indent=2)
     return len(points)

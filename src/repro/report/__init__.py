@@ -2,8 +2,9 @@
 
 The subsystem behind ``python -m repro report`` (see ``docs/report.md``):
 
-* :mod:`repro.report.bundle` — the versioned, content-addressed
-  :class:`ReportBundle` that normalizes every input into one JSON payload.
+* :mod:`repro.report.bundle` — the in-memory :class:`ReportBundle` that
+  normalizes every input into one plain-data form; it is never written to
+  disk, because every input it holds is already a file.
 * :mod:`repro.report.collect` — gathers ``BENCH_*.json`` trajectories
   (bench schema 2 on), saved sweep/scenario reports, and run-journal
   resilience counters into a bundle.
@@ -20,14 +21,7 @@ complete after ``import repro.report``.
 """
 
 from repro.report import render as _render_module  # registers html/md renderers
-from repro.report.bundle import (
-    BUNDLE_KIND,
-    REPORT_SCHEMA_VERSION,
-    ReportBundle,
-    bundle_checksum,
-    default_report_dir,
-    load_bundle,
-)
+from repro.report.bundle import REPORT_SCHEMA_VERSION, ReportBundle
 from repro.report.check import check_bundle, format_check, regression_rows
 from repro.report.collect import collect_bundle, summarize_journals
 from repro.report.render import (
@@ -41,16 +35,12 @@ from repro.report.render import (
 del _render_module
 
 __all__ = [
-    "BUNDLE_KIND",
     "REPORT_SCHEMA_VERSION",
     "RENDERER_REGISTRY",
     "ReportBundle",
-    "bundle_checksum",
     "check_bundle",
     "collect_bundle",
-    "default_report_dir",
     "format_check",
-    "load_bundle",
     "regression_rows",
     "render_bundle",
     "render_html",

@@ -6,8 +6,8 @@ reports (``python -m repro sweep --save-report``), run-journal directories —
 normalize all of it, and return one bundle the renderers and the regression
 gate consume.  The shape follows the artifacts→report pipelines of perf
 tooling: collection is separate from rendering, so the same bundle can be
-rendered as HTML for humans and markdown for CI, archived, or re-rendered
-by a later build.
+rendered as HTML for humans and markdown for CI.  The bundle stays in
+memory; collecting the same files again rebuilds it.
 
 Normalization rules:
 

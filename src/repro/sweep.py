@@ -36,11 +36,17 @@ runs nearly free:
   deterministic :class:`RetryPolicy`, survives ``BrokenProcessPool`` by
   rebuilding the pool and requeueing only unfinished cells (degrading to
   the serial path after repeated failures), and bounds each attempt's
-  wall-clock with a per-cell timeout watchdog.  Both stores checksum their
-  artifacts and quarantine corrupt files to ``*.corrupt``
+  wall-clock with a per-cell timeout watchdog.  ``python -m repro sweep
+  --resume`` replays a killed sweep's journal and simulates exactly the
+  missing cells.
+* Both stores follow **one artifact discipline**, implemented once here:
+  :func:`content_key` is the one canonical-JSON digest (cell keys, trace
+  keys, cache-entry checksums), :func:`atomic_write` the one write path (a
+  sibling ``.tmp-*`` file renamed over the target; saved sweep reports and
+  bench trajectories use it too), and :func:`quarantine` the one way a
+  corrupt cache entry or trace artifact is moved to ``*.corrupt``
   (:class:`CorruptArtifactWarning`) rather than silently missing — or
-  crashing mid-``mmap``.  ``python -m repro sweep --resume`` replays a
-  killed sweep's journal and simulates exactly the missing cells.
+  crashing mid-``mmap``.  (The run journal is append-only instead.)
 
 :func:`run_sweep` is the high-level entry point; ``repro.api.run_grid`` and
 :class:`repro.api.Session` are built on top of it, and
@@ -78,6 +84,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -101,6 +108,8 @@ from repro.workloads.trace import Trace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.context import BaseContext
 
+_T = TypeVar("_T")
+
 __all__ = [
     "CACHE_SCHEMA_VERSION",
     "TRACE_SCHEMA_VERSION",
@@ -113,6 +122,7 @@ __all__ = [
     "SweepOutcome",
     "SweepStats",
     "TraceStore",
+    "atomic_write",
     "btb_closure",
     "cell_key",
     "clear_workload_memo",
@@ -122,12 +132,14 @@ __all__ = [
     "default_journal_dir",
     "default_trace_dir",
     "design_closure",
+    "quarantine",
     "run_cells",
     "run_sweep",
     "simulate_cell",
     "summarize_result",
     "trace_key",
     "workload_program",
+    "write_json",
 ]
 
 #: Bumped whenever the simulator or the summary layout changes meaning:
@@ -160,21 +172,8 @@ class CorruptArtifactWarning(UserWarning):
 
 
 # --------------------------------------------------------------------------- #
-# Content-addressed result cache
+# The artifact discipline: one digest, one atomic write, one quarantine
 # --------------------------------------------------------------------------- #
-
-def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro"
-
-
-def default_journal_dir() -> Path:
-    """Where sweep :class:`RunJournal` files live: ``<cache dir>/journal``."""
-    return default_cache_dir() / "journal"
-
 
 def _jsonable(value: object) -> object:
     """Canonical plain-data form of cell parameters (dataclasses, mappings)."""
@@ -190,10 +189,16 @@ def _jsonable(value: object) -> object:
     return value
 
 
-def _summary_checksum(summary: Mapping[str, object]) -> str:
-    """Integrity checksum of one cached summary (stable across JSON round-trips)."""
-    canonical = json.dumps(dict(summary), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+def content_key(payload: Mapping[str, object]) -> str:
+    """SHA-256 of ``payload``'s canonical JSON: the one content-key scheme.
+
+    Cell keys, trace keys and the study memo's keys are this digest, and a
+    cache entry's checksum is its first 16 hex digits over the summary.
+    """
+    canonical = json.dumps(
+        _jsonable(payload), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _file_sha256(path: Union[str, Path]) -> str:
@@ -205,19 +210,78 @@ def _file_sha256(path: Union[str, Path]) -> str:
     return digest.hexdigest()
 
 
-def _quarantine_file(path: Path) -> Optional[Path]:
-    """Move a corrupt artifact to ``<name>.corrupt``; best-effort, never raises.
+def atomic_write(path: Path, write: Callable[[Path], _T]) -> _T:
+    """Fill a sibling ``.tmp-*`` file with ``write(tmp)``, then rename it over ``path``.
 
-    Returns the quarantine path, or ``None`` when the move itself failed
-    (e.g. the file vanished concurrently) — the caller still counts and
-    warns either way.
+    The one write path of the result cache, the trace store, saved sweep
+    reports and bench trajectories: a reader of ``path`` only ever sees the
+    old file or the complete new one.  When ``write`` (or the rename)
+    fails, the temp file is unlinked and ``path`` keeps its old bytes.
+    Returns what ``write`` returned.
     """
-    target = path.with_name(path.name + ".corrupt")
+    handle, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    os.close(handle)
     try:
-        os.replace(path, target)
-    except OSError:
-        return None
-    return target
+        result = write(Path(tmp_name))
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+    return result
+
+
+def write_json(path: Path, document: object, indent: Optional[int] = None) -> Path:
+    """:func:`atomic_write` sorted-key JSON (``indent`` adds a final newline)."""
+
+    def dump(tmp: Path) -> None:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=indent, sort_keys=True)
+            if indent is not None:
+                handle.write("\n")
+
+    atomic_write(path, dump)
+    return path
+
+
+def quarantine(what: str, path: Path, reason: str, *companions: Path) -> None:
+    """Move a corrupt artifact and its ``companions`` to ``*.corrupt``, and warn.
+
+    Best-effort: a move that fails (the file vanished concurrently) is
+    skipped, and the :class:`CorruptArtifactWarning` is issued either way.
+    """
+    moved: Optional[Path] = None
+    for victim in (path, *companions):
+        target = victim.with_name(victim.name + ".corrupt")
+        with contextlib.suppress(OSError):
+            os.replace(victim, target)
+            if victim is path:
+                moved = target
+    where = f" (moved to {moved.name})" if moved is not None else ""
+    warnings.warn(
+        f"quarantined corrupt {what} {path.name}: {reason}{where}",
+        CorruptArtifactWarning,
+        stacklevel=4,
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Content-addressed result cache
+# --------------------------------------------------------------------------- #
+
+def default_cache_dir() -> Path:
+    """``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``."""
+    override = os.environ.get("REPRO_CACHE_DIR")
+    if override:
+        return Path(override)
+    return Path.home() / ".cache" / "repro"
+
+
+def default_journal_dir() -> Path:
+    """Where sweep :class:`RunJournal` files live: ``<cache dir>/journal``."""
+    return default_cache_dir() / "journal"
 
 
 #: Per-process memo of component-factory fingerprints, keyed by the factory
@@ -273,14 +337,6 @@ def btb_closure(name: str, params: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-def content_key(payload: Mapping[str, object]) -> str:
-    """SHA-256 of ``payload``'s canonical JSON: the one content-key scheme."""
-    canonical = json.dumps(
-        _jsonable(payload), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def cell_key(cell: "SweepCell") -> str:
     """Stable content hash of everything that determines a cell's result.
 
@@ -314,14 +370,15 @@ def cell_key(cell: "SweepCell") -> str:
 class ResultCache:
     """On-disk JSON store of cell summaries, one file per content hash.
 
-    Writes are atomic (temp file + rename) so concurrent sweeps sharing a
+    Writes go through :func:`atomic_write`, so concurrent sweeps sharing a
     cache directory can only ever observe complete entries.  Entries carry a
-    checksum of their summary, verified on :meth:`get`; an entry that is
-    unreadable, structurally wrong or checksum-mismatched is **quarantined**
-    (renamed to ``*.corrupt``, warned via :class:`CorruptArtifactWarning`,
-    counted in ``quarantined``) and served as a miss.  A missing file or a
-    stale ``schema`` is an ordinary miss.  ``hits`` and ``misses`` count
-    :meth:`get` outcomes for observability.
+    checksum of their summary (``content_key(summary)[:16]``), verified on
+    :meth:`get`; an entry that is unreadable, structurally wrong or
+    checksum-mismatched is **quarantined** (renamed to ``*.corrupt``, warned
+    via :class:`CorruptArtifactWarning`, counted in ``quarantined``) and
+    served as a miss.  A missing file or a stale ``schema`` is an ordinary
+    miss.  ``hits`` and ``misses`` count :meth:`get` outcomes for
+    observability.
     """
 
     def __init__(self, directory: Union[str, Path, None] = None) -> None:
@@ -357,13 +414,7 @@ class ResultCache:
 
     def _quarantine(self, path: Path, reason: str) -> None:
         self.quarantined += 1
-        moved = _quarantine_file(path)
-        where = f" (moved to {moved.name})" if moved is not None else ""
-        warnings.warn(
-            f"quarantined corrupt cache entry {path.name}: {reason}{where}",
-            CorruptArtifactWarning,
-            stacklevel=3,
-        )
+        quarantine("cache entry", path, reason)
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
         """Load a cached summary, or ``None`` on miss.
@@ -397,7 +448,7 @@ class ResultCache:
         summary = payload.get("summary")
         if (
             not isinstance(summary, dict)
-            or payload.get("checksum") != _summary_checksum(summary)
+            or payload.get("checksum") != content_key(summary)[:16]
         ):
             self._quarantine(path, "entry failed its checksum")
             self.misses += 1
@@ -413,20 +464,9 @@ class ResultCache:
             "schema": CACHE_SCHEMA_VERSION,
             "key": key,
             "summary": summary,
-            "checksum": _summary_checksum(summary),
+            "checksum": content_key(summary)[:16],
         }
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                json.dump(payload, tmp, sort_keys=True)
-            os.replace(tmp_name, self._path(key))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        return self._path(key)
+        return write_json(self._path(key), payload)
 
 
 # --------------------------------------------------------------------------- #
@@ -456,8 +496,7 @@ def trace_key(profile: WorkloadProfile, instructions: int, seed: int) -> str:
         "instructions": instructions,
         "seed": seed,
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_key(payload)
 
 
 class TraceStore:
@@ -466,7 +505,7 @@ class TraceStore:
     The (profile x design) grid generates each per-core trace exactly once:
     every design sharing a profile — and every future run, in any process —
     maps the artifact back in through :meth:`load` instead of re-walking the
-    generator.  Writes are atomic (temp file + rename), so sweeps sharing a
+    generator.  Writes go through :func:`atomic_write`, so sweeps sharing a
     store can only observe complete artifacts.  Each artifact gets a
     ``<name>.sum`` sidecar with its SHA-256, verified before the columns are
     mapped; a truncated, bit-flipped or otherwise unreadable artifact is
@@ -524,14 +563,7 @@ class TraceStore:
 
     def _quarantine(self, path: Path, reason: str) -> None:
         self.quarantined += 1
-        moved = _quarantine_file(path)
-        _quarantine_file(self._checksum_path(path))
-        where = f" (moved to {moved.name})" if moved is not None else ""
-        warnings.warn(
-            f"quarantined corrupt trace artifact {path.name}: {reason}{where}",
-            CorruptArtifactWarning,
-            stacklevel=3,
-        )
+        quarantine("trace artifact", path, reason, self._checksum_path(path))
 
     def load(
         self,
@@ -589,31 +621,18 @@ class TraceStore:
         never a mismatched pair.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        key = trace_key(profile, instructions, seed)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".trace"
+        path = self._path(trace_key(profile, instructions, seed))
+
+        def save(tmp: Path) -> str:
+            trace.packed.save(tmp)
+            return _file_sha256(tmp)
+
+        digest = atomic_write(path, save)
+        atomic_write(
+            self._checksum_path(path),
+            lambda tmp: tmp.write_text(digest + "\n", encoding="utf-8"),
         )
-        os.close(handle)
-        try:
-            trace.packed.save(tmp_name)
-            digest = _file_sha256(tmp_name)
-            os.replace(tmp_name, self._path(key))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        sum_handle, sum_tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".sum"
-        )
-        try:
-            with os.fdopen(sum_handle, "w", encoding="utf-8") as tmp:
-                tmp.write(digest + "\n")
-            os.replace(sum_tmp, self._checksum_path(self._path(key)))
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(sum_tmp)
-            raise
-        return self._path(key)
+        return path
 
     def prune(self, max_bytes: int) -> Tuple[int, int]:
         """Size-bounded LRU sweep: evict cold artifacts until the store fits.

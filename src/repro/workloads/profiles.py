@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
+from repro.registry import unknown_name_error
+
 
 @dataclass(frozen=True)
 class WorkloadProfile:
@@ -251,12 +253,11 @@ EVALUATION_WORKLOADS: Dict[str, str] = {
 
 
 def get_profile(name: str) -> WorkloadProfile:
-    """Look up a profile by name, raising ``KeyError`` with suggestions."""
+    """Look up a profile by name (an ``UnknownComponentError`` lists the catalog)."""
     try:
         return WORKLOAD_PROFILES[name]
     except KeyError:
-        known = ", ".join(sorted(WORKLOAD_PROFILES))
-        raise KeyError(f"unknown workload profile {name!r}; known profiles: {known}") from None
+        raise unknown_name_error("workload profile", name, WORKLOAD_PROFILES) from None
 
 
 def evaluation_profiles(scale: float = 1.0) -> Dict[str, WorkloadProfile]:

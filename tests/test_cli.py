@@ -76,6 +76,23 @@ class TestTraceCommand:
         assert "--instructions must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--profile", "oltp_db2", "--scale", "0"], "trace: --scale must be positive"),
+        (["--profile", "oltp_db2", "--scale", "-1"], "trace: --scale must be positive"),
+        (["--profile", "nosuch"], "trace: unknown workload profile 'nosuch'; known: "),
+    ], ids=["scale_zero", "scale_negative", "unknown_profile"])
+    def test_bad_flag_is_a_usage_error_writing_nothing(
+        self, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "x.trace"
+        code = main(["trace", *flags, "--instructions", "5000", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        if "unknown" in message:
+            assert "oltp_db2" in err  # the known profiles are listed
+        assert not out.exists()
+
     def test_out_requires_profile(self, tmp_path, capsys):
         code = main(["trace", "--out", str(tmp_path / "x.trace")])
         assert code == 2
@@ -207,6 +224,29 @@ class TestBenchCommand:
         assert main(self.BENCH_ARGS + ["--json", str(out)]) == 0
         capsys.readouterr()
         assert len(json.loads(out.read_text())["points"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--repeats", "0"],
+        ["--scale", "0"],
+        ["--scale", "-1"],
+        ["--instructions", "0"],
+    ], ids=["repeats_zero", "scale_zero", "scale_negative", "instructions_zero"])
+    def test_nonpositive_flag_is_a_usage_error_before_synthesis(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        import repro.perfbench
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("a program was synthesized")
+
+        monkeypatch.setattr(repro.perfbench, "synthesize_program", no_synthesis)
+        out = tmp_path / "bench.json"
+        code = main(self.BENCH_ARGS + flags + ["--json", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bench: {flags[0]} must be positive, got ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_backend_is_a_usage_error(self, capsys):
         # There is one loop, so bench takes no --backend, not even "scalar".
@@ -365,6 +405,20 @@ class TestSweepCommand:
         assert f"sweep: {message}" in err
         assert "Traceback" not in err
         assert plan.fired == []
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--profiles", "nosuch", "--designs", "baseline",
+     "--no-cache", "--no-trace-store", "--no-journal"],
+    ["bench", "--profile", "nosuch", "--designs", "baseline"],
+], ids=["sweep", "bench"])
+def test_unknown_profile_error_is_not_quoted(args, capsys):
+    # get_profile raises the catalogs' one unknown-name error, whose message
+    # prints without the quotes a bare KeyError adds.
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{args[0]}: unknown workload profile 'nosuch'; known: ")
+    assert "oltp_db2" in err
 
 
 def test_backends_subcommand_is_a_usage_error(capsys):
@@ -653,15 +707,6 @@ class TestReportCommand:
         bench = self._trajectory(tmp_path / "bench.json", 1.0)
         assert main(["report", "--bench", bench, "--format", "pdf"]) == 2
         assert "pdf" in capsys.readouterr().err
-
-    def test_save_bundle_is_content_addressed(self, tmp_path, capsys):
-        bench = self._trajectory(tmp_path / "bench.json", 1.0)
-        store = tmp_path / "bundles"
-        for _ in range(2):
-            assert main(["report", "--bench", bench, "--format", "md",
-                         "--save-bundle", "--report-dir", str(store)]) == 0
-        capsys.readouterr()
-        assert len(list(store.glob("*.bundle.json"))) == 1
 
     def test_collects_sweep_save_report_output(self, tmp_path, capsys):
         # End-to-end through the CLI: a real (tiny) sweep saved with

@@ -235,6 +235,82 @@ class TestTraceStore:
             load_packed(store.path_for(profile, 5_000, 42), mmap=False)
 
 
+def _put_cache_entry(directory):
+    ResultCache(directory).put("a" * 64, {"ipc": 1.25, "cores": 2})
+
+
+def _put_trace(directory):
+    from repro.workloads import generate_trace
+
+    profile = get_profile("oltp_db2").scaled(0.08)
+    trace = generate_trace(synthesize_program(profile), 2_000, seed=42)
+    TraceStore(directory).put(profile, 2_000, 42, trace)
+
+
+def _save_reports(directory):
+    from repro.api import save_reports
+
+    save_reports(directory / "sweep.report.json", {}, stats={"cells": 1})
+
+
+def _append_trajectory_point(directory):
+    from repro.perfbench import BENCH_SCHEMA_VERSION, append_trajectory_point
+
+    append_trajectory_point(
+        directory / "BENCH.json",
+        {"schema": BENCH_SCHEMA_VERSION, "bench": "kernel_hotloop"},
+    )
+
+
+def _torn_json_dump(document, handle, **kwargs):
+    """A serializer that dies part-way, as on a full disk."""
+    handle.write(json.dumps(document, **kwargs)[:16])
+    raise OSError(28, "No space left on device")
+
+
+def _torn_trace_save(self, path):
+    """``PackedTrace.save`` dying part-way through the artifact."""
+    with open(path, "wb") as handle:
+        handle.write(b"PTRC torn")
+    raise OSError(28, "No space left on device")
+
+
+class TestOneWritePath:
+    """Every store writes through ``atomic_write``; its bytes stay the parent's."""
+
+    @pytest.mark.parametrize("write", [
+        _put_cache_entry, _put_trace, _save_reports, _append_trajectory_point,
+    ], ids=["cache_put", "trace_put", "save_reports", "trajectory_append"])
+    def test_failed_write_leaves_the_target_and_no_temp_file(
+        self, write, tmp_path, monkeypatch
+    ):
+        from repro.workloads.packed import PackedTrace
+
+        write(tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert before  # the target (and any sidecar) exists
+        monkeypatch.setattr(json, "dump", _torn_json_dump)
+        monkeypatch.setattr(PackedTrace, "save", _torn_trace_save)
+        with pytest.raises(OSError, match="No space left"):
+            write(tmp_path)
+        after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert after == before  # byte-identical target, no .tmp-* sibling
+
+    def test_cache_entry_bytes_are_pinned(self, tmp_path):
+        # Moving the digest must not turn existing cache entries into misses.
+        path = ResultCache(tmp_path).put("a" * 64, {"ipc": 1.25, "cores": 2})
+        assert path.read_text() == (
+            '{"checksum": "d6a41457d59a67f2", "key": "' + "a" * 64 + '", '
+            '"schema": 5, "summary": {"cores": 2, "ipc": 1.25}}'
+        )
+
+    def test_trace_key_is_pinned(self):
+        # ... nor existing trace artifacts.
+        assert trace_key(get_profile("oltp_db2").scaled(0.08), 6000, 100) == (
+            "2474e768a532b41e04bdac81ca09ce5fc8a91fb1440e0b155390c44de8b5d1ff"
+        )
+
+
 class TestTraceStorePrune:
     """Size-bounded LRU eviction for long-lived shared store directories."""
 
