@@ -162,8 +162,10 @@ class BaseBTB(abc.ABC):
         """Non-destructive presence check (no statistics, no LRU update).
 
         Used by runahead mechanisms (FDP) that must not perturb the BTB's
-        measured behaviour.  Designs that cannot answer cheaply may return
-        True (optimistic).
+        measured behaviour.  It must stay free of side effects: FDP peeks
+        only on the calls that walk its window, so a peek that changed
+        state would make results depend on when FDP walks.  Designs that
+        cannot answer cheaply may return True (optimistic).
         """
         return True
 

@@ -9,8 +9,15 @@ from __future__ import annotations
 
 from typing import List, Protocol, Tuple
 
+from repro.staticcheck.markers import hot_loop
+
 #: Value snapshot of a :class:`HybridDirectionPredictor` (see its ``state``).
 DirectionState = Tuple[int, int, bytes, bytes, bytes, int, int]
+
+#: A 2-bit saturating counter's next value, indexed by its value, after a
+#: taken and after a not-taken outcome.
+_TRAIN_TAKEN = (1, 2, 3, 3)
+_TRAIN_NOT_TAKEN = (0, 0, 1, 2)
 
 
 class DirectionPredictor(Protocol):
@@ -45,12 +52,8 @@ class _CounterTable:
 
     def train(self, index: int, taken: bool) -> None:
         slot = index & self.mask
-        counter = self.counters[slot]
-        if taken:
-            if counter < 3:
-                self.counters[slot] = counter + 1
-        elif counter > 0:
-            self.counters[slot] = counter - 1
+        toward = _TRAIN_TAKEN if taken else _TRAIN_NOT_TAKEN
+        self.counters[slot] = toward[self.counters[slot]]
 
 
 class BimodalPredictor:
@@ -99,7 +102,11 @@ class HybridDirectionPredictor:
     """gshare + bimodal with a meta selector (Table 1's hybrid predictor).
 
     The meta table learns, per branch, which component predicts better and
-    uses it for future predictions.
+    uses it for future predictions.  ``gshare`` and ``bimodal`` hold their
+    tables and gshare's history register; :meth:`predict` and
+    :meth:`update` work on those in one frame each, without calling the
+    components, because they run per branch of every trace's columns and
+    FDP stop column.
     """
 
     def __init__(
@@ -110,30 +117,44 @@ class HybridDirectionPredictor:
         self.gshare = GSharePredictor(entries, history_bits)
         self.bimodal = BimodalPredictor(entries)
         self._meta = _CounterTable(entries)
+        # The three tables share one size, so one mask indexes all of them.
+        self._mask = self._meta.mask
+        self._gshare_counters = self.gshare._table.counters
+        self._bimodal_counters = self.bimodal._table.counters
+        self._meta_counters = self._meta.counters
         self.predictions = 0
         self.mispredictions = 0
 
-    def _meta_index(self, branch_pc: int) -> int:
-        return branch_pc >> 2
-
+    @hot_loop
     def predict(self, branch_pc: int) -> bool:
-        use_gshare = self._meta.is_taken(self._meta_index(branch_pc))
-        if use_gshare:
-            return self.gshare.predict(branch_pc)
-        return self.bimodal.predict(branch_pc)
+        slot = (branch_pc >> 2) & self._mask
+        if self._meta_counters[slot] >= 2:  # the meta selector picks gshare
+            gshare_slot = ((branch_pc >> 2) ^ self.gshare._history) & self._mask
+            return self._gshare_counters[gshare_slot] >= 2
+        return self._bimodal_counters[slot] >= 2
 
+    @hot_loop
     def update(self, branch_pc: int, taken: bool) -> None:
-        gshare_correct = self.gshare.predict(branch_pc) == taken
-        bimodal_correct = self.bimodal.predict(branch_pc) == taken
-        predicted = self.predict(branch_pc)
+        gshare = self.gshare
+        history = gshare._history
+        slot = (branch_pc >> 2) & self._mask
+        gshare_slot = ((branch_pc >> 2) ^ history) & self._mask
+        gshare_counter = self._gshare_counters[gshare_slot]
+        bimodal_counter = self._bimodal_counters[slot]
+        meta_counter = self._meta_counters[slot]
+        gshare_taken = gshare_counter >= 2
+        bimodal_taken = bimodal_counter >= 2
         self.predictions += 1
-        if predicted != taken:
+        if (gshare_taken if meta_counter >= 2 else bimodal_taken) != taken:
             self.mispredictions += 1
         # The meta selector trains toward the component that was right.
-        if gshare_correct != bimodal_correct:
-            self._meta.train(self._meta_index(branch_pc), gshare_correct)
-        self.gshare.update(branch_pc, taken)
-        self.bimodal.update(branch_pc, taken)
+        if gshare_taken != bimodal_taken:
+            toward = _TRAIN_TAKEN if gshare_taken == taken else _TRAIN_NOT_TAKEN
+            self._meta_counters[slot] = toward[meta_counter]
+        toward = _TRAIN_TAKEN if taken else _TRAIN_NOT_TAKEN
+        self._gshare_counters[gshare_slot] = toward[gshare_counter]
+        self._bimodal_counters[slot] = toward[bimodal_counter]
+        gshare._history = ((history << 1) | int(taken)) & gshare._history_mask
 
     def state(self) -> DirectionState:
         """Everything that shapes later predictions and statistics, as a value:
@@ -141,9 +162,9 @@ class HybridDirectionPredictor:
         return (
             self.gshare.history_bits,
             self.gshare._history,
-            bytes(self.gshare._table.counters),
-            bytes(self.bimodal._table.counters),
-            bytes(self._meta.counters),
+            bytes(self._gshare_counters),
+            bytes(self._bimodal_counters),
+            bytes(self._meta_counters),
             self.predictions,
             self.mispredictions,
         )
@@ -155,9 +176,9 @@ class HybridDirectionPredictor:
         if history_bits != self.gshare.history_bits or len(meta) != self._meta.entries:
             raise ValueError("direction predictor state of a different geometry")
         self.gshare._history = history
-        self.gshare._table.counters[:] = gshare
-        self.bimodal._table.counters[:] = bimodal
-        self._meta.counters[:] = meta
+        self._gshare_counters[:] = gshare
+        self._bimodal_counters[:] = bimodal
+        self._meta_counters[:] = meta
         self.predictions = predictions
         self.mispredictions = mispredictions
 

@@ -19,20 +19,23 @@ from repro.isa.instruction import BLOCK_SIZE_BYTES, block_address
 
 @dataclass(frozen=True)
 class L1IConfig:
-    """Geometry and latency of the L1 instruction cache."""
+    """Geometry and latency of the L1 instruction cache.
+
+    Blocks are always :data:`BLOCK_SIZE_BYTES`, the size the traces, the
+    prefetchers and :func:`block_address` use, so they are not a field.
+    """
 
     size_bytes: int = 32 * 1024
     associativity: int = 4
-    block_bytes: int = BLOCK_SIZE_BYTES
     hit_latency_cycles: int = 2
 
     def __post_init__(self) -> None:
-        if self.size_bytes % (self.associativity * self.block_bytes):
+        if self.size_bytes % (self.associativity * BLOCK_SIZE_BYTES):
             raise ValueError("cache size must be a multiple of way size")
 
     @property
     def block_count(self) -> int:
-        return self.size_bytes // self.block_bytes
+        return self.size_bytes // BLOCK_SIZE_BYTES
 
     @property
     def sets(self) -> int:
@@ -64,7 +67,7 @@ class InstructionCache:
             ways=self.config.associativity,
             on_eviction=self._notify_eviction,
             name=name,
-            index_shift=self.config.block_bytes.bit_length() - 1,
+            index_shift=BLOCK_SIZE_BYTES.bit_length() - 1,
         )
         self.demand_fills = 0
         self.prefetch_fills = 0
@@ -75,6 +78,9 @@ class InstructionCache:
 
     def add_listener(self, listener: FillListener) -> None:
         self._listeners.append(listener)
+
+    def remove_listener(self, listener: FillListener) -> None:
+        self._listeners.remove(listener)
 
     def _notify_eviction(self, block_addr: int, _payload: object = None) -> None:
         for listener in self._listeners:

@@ -28,7 +28,6 @@ class LLCConfig:
 
     slice_kb_per_core: int = 512
     cores: int = 16
-    block_bytes: int = BLOCK_SIZE_BYTES
     bank_hit_latency_cycles: int = 6
     mesh_hop_cycles: int = 3
     mesh_dimension: int = 4
@@ -39,7 +38,7 @@ class LLCConfig:
 
     @property
     def total_blocks(self) -> int:
-        return self.total_bytes // self.block_bytes
+        return self.total_bytes // BLOCK_SIZE_BYTES
 
     @property
     def average_hops(self) -> int:

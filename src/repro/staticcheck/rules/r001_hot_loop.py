@@ -12,10 +12,11 @@ Hot region:
 
 * a marked function containing loops is checked inside its loop bodies
   (the prelude may allocate — hoisting is the point of the discipline);
-  ``ScalarBackend.run`` and the branch column builder
-  ``build_branch_columns`` are of this kind;
+  ``ScalarBackend.run``, the branch column builder
+  ``build_branch_columns`` and FDP's per-call packed path are of this kind;
 * a marked function without loops is a per-iteration leaf
-  (``lookup_into``) and is checked in full.
+  (``lookup_into``, the hybrid direction predictor's ``predict`` and
+  ``update``) and is checked in full.
 
 Flagged inside the hot region: comprehensions and generator expressions,
 ``lambda`` and nested ``def`` (closure objects), list/set/dict displays and

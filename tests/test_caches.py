@@ -99,6 +99,13 @@ class TestInstructionCache:
         assert config.block_count == 512
         assert config.sets == 128
 
+    @pytest.mark.parametrize("config", [L1IConfig, LLCConfig])
+    def test_block_size_is_not_a_knob(self, config):
+        # The cache keys 64 B blocks whatever the config says, so a
+        # block_bytes field could only mis-size the cache.
+        with pytest.raises(TypeError):
+            config(block_bytes=128)
+
     def test_access_does_not_fill(self):
         l1i = InstructionCache()
         assert not l1i.access(0x1000)

@@ -135,36 +135,47 @@ class TestBackendReferenceParity:
         )
 
     def test_each_fdp_queue_depth_gets_its_own_stop_column(
-        self, tiny_program, tiny_trace
+        self, tiny_program, tiny_trace, second_tiny_trace
     ):
-        # The stop column is per queue depth: after the default fdp, a
-        # shallower and then a deeper queue on the same trace (a copy whose
-        # memo starts empty) must each match the oracle.  The tiny trace
-        # barely misses in the L1-I, so the runahead's own stop counters are
-        # what would show a wrong column.
+        # FDP under L1-I pressure: a 2 KB, 2-way L1-I keeps evicting blocks
+        # of FDP's window, so the runahead walks and prefetches thousands of
+        # times.  Depths 6, 3 and 12 run in that order on copies of the
+        # traces' first 6,000 regions, whose memos start empty (a stop
+        # column reused across depths diverges), and each simulator runs
+        # t1, t2, t1 against an oracle twin (a window kept across runs, or
+        # one that misses an eviction, diverges), on three BTB families.
+        from repro.branch.unit import BranchPredictionUnit
+        from repro.caches.l1i import InstructionCache, L1IConfig
+        from repro.caches.llc import SharedLLC
+        from repro.prefetch.fdp import FetchDirectedPrefetcher
+        from repro.registry import build_btb
         from repro.workloads.trace import Trace
 
-        trace = Trace.from_packed(tiny_trace.packed.slice(0))
+        t1 = Trace.from_packed(tiny_trace.packed.slice(0, 6000))
+        t2 = Trace.from_packed(second_tiny_trace.packed.slice(0, 6000))
 
-        def runahead(design, run):
-            simulator, _ = design_from_spec(design, tiny_program)
-            result = run(simulator, trace)
-            fdp = simulator.prefetcher
-            return dataclasses.asdict(result), (
-                fdp.runahead_stops_on_misprediction,
-                fdp.runahead_stops_on_btb_miss,
-                fdp.issued_prefetches,
+        def runs(btb, depth, run):
+            llc = SharedLLC()
+            simulator = FrontendSimulator(
+                bpu=BranchPredictionUnit(build_btb(btb, tiny_program, llc=llc)),
+                l1i=InstructionCache(L1IConfig(size_bytes=2048, associativity=2)),
+                llc=llc,
+                prefetcher=FetchDirectedPrefetcher(depth),
+                design_name=f"{btb}_fdp{depth}",
             )
+            return [
+                (
+                    dataclasses.asdict(run(simulator, trace)),
+                    simulator.prefetcher.issued_prefetches,
+                )
+                for trace in (t1, t2, t1)
+            ]
 
-        fdp = resolve_design("fdp")
-        for design in (
-            fdp,
-            fdp.derive("fdp_q3", prefetcher_params={"queue_depth_basic_blocks": 3}),
-            fdp.derive("fdp_q12", prefetcher_params={"queue_depth_basic_blocks": 12}),
-        ):
-            assert runahead(design, FrontendSimulator.run) == runahead(
-                design, _oracle_run
-            ), design.name
+        for depth in (6, 3, 12):
+            for btb in ("conventional_1k", "two_level", "phantom"):
+                fast = runs(btb, depth, FrontendSimulator.run)
+                assert fast == runs(btb, depth, _oracle_run), (btb, depth)
+                assert fast[0][1] > 1000, (btb, depth)
 
     def test_non_default_predictor_parity(self, tiny_trace):
         # A non-default predictor geometry cannot use the trace's memo: its

@@ -31,6 +31,27 @@ def _chain_records(count=10, start=0x1000, region_bytes=0x100):
     return records
 
 
+def _resident_chain_context(*l1is):
+    """The chain's packed FDP context on ``l1is[0]``, with a trained perfect
+    BTB and every chain block resident in each of ``l1is``."""
+    from repro.branch.columns import trace_columns
+    from repro.workloads.trace import Trace
+
+    records = _chain_records()
+    trace = Trace(records, name="chain")
+    bpu = BranchPredictionUnit(PerfectBTB())
+    for record in records:
+        bpu.resolve(record)
+        for block in record.blocks():
+            for l1i in l1is:
+                l1i.fill(block)
+    context = PrefetchContext(
+        records=records, index=0, cycle=0, l1i=l1is[0], bpu=bpu,
+        packed=trace.packed, columns=trace_columns(trace.packed),
+    )
+    return records, context
+
+
 class TestNullPrefetcher:
     def test_returns_nothing(self):
         records = _chain_records()
@@ -60,7 +81,6 @@ class TestFDP:
                                   l1i=InstructionCache(), bpu=bpu)
         targets = list(fdp.prefetch_targets(context))
         assert targets == []
-        assert fdp.runahead_stops_on_btb_miss == 1
 
     def test_lookahead_bounded_by_queue_depth(self):
         records = _chain_records(count=20)
@@ -84,8 +104,52 @@ class TestFDP:
         assert list(fdp.prefetch_targets(context)) == []
 
     def test_invalid_queue_depth_rejected(self):
-        with pytest.raises(ValueError):
-            FetchDirectedPrefetcher(queue_depth_basic_blocks=0)
+        # A float used to fail only inside the first run's stop-column
+        # build, and True built a depth-1 queue.
+        for depth in (6.0, True, 0, -1):
+            with pytest.raises(ValueError, match=f"got {depth!r}$"):
+                FetchDirectedPrefetcher(queue_depth_basic_blocks=depth)
+
+    def test_packed_call_walks_only_when_a_window_block_is_missing(self, monkeypatch):
+        # Every block of the window (regions 1..4) is in the L1-I: the call
+        # returns at once, with no BTB peek and no stop-column read (the full
+        # walk would make 4 peeks and 1 read).  Once an eviction takes one
+        # window block out, the next call walks and fetches exactly it.
+        from repro.branch.columns import BranchColumns
+
+        l1i = InstructionCache()
+        records, context = _resident_chain_context(l1i)
+        peeks, reads = [], []
+        peek_hit = context.bpu.btb.peek_hit
+        runahead_stops = BranchColumns.runahead_stops
+        monkeypatch.setattr(
+            context.bpu.btb, "peek_hit", lambda pc: peeks.append(pc) or peek_hit(pc)
+        )
+        monkeypatch.setattr(
+            BranchColumns, "runahead_stops",
+            lambda self, packed, depth: reads.append(depth)
+            or runahead_stops(self, packed, depth),
+        )
+        fdp = FetchDirectedPrefetcher(queue_depth_basic_blocks=4)
+        assert fdp.prefetch_targets(context) == []
+        assert (peeks, reads) == ([], [])
+
+        missing = records[3].blocks()[0]
+        assert l1i.invalidate(missing)
+        context.index = 1
+        assert fdp.prefetch_targets(context) == [missing]
+        assert peeks and reads == [4]
+
+    def test_events_from_an_l1i_fdp_no_longer_serves_are_ignored(self):
+        old, new = InstructionCache(), InstructionCache()
+        records, context = _resident_chain_context(old, new)
+        fdp = FetchDirectedPrefetcher(queue_depth_basic_blocks=4)
+        assert fdp.prefetch_targets(context) == []
+        context.l1i, context.index = new, 1
+        assert fdp.prefetch_targets(context) == []
+        old.invalidate(records[3].blocks()[0])  # not the cache FDP serves now
+        context.index = 2
+        assert fdp.prefetch_targets(context) == []
 
 
 class TestShiftHistory:

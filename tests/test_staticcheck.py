@@ -45,6 +45,8 @@ class TestRepositoryIsClean:
         from repro.branch.btb_conventional import ConventionalBTB, PerfectBTB
         from repro.branch.btb_two_level import TwoLevelBTB
         from repro.branch.columns import build_branch_columns
+        from repro.branch.direction import HybridDirectionPredictor
+        from repro.prefetch.fdp import FetchDirectedPrefetcher
 
         for func in (
             ScalarBackend.run,
@@ -52,6 +54,9 @@ class TestRepositoryIsClean:
             ConventionalBTB.lookup_into,
             PerfectBTB.lookup_into,
             TwoLevelBTB.lookup_into,
+            HybridDirectionPredictor.predict,
+            HybridDirectionPredictor.update,
+            FetchDirectedPrefetcher._targets_packed,
         ):
             assert getattr(func, HOT_LOOP_ATTRIBUTE, False), func.__qualname__
 
