@@ -82,6 +82,7 @@ from typing import TYPE_CHECKING, List, Optional, Union
 from repro.analysis.reporting import format_table
 from repro.api import reports_from_sweep
 from repro.core.designs import DESIGN_POINTS
+from repro.report.render import RENDERERS
 from repro.resilience import CellExecutionError, RetryPolicy
 from repro.sweep import (
     ResultCache,
@@ -273,11 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--title", default="Confluence reproduction report",
                         help="report title (default: 'Confluence "
                              "reproduction report')")
-    report.add_argument("--format", default="html", metavar="NAME",
+    report.add_argument("--format", default="html", choices=RENDERERS,
                         dest="fmt",
-                        help="renderer to use (catalog: 'html', 'md', plus "
-                             "anything registered on RENDERER_REGISTRY; "
-                             "default html)")
+                        help="output format (default html)")
     report.add_argument("--out", default=None, metavar="PATH",
                         help="write the rendered report to PATH instead of "
                              "stdout")
@@ -292,41 +291,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint",
-        help="run the repro.staticcheck invariant rules (R001..R005)",
+        help="run the repro.staticcheck invariant rules (R001..R006)",
         description=(
             "Parse the target trees and enforce the repository's structural "
-            "invariants: hot-loop allocation discipline, determinism of "
-            "trace/seed/cache-key code, cache-key closure completeness, "
-            "pickle-boundary safety and registry wiring. Exits 0 when clean, "
-            "1 on findings, 2 on bad usage (unknown rule, unreadable "
-            "baseline, unparsable target)."
+            "invariants: R001 hot-loop allocation discipline, R002 "
+            "determinism of trace/seed/cache-key code, R003 cache-key "
+            "closure completeness, R004 pickle-boundary safety, R005 "
+            "registry wiring and R006 bounded retry loops with "
+            "deterministic backoff. Exits 0 when clean, 1 on findings, 2 "
+            "on bad usage (a missing target, a target with no *.py module, "
+            "an unparsable target)."
         ),
     )
     lint.add_argument(
         "paths", nargs="*", metavar="PATH",
         help="package directories or files to lint "
              "(default: the installed repro package)",
-    )
-    lint.add_argument(
-        "--rules", nargs="+", metavar="ID", default=None,
-        help="run only these rule IDs (default: all registered rules)",
-    )
-    lint.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit findings as stable-schema JSON instead of text",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="suppress findings recorded in this baseline file",
-    )
-    lint.add_argument(
-        "--write-baseline", default=None, metavar="PATH",
-        help="write the surviving findings to PATH as a baseline and exit 0 "
-             "(the adoption ratchet)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
     )
     lint.set_defaults(handler=_run_lint_command)
     return parser
@@ -689,7 +669,6 @@ def _run_bench_command(args: argparse.Namespace) -> int:
 def _run_report_command(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.registry import UnknownComponentError
     from repro.report import check_bundle, collect_bundle, format_check, render_bundle
 
     if args.check and not _require_positive("report", tolerance=args.tolerance):
@@ -739,14 +718,9 @@ def _run_report_command(args: argparse.Namespace) -> int:
         if args.out is None:
             return 0  # gate-only invocation: no rendered report to emit
 
-    try:
-        rendered = render_bundle(
-            bundle, args.fmt, tolerance=args.tolerance if args.check else None
-        )
-    except UnknownComponentError as error:
-        print(f"report: {error.args[0]}", file=sys.stderr)
-        return 2
-
+    rendered = render_bundle(
+        bundle, args.fmt, tolerance=args.tolerance if args.check else None
+    )
     if args.out is not None:
         try:
             Path(args.out).write_text(rendered, encoding="utf-8")
@@ -763,60 +737,21 @@ def _run_lint_command(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     import repro
-    from repro.registry import UnknownComponentError
-    from repro.staticcheck import (
-        LINT_SCHEMA_VERSION,
-        Baseline,
-        RULE_REGISTRY,
-        run_lint,
-    )
-
-    if args.list_rules:
-        for rule_id in RULE_REGISTRY.names():
-            print(f"{rule_id}  {RULE_REGISTRY.describe(rule_id)}")
-        return 0
+    from repro.staticcheck import run_lint
 
     paths = args.paths or [str(Path(repro.__file__).parent)]
-
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = Baseline.load(Path(args.baseline))
-        except (OSError, ValueError, json.JSONDecodeError) as error:
-            print(f"lint: cannot load baseline {args.baseline}: {error}",
-                  file=sys.stderr)
-            return 2
-
     try:
-        findings = run_lint(paths, rule_ids=args.rules, baseline=baseline)
-    except UnknownComponentError as error:
-        print(f"lint: {error.args[0]}", file=sys.stderr)
+        findings = run_lint(paths)
+    except ValueError as error:  # a missing or module-less target
+        print(f"lint: {error}", file=sys.stderr)
         return 2
     except (OSError, SyntaxError) as error:
         print(f"lint: cannot parse target: {error}", file=sys.stderr)
         return 2
 
-    if args.write_baseline is not None:
-        Baseline.dump(findings, Path(args.write_baseline))
-        print(f"wrote {len(findings)} suppression(s) to {args.write_baseline}")
-        return 0
-
-    if args.as_json:
-        payload = {
-            "schema": LINT_SCHEMA_VERSION,
-            "count": len(findings),
-            "findings": [finding.to_dict() for finding in findings],
-        }
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for finding in findings:
-            print(finding.render())
-        suppressed = f" ({len(baseline)} baselined)" if baseline else ""
-        if findings:
-            print(f"{len(findings)} finding(s){suppressed}")
-        else:
-            print(f"clean{suppressed}")
+    for finding in findings:
+        print(finding.render())
+    print(f"{len(findings)} finding(s)" if findings else "clean")
     return 1 if findings else 0
 
 

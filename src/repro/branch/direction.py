@@ -44,9 +44,6 @@ class _CounterTable:
         self.mask = entries - 1
         self.counters: List[int] = [initial] * entries
 
-    def value(self, index: int) -> int:
-        return self.counters[index & self.mask]
-
     def is_taken(self, index: int) -> bool:
         return self.counters[index & self.mask] >= 2
 

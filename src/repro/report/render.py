@@ -1,8 +1,7 @@
 """Report renderers: one :class:`ReportBundle`, several output formats.
 
-Renderers are pluggable the way every other extension point in the repo is:
-a :class:`~repro.registry.Registry` maps a format name to a callable
-``(bundle, tolerance) -> str``.  Two are built in —
+:data:`RENDERERS` maps each format name to a callable
+``(bundle, tolerance) -> str``:
 
 * ``html`` — a **self-contained** static page: inline CSS, inline SVG
   charts (:mod:`repro.report.svg`), zero scripts, zero external assets.
@@ -16,11 +15,9 @@ a :class:`~repro.registry.Registry` maps a format name to a callable
   (:func:`repro.analysis.reporting.markdown_table`), so CI can post the
   summary into a PR or job log.
 
-User code registers its own with ``@RENDERER_REGISTRY.register("name")``;
-``python -m repro report --format name`` picks it up immediately (see
-``docs/report.md``).  Rendering is deterministic for a given bundle — no
-timestamps, no randomness — which is what the golden-file snapshot tests
-pin.
+``python -m repro report --format`` takes its choices from that table.
+Rendering is deterministic for a given bundle — no timestamps, no
+randomness — which is what the golden-file snapshot tests pin.
 """
 
 from __future__ import annotations
@@ -29,24 +26,18 @@ from html import escape
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.reporting import markdown_table
-from repro.registry import Registry
+from repro.registry import unknown_name_error
 from repro.report.bundle import REPORT_SCHEMA_VERSION, ReportBundle
 from repro.report.check import check_bundle
 from repro.report.svg import bar_chart, line_chart
 from repro.perfbench import trajectory_backend_series
 
 __all__ = [
-    "RENDERER_REGISTRY",
+    "RENDERERS",
     "render_bundle",
     "render_html",
     "render_markdown",
-    "renderer_names",
 ]
-
-#: Format name -> renderer callable ``(bundle, tolerance) -> str``.
-RENDERER_REGISTRY = Registry("report renderer")
-
-Renderer = Callable[[ReportBundle, Optional[float]], str]
 
 #: Columns of the per-workload sweep tables (mirrors the CLI sweep output).
 _SWEEP_COLUMNS = ("design", "ipc", "speedup", "btb_mpki", "l1i_mpki", "area_mm2")
@@ -232,7 +223,6 @@ def _html_table(
     return "\n".join(lines)
 
 
-@RENDERER_REGISTRY.register("html")
 def render_html(bundle: ReportBundle, tolerance: Optional[float] = None) -> str:
     """Render the bundle as one self-contained static HTML page."""
     parts: List[str] = [
@@ -356,7 +346,6 @@ def render_html(bundle: ReportBundle, tolerance: Optional[float] = None) -> str:
 # Markdown renderer
 # --------------------------------------------------------------------------- #
 
-@RENDERER_REGISTRY.register("md")
 def render_markdown(bundle: ReportBundle, tolerance: Optional[float] = None) -> str:
     """Render the bundle as GitHub-flavored markdown (the CI summary)."""
     lines: List[str] = [f"# {bundle.title}", ""]
@@ -458,19 +447,22 @@ def render_markdown(bundle: ReportBundle, tolerance: Optional[float] = None) -> 
     return "\n".join(lines) + "\n"
 
 
-def renderer_names() -> List[str]:
-    """The registered report formats (``--format`` choices)."""
-    return RENDERER_REGISTRY.names()
+#: Format name -> renderer ``(bundle, tolerance) -> str``.
+RENDERERS: Dict[str, Callable[[ReportBundle, Optional[float]], str]] = {
+    "html": render_html,
+    "md": render_markdown,
+}
 
 
 def render_bundle(
     bundle: ReportBundle, fmt: str = "html", tolerance: Optional[float] = None
 ) -> str:
-    """Render ``bundle`` with the registered renderer named ``fmt``.
+    """Render ``bundle`` with the renderer named ``fmt``.
 
     Unknown format names raise
-    :class:`~repro.registry.UnknownComponentError` listing the catalog,
-    mirroring every other registry lookup in the repo.
+    :class:`~repro.registry.UnknownComponentError` listing the formats.
     """
-    renderer = RENDERER_REGISTRY.get(fmt)
-    return str(renderer(bundle, tolerance))
+    renderer = RENDERERS.get(fmt)
+    if renderer is None:
+        raise unknown_name_error("report format", fmt, RENDERERS)
+    return renderer(bundle, tolerance)

@@ -1,12 +1,12 @@
 """repro.staticcheck — AST-based invariant checker suite.
 
 The simulator's correctness rests on contracts no unit test can pin for
-every code path: the packed kernel allocates nothing in its steady state
-(PR 4), traces and cache keys are pure functions of their parameters
-(PR 3/5), mmap-backed buffers never cross pickle boundaries raw, and
-registered components are actually imported.  This package enforces those
-contracts at analysis time, over source, with a plugin rule registry that
-mirrors :mod:`repro.registry`:
+every code path: the packed kernel allocates nothing in its steady state,
+traces and cache keys are pure functions of their parameters, mmap-backed
+buffers never cross pickle boundaries raw, registered components are
+actually imported, and retries are bounded.
+This package enforces those contracts at analysis time, over source, with
+six rules in one fixed table (:data:`repro.staticcheck.rules.RULES`):
 
 =====  ===========================================================
 rule   invariant
@@ -16,56 +16,33 @@ R002   trace/seed/cache-key code is deterministic
 R003   tracked dataclass fields reach the cache-key closure
 R004   mmap buffers don't cross pickle boundaries unmaterialized
 R005   registering modules are imported by their package __init__
+R006   retry loops are bounded, with deterministic backoff
 =====  ===========================================================
 
-Run it as ``python -m repro lint`` (``--json`` for machine-readable
-output, ``--baseline`` to ratchet), or programmatically::
+Run it as ``python -m repro lint [PATH...]``, or programmatically::
 
     from repro.staticcheck import run_lint
     findings = run_lint(["src/repro"])
-
-Custom rules register like any other component::
-
-    from repro.staticcheck import RULE_REGISTRY
-
-    @RULE_REGISTRY.register("R101")
-    def check_my_invariant(package):
-        ...
 """
 
 from repro.staticcheck.markers import HOT_LOOP_ATTRIBUTE, hot_loop
 from repro.staticcheck.model import (
-    LINT_SCHEMA_VERSION,
-    Baseline,
     Finding,
     PackageGraph,
     ParsedModule,
     enclosing_symbol,
     parse_tree,
 )
-from repro.staticcheck.registry import (
-    RULE_REGISTRY,
-    LintRule,
-    RuleRegistry,
-    load_builtin_rules,
-)
-from repro.staticcheck.runner import parse_target, run_lint, run_rules
+from repro.staticcheck.runner import parse_target, run_lint
 
 __all__ = [
     "HOT_LOOP_ATTRIBUTE",
-    "LINT_SCHEMA_VERSION",
-    "Baseline",
     "Finding",
-    "LintRule",
     "PackageGraph",
     "ParsedModule",
-    "RULE_REGISTRY",
-    "RuleRegistry",
     "enclosing_symbol",
     "hot_loop",
-    "load_builtin_rules",
     "parse_target",
     "parse_tree",
     "run_lint",
-    "run_rules",
 ]

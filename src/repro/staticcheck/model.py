@@ -1,13 +1,10 @@
-"""Data model of the analyzer: parsed modules, findings, baselines.
+"""Data model of the analyzer: parsed modules and findings.
 
 A lint run parses every module of the target tree once into a
 :class:`ParsedModule` (source, AST, inline-suppression map) and hands the
 whole :class:`PackageGraph` to each rule — cross-module rules (cache-key
 closure, registry wiring) need the global view, single-module rules just
-iterate.  Findings are plain data so the CLI can render them as text or
-JSON, and a :class:`Baseline` suppresses known findings by a line-number-
-independent fingerprint (rule, path, enclosing symbol, message), so
-unrelated edits never resurrect a suppressed finding.
+iterate.  Findings are plain data the CLI renders one per line.
 """
 
 from __future__ import annotations
@@ -15,19 +12,14 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
-import json
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 #: Inline suppression comments: ``# staticcheck: allow[R001]`` (or a
 #: comma-separated list) on the offending line waives those rules there.
 _ALLOW_PREFIX = "staticcheck: allow["
-
-#: Schema version of ``--json`` output and baseline files; bump on layout
-#: changes so stale baselines fail loudly instead of silently matching.
-LINT_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -39,19 +31,6 @@ class Finding:
     line: int
     symbol: str
     message: str
-
-    def fingerprint(self) -> Tuple[str, str, str, str]:
-        """Line-number-independent identity used by baseline suppression."""
-        return (self.rule, self.path, self.symbol, self.message)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "symbol": self.symbol,
-            "message": self.message,
-        }
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} [{self.symbol}] {self.message}"
@@ -82,7 +61,7 @@ class ParsedModule:
 
     path: Path
     #: Path relative to the scan root, with ``/`` separators (stable in
-    #: findings and baselines across platforms and checkouts).
+    #: findings across platforms and checkouts).
     relpath: str
     #: Dotted module name relative to the scan root (``repro.core.frontend``
     #: when scanning ``src/repro``; fixture trees get fixture-local names).
@@ -195,61 +174,3 @@ def parse_tree(root: Path, *, module_prefix: str = "") -> PackageGraph:
             )
         )
     return PackageGraph(root=root, modules=modules)
-
-
-class Baseline:
-    """Known-finding suppression file (the ratchet for adopting new rules).
-
-    The file is JSON: ``{"schema": 1, "suppressions": [finding dicts]}``.
-    Matching is by :meth:`Finding.fingerprint` — line numbers are recorded
-    for humans but never matched, so moving code does not resurrect
-    suppressed findings.
-    """
-
-    def __init__(self, entries: Iterable[Finding] = ()) -> None:
-        self._entries: Set[Tuple[str, str, str, str]] = {
-            entry.fingerprint() for entry in entries
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def suppresses(self, finding: Finding) -> bool:
-        return finding.fingerprint() in self._entries
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if (
-            not isinstance(payload, dict)
-            or payload.get("schema") != LINT_SCHEMA_VERSION
-            or not isinstance(payload.get("suppressions"), list)
-        ):
-            raise ValueError(
-                f"not a staticcheck baseline (schema {LINT_SCHEMA_VERSION}): {path}"
-            )
-        entries = []
-        for raw in payload["suppressions"]:
-            if not isinstance(raw, dict):
-                raise ValueError(f"malformed baseline entry in {path}: {raw!r}")
-            entries.append(
-                Finding(
-                    rule=str(raw.get("rule", "")),
-                    path=str(raw.get("path", "")),
-                    line=int(raw.get("line", 0)),
-                    symbol=str(raw.get("symbol", "")),
-                    message=str(raw.get("message", "")),
-                )
-            )
-        return cls(entries)
-
-    @staticmethod
-    def dump(findings: Iterable[Finding], path: Path) -> None:
-        payload = {
-            "schema": LINT_SCHEMA_VERSION,
-            "suppressions": [finding.to_dict() for finding in findings],
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")

@@ -45,7 +45,6 @@ from repro.staticcheck.model import (
     ParsedModule,
     enclosing_symbol,
 )
-from repro.staticcheck.registry import RULE_REGISTRY
 
 RULE_ID = "R001"
 
@@ -123,7 +122,6 @@ def _check_region(
         )
 
 
-@RULE_REGISTRY.register(RULE_ID)
 def check_hot_loop_allocations(package: PackageGraph) -> Iterator[Finding]:
     """@hot_loop functions must not allocate in their steady state."""
     for module in package:

@@ -36,7 +36,6 @@ from repro.staticcheck.model import (
     ParsedModule,
     enclosing_symbol,
 )
-from repro.staticcheck.registry import RULE_REGISTRY
 
 RULE_ID = "R002"
 
@@ -130,7 +129,6 @@ def _violation(node: ast.AST, parent_sorted: bool) -> Optional[Tuple[str, ast.AS
     return None
 
 
-@RULE_REGISTRY.register(RULE_ID)
 def check_determinism(package: PackageGraph) -> Iterator[Finding]:
     """Trace/seed/cache-key code must be a pure function of its inputs."""
     for module in package:

@@ -33,7 +33,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.staticcheck.astutil import call_name, last_attr
 from repro.staticcheck.model import Finding, PackageGraph, ParsedModule
-from repro.staticcheck.registry import RULE_REGISTRY
 
 RULE_ID = "R003"
 
@@ -159,7 +158,6 @@ def _own_surface(
     return _expand_surface(module, methods)
 
 
-@RULE_REGISTRY.register(RULE_ID)
 def check_cache_key_closure(package: PackageGraph) -> Iterator[Finding]:
     """Every tracked dataclass field must reach the cache-key closure."""
     # The package-wide closure builders (``cell_key`` + helpers), pooled.

@@ -35,7 +35,6 @@ from repro.staticcheck.model import (
     PackageGraph,
     enclosing_symbol,
 )
-from repro.staticcheck.registry import RULE_REGISTRY
 
 RULE_ID = "R004"
 
@@ -131,7 +130,6 @@ def _taint_names(func: ast.FunctionDef, safe: Set[str], unsafe: Set[str]) -> Set
     return tainted
 
 
-@RULE_REGISTRY.register(RULE_ID)
 def check_pickle_boundary(package: PackageGraph) -> Iterator[Finding]:
     """mmap-backed buffers must not cross a process-pool pickle boundary."""
     safe, unsafe = _classify_classes(package)

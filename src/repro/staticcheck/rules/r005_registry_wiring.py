@@ -1,13 +1,12 @@
 """R005 — registry wiring: registered components must be imported.
 
 Components self-register at import time (``@BTB_REGISTRY.register(...)``,
-``@PREFETCHER_REGISTRY.register(...)`` — and this package's own
-``@RULE_REGISTRY.register``).  The contract that makes "registration" mean
-"availability" is that each package's ``__init__`` imports every module
-that registers something; a module left out of the ``__init__`` defines a
-component that exists on disk but never appears in the registry, and the
-failure mode is an unknown-name error naming a component that is plainly
-right there in the source tree.
+``@PREFETCHER_REGISTRY.register(...)``).  The contract that makes
+"registration" mean "availability" is that each package's ``__init__``
+imports every module that registers something; a module left out of the
+``__init__`` defines a component that exists on disk but never appears in
+the registry, and the failure mode is an unknown-name error naming a
+component that is plainly right there in the source tree.
 
 The rule flags any module containing a registration decorator — a
 ``*_REGISTRY.register`` attribute or a bare ``register_*`` name — whose
@@ -23,7 +22,6 @@ from typing import Iterator, Set
 
 from repro.staticcheck.astutil import decorator_names
 from repro.staticcheck.model import Finding, PackageGraph, ParsedModule
-from repro.staticcheck.registry import RULE_REGISTRY
 
 RULE_ID = "R005"
 
@@ -81,7 +79,6 @@ def _imported_modules(init: ParsedModule) -> Set[str]:
     return imported
 
 
-@RULE_REGISTRY.register(RULE_ID)
 def check_registry_wiring(package: PackageGraph) -> Iterator[Finding]:
     """Modules registering components must be imported by their package."""
     for module in package:

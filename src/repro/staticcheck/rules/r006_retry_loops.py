@@ -37,7 +37,6 @@ from repro.staticcheck.model import (
     ParsedModule,
     enclosing_symbol,
 )
-from repro.staticcheck.registry import RULE_REGISTRY
 
 RULE_ID = "R006"
 
@@ -94,7 +93,6 @@ def _jittered_argument(sleep: ast.Call) -> Optional[str]:
     return None
 
 
-@RULE_REGISTRY.register(RULE_ID)
 def check_retry_loops(package: PackageGraph) -> Iterator[Finding]:
     """Retry loops must be bounded and back off deterministically."""
     for module in package:

@@ -1,12 +1,11 @@
-"""Lint driver: parse targets, run rules, apply baseline suppression."""
+"""Lint runner: parse targets, run every rule over them."""
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Union
 
-from repro.staticcheck.model import Baseline, Finding, PackageGraph, parse_tree
-from repro.staticcheck.registry import RULE_REGISTRY
+from repro.staticcheck.model import Finding, PackageGraph, parse_tree
 
 
 def parse_target(path: Union[str, Path]) -> PackageGraph:
@@ -15,43 +14,36 @@ def parse_target(path: Union[str, Path]) -> PackageGraph:
     A directory containing an ``__init__.py`` is scanned as a package: its
     directory name seeds the dotted module names (``src/repro`` lints as
     ``repro.*``), which is what lets the wiring and scope rules see the
-    same names imports use.
+    same names imports use.  A target that does not exist, or holds no
+    ``*.py`` module, raises :class:`ValueError`: linting nothing must not
+    read as a clean tree.
     """
     root = Path(path).resolve()
+    if not root.exists():
+        raise ValueError(f"no such file or directory: {path}")
     prefix = ""
     if root.is_dir() and (root / "__init__.py").exists():
         prefix = root.name
-    return parse_tree(root, module_prefix=prefix)
+    package = parse_tree(root, module_prefix=prefix)
+    if not package.modules:
+        raise ValueError(f"no *.py module under {path}")
+    return package
 
 
-def run_rules(
-    package: PackageGraph, rule_ids: Optional[Sequence[str]] = None
-) -> List[Finding]:
-    """Run the selected rules (default: all registered) over one target."""
-    if rule_ids is None:
-        rule_ids = RULE_REGISTRY.names()
-    findings: List[Finding] = []
-    for rule_id in rule_ids:
-        findings.extend(RULE_REGISTRY.get(rule_id)(package))
-    return findings
+def run_lint(paths: Iterable[Union[str, Path]]) -> List[Finding]:
+    """Run every rule over every target and return the findings, sorted.
 
-
-def run_lint(
-    paths: Iterable[Union[str, Path]],
-    *,
-    rule_ids: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
-) -> List[Finding]:
-    """Lint every target and return the surviving findings, sorted.
-
-    ``baseline`` suppresses known findings by fingerprint; sorting is by
-    (path, line, rule) so output and ``--json`` payloads are stable across
-    runs and platforms.
+    Sorting is by (path, line, rule, message), so output is stable across
+    runs and platforms.  The rule table is imported here, not at module
+    level: ``import repro`` loads this package for ``@hot_loop`` and must
+    not load the rules with it.
     """
+    from repro.staticcheck.rules import RULES
+
+    packages = [parse_target(path) for path in paths]
     findings: List[Finding] = []
-    for path in paths:
-        findings.extend(run_rules(parse_target(path), rule_ids))
-    if baseline is not None:
-        findings = [f for f in findings if not baseline.suppresses(f)]
+    for package in packages:
+        for rule in RULES:
+            findings.extend(rule(package))
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     return findings

@@ -89,7 +89,7 @@ from typing import (
 )
 
 from repro.core.cmp import ChipMultiprocessor, CMPResult
-from repro.core.designs import DesignSpec, resolve_design
+from repro.core.designs import DesignSpec, design_from_spec, resolve_design
 from repro.core.frontend import FrontendConfig
 from repro.faultinject import injection_point
 from repro.registry import (
@@ -1191,6 +1191,40 @@ def _run_pending_pooled(
             _terminate_pool(pool)
 
 
+def _build_pending_specs(
+    cells: Sequence[SweepCell], pending: Sequence[int]
+) -> None:
+    """Build each distinct spec of the pending cells once, then drop it.
+
+    A spec whose components cannot be built (a bad parameter) would
+    otherwise fail each of its cells through the whole retry budget; here
+    it fails once, before any cell simulates, as a :class:`ValueError`
+    naming the design.  Each build uses the first core's program of the
+    first pending cell with that spec, from the program memo the cell
+    reads anyway, and touches no CMP memo and no trace.
+    """
+    built: List[DesignSpec] = []
+    for index in pending:
+        cell = cells[index]
+        if cell.spec in built:
+            continue
+        built.append(cell.spec)
+        profile = (
+            cell.profile.assignments[0].profile
+            if isinstance(cell.profile, BoundScenario) else cell.profile
+        )
+        program = workload_program(profile)
+        try:
+            design_from_spec(
+                cell.spec, program, frontend_config=cell.frontend_config
+            )
+        except Exception as error:  # any component's own validation error
+            raise ValueError(
+                f"design {cell.spec.name!r} cannot be built: "
+                f"{type(error).__name__}: {error}"
+            ) from error
+
+
 def _coerce_journal(
     journal: Union[None, bool, str, Path, RunJournal],
     keys: Sequence[str],
@@ -1246,7 +1280,8 @@ def run_cells(
     into the cache, so only the missing cells simulate.  A cell that fails
     past its retry budget raises :class:`CellExecutionError` naming the
     cell; cells already completed keep their cache/journal entries, so the
-    rerun resumes.  Returns the summaries in cell order plus the
+    rerun resumes.  A design that cannot be built raises
+    :class:`ValueError` before any cell simulates.  Returns the summaries in cell order plus the
     :class:`SweepStats` of this run.
     """
     if workers is not None and workers <= 0:
@@ -1284,6 +1319,7 @@ def run_cells(
         pending.append(index)
     if store is not None:
         stats.quarantined += store.quarantined - cache_quarantined_before
+    _build_pending_specs(cells, pending)
 
     def complete(index: int, outcome: _CellOutcome) -> None:
         """Stream one fresh simulation into stats, cache and journal."""

@@ -1,27 +1,22 @@
 """Tests for the repro.staticcheck invariant analyzer.
 
 Three layers: the rules fire on the seeded fixtures (and only there), the
-infrastructure (registry, baseline, inline allows, markers) behaves, and —
-the one that matters — the real package lints clean, which is the
-machine-checked statement of the hot-loop/determinism/cache-key contracts.
+infrastructure (rule table, inline allows, markers) behaves, and — the one
+that matters — the real package lints clean, which is the machine-checked
+statement of the hot-loop/determinism/cache-key contracts.
 """
 
 from __future__ import annotations
 
+import importlib
+import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
-from repro.registry import UnknownComponentError
-from repro.staticcheck import (
-    RULE_REGISTRY,
-    Baseline,
-    Finding,
-    hot_loop,
-    parse_target,
-    run_lint,
-    run_rules,
-)
+from repro.staticcheck import hot_loop, run_lint
 from repro.staticcheck.markers import HOT_LOOP_ATTRIBUTE
 
 from pathlib import Path
@@ -30,10 +25,10 @@ FIXTURES = Path(__file__).resolve().parent / "staticcheck_fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
-def lint_source(tmp_path, source, name="module.py", rule_ids=None):
+def lint_source(tmp_path, source, name="module.py"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return run_lint([path], rule_ids=rule_ids)
+    return run_lint([path])
 
 
 class TestRepositoryIsClean:
@@ -87,8 +82,6 @@ class TestFixturesTrigger:
             findings, key=lambda f: (f.path, f.line, f.rule, f.message)
         )
         for finding in findings:
-            payload = finding.to_dict()
-            assert set(payload) == {"rule", "path", "line", "symbol", "message"}
             assert finding.render().startswith(f"{finding.path}:{finding.line}:")
 
 
@@ -395,70 +388,39 @@ class TestSuppression:
         )
         assert quiet == []
 
-    def test_baseline_round_trip(self, tmp_path):
-        findings = lint_source(tmp_path, self.VIOLATION.format(allow=""))
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.dump(findings, baseline_path)
-        baseline = Baseline.load(baseline_path)
-        assert len(baseline) == 1
-        assert all(baseline.suppresses(f) for f in findings)
-        path = tmp_path / "module.py"
-        assert run_lint([path], baseline=baseline) == []
-
-    def test_baseline_is_line_number_independent(self, tmp_path):
-        findings = lint_source(tmp_path, self.VIOLATION.format(allow=""))
-        baseline = Baseline(findings)
-        moved = Finding(
-            rule=findings[0].rule,
-            path=findings[0].path,
-            line=findings[0].line + 40,
-            symbol=findings[0].symbol,
-            message=findings[0].message,
-        )
-        assert baseline.suppresses(moved)
-
-    def test_baseline_rejects_foreign_json(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"not": "a baseline"}', encoding="utf-8")
-        with pytest.raises(ValueError, match="not a staticcheck baseline"):
-            Baseline.load(path)
-
 
 class TestRegistry:
     def test_rule_catalog(self):
-        assert RULE_REGISTRY.names() == [
-            "R001", "R002", "R003", "R004", "R005", "R006",
-        ]
-        for rule_id in RULE_REGISTRY.names():
-            assert RULE_REGISTRY.describe(rule_id)
+        from repro.staticcheck.rules import RULES
 
-    def test_custom_rule_registers_and_runs(self, tmp_path):
-        @RULE_REGISTRY.register("R901")
-        def check_everything_is_fine(package):
-            for module in package:
-                yield Finding(
-                    rule="R901",
-                    path=module.relpath,
-                    line=1,
-                    symbol="<module>",
-                    message="custom rule fired",
-                )
+        ids = [importlib.import_module(rule.__module__).RULE_ID for rule in RULES]
+        assert ids == ["R001", "R002", "R003", "R004", "R005", "R006"]
+        for rule in RULES:
+            assert (rule.__doc__ or "").strip(), rule.__name__
 
-        try:
-            (tmp_path / "mod.py").write_text("x = 1\n", encoding="utf-8")
-            findings = run_rules(parse_target(tmp_path), ["R901"])
-            assert [f.rule for f in findings] == ["R901"]
-        finally:
-            RULE_REGISTRY.unregister("R901")
-        assert "R901" not in RULE_REGISTRY
+    def test_missing_or_empty_target_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="no such file or directory"):
+            run_lint([tmp_path / "absent"])
+        (tmp_path / "notes.txt").write_text("not python\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="no \\*\\.py module"):
+            run_lint([tmp_path])
 
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ValueError, match="already registered"):
-            RULE_REGISTRY.register("R001", lambda package: iter(()))
-
-    def test_unknown_rule_raises_with_suggestions(self):
-        with pytest.raises(UnknownComponentError, match="R001"):
-            RULE_REGISTRY.get("R999")
+    def test_import_repro_loads_no_rule_module(self):
+        # ``import repro`` loads this package for ``@hot_loop``; the rules
+        # (and the report renderers) load only when something uses them.
+        probe = (
+            "import sys, repro; print(sorted(m for m in sys.modules "
+            "if m.startswith(('repro.staticcheck.rules', 'repro.report'))))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], check=True, capture_output=True,
+            text=True, env=env,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestMarkers:

@@ -507,6 +507,72 @@ class TestSweepValidation:
             run_cells([_cell()], workers=0)
 
 
+class TestDesignPreBuild:
+    """Each distinct spec of the pending cells is built once, up front."""
+
+    def test_unbuildable_design_fails_once_before_any_cell(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.cmp import ChipMultiprocessor
+        from repro.prefetch.fdp import FetchDirectedPrefetcher
+
+        fdp_builds, cells_run = [], []
+        fdp_init = FetchDirectedPrefetcher.__init__
+        run_design = ChipMultiprocessor.run_design
+
+        def counting_init(self, *args, **kwargs):
+            fdp_builds.append(kwargs)
+            fdp_init(self, *args, **kwargs)
+
+        def counting_run(self, design):
+            cells_run.append(design)
+            return run_design(self, design)
+
+        monkeypatch.setattr(FetchDirectedPrefetcher, "__init__", counting_init)
+        monkeypatch.setattr(ChipMultiprocessor, "run_design", counting_run)
+        bad = resolve_design("fdp").derive(
+            "fdp_float", prefetcher_params={"queue_depth_basic_blocks": 6.0}
+        )
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(
+            ValueError, match="design 'fdp_float' cannot be built: ValueError: "
+        ) as error:
+            run_sweep(PROFILES, ["baseline", bad], scale=0.05, cores=1,
+                      instructions_per_core=2_000, cache=cache_dir)
+        assert isinstance(error.value.__cause__, ValueError)
+        # At the retry policy's default budget each cell used to build the
+        # bad prefetcher three times after the good cells had simulated.
+        assert len(fdp_builds) == 1
+        assert cells_run == []
+        assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+    def test_warm_rerun_builds_no_design(self, tmp_path, monkeypatch):
+        import repro.core.cmp as cmp_module
+
+        builds = []
+        for module in (sweep_module, cmp_module):
+            original = module.design_from_spec
+
+            def counting(spec, *args, _original=original, **kwargs):
+                builds.append(spec.name)
+                return _original(spec, *args, **kwargs)
+
+            monkeypatch.setattr(module, "design_from_spec", counting)
+        cache = ResultCache(tmp_path / "cache")
+        cold = run_sweep(["oltp_db2"], DESIGNS, cache=cache, **GRID_KW)
+        # One pre-build per design, then one build per core of every cell.
+        assert builds.count("baseline") == 1 + GRID_KW["cores"]
+        builds.clear()
+        clear_workload_memo()
+        synthesized = []
+        monkeypatch.setattr(sweep_module, "workload_program",
+                            lambda profile: synthesized.append(profile))
+        warm = run_sweep(["oltp_db2"], DESIGNS, cache=cache, **GRID_KW)
+        assert warm.stats.cache_hits == len(DESIGNS)
+        assert builds == [] and synthesized == []
+        assert warm.summaries == cold.summaries
+
+
 class TestSweepParityAndCache:
     """The PR's acceptance criterion: parallel == serial, warm rerun == free."""
 
