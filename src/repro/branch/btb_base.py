@@ -18,19 +18,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.isa.instruction import BranchKind
-from repro.isa.predecode import PredecodedBlock
+from repro.isa.predecode import BTBEntry as BTBEntry, PredecodedBlock
 
 if TYPE_CHECKING:  # import cycle guard: unit.py imports this module
     from repro.branch.unit import PredictionSlot
-
-
-@dataclass(frozen=True)
-class BTBEntry:
-    """One branch target buffer entry."""
-
-    branch_pc: int
-    kind: Optional[BranchKind]
-    target: Optional[int]
 
 
 @dataclass(frozen=True)

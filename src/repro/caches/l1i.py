@@ -16,6 +16,9 @@ from typing import List, Optional, Protocol
 from repro.caches.sram import CacheStats, SetAssociativeCache
 from repro.isa.instruction import BLOCK_SIZE_BYTES, block_address
 
+#: :func:`block_address` as a mask, for the per-region probes.
+_BLOCK_MASK = ~(BLOCK_SIZE_BYTES - 1)
+
 
 @dataclass(frozen=True)
 class L1IConfig:
@@ -88,7 +91,7 @@ class InstructionCache:
 
     def contains(self, address: int) -> bool:
         """Presence check (no LRU update, no statistics)."""
-        return self._cache.contains(block_address(address))
+        return self._cache.contains(address & _BLOCK_MASK)
 
     def access(self, address: int) -> bool:
         """Demand access to the block containing ``address``.
@@ -97,7 +100,7 @@ class InstructionCache:
         the caller decides when the block arrives (see :meth:`fill`), which
         lets the frontend model fill latency and prefetch timeliness.
         """
-        hit, _ = self._cache.access(block_address(address))
+        hit, _ = self._cache.access(address & _BLOCK_MASK)
         return hit
 
     def fill(self, address: int, demand: bool = True) -> Optional[int]:

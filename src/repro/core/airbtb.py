@@ -26,18 +26,35 @@ ablation uses to isolate where AirBTB's coverage advantage comes from:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry
 from repro.caches.sram import SetAssociativeCache
 from repro.isa.block import InstructionBlock
-from repro.isa.instruction import BranchKind, block_address, block_offset
+from repro.isa.instruction import (
+    BLOCK_SIZE_BYTES,
+    INSTRUCTION_SIZE_BYTES,
+    INSTRUCTIONS_PER_BLOCK,
+    BranchKind,
+    block_address,
+    block_offset,
+)
 from repro.isa.predecode import PredecodedBlock, Predecoder
-from repro.registry import BTB_REGISTRY, BuildContext
+from repro.registry import BTB_REGISTRY, BuildContext, check_count
+from repro.staticcheck.markers import hot_loop
+
+if TYPE_CHECKING:  # import cycle guard: unit.py imports btb_base
+    from repro.branch.unit import PredictionSlot
 
 #: A callback that returns the instruction block at a given block address
 #: (normally ``ProgramImage.block_at``); AirBTB predecodes through it.
 BlockProvider = Callable[[int], Optional[InstructionBlock]]
+
+#: ``block_address`` and ``block_offset`` as bit operations, for the per-region
+#: ``lookup_into`` and ``update``.
+_BLOCK_MASK = ~(BLOCK_SIZE_BYTES - 1)
+_SLOT_SHIFT = INSTRUCTION_SIZE_BYTES.bit_length() - 1
+_SLOT_MASK = INSTRUCTIONS_PER_BLOCK - 1
 
 
 @dataclass(frozen=True)
@@ -52,12 +69,13 @@ class AirBTBConfig:
     insertion_policy: str = "eager"  # "eager" or "demand"
 
     def __post_init__(self) -> None:
+        for name in ("bundles", "ways", "branch_entries_per_bundle", "latency_cycles"):
+            check_count(name, getattr(self, name), 1)
+        check_count("overflow_entries", self.overflow_entries, 0)
         if self.insertion_policy not in ("eager", "demand"):
             raise ValueError("insertion_policy must be 'eager' or 'demand'")
         if self.bundles % self.ways:
             raise ValueError("bundle count must be divisible by associativity")
-        if self.branch_entries_per_bundle <= 0:
-            raise ValueError("bundles need at least one branch entry")
 
     @property
     def storage_kb(self) -> float:
@@ -147,6 +165,32 @@ class AirBTB(BaseBTB):
         self.stats.record(False, taken)
         return BTBLookupResult(False, None, 0, "miss")
 
+    @hot_loop
+    def lookup_into(
+        self, slot: "PredictionSlot", branch_pc: int, taken: bool = True
+    ) -> None:
+        """:meth:`lookup` mirrored into a reusable slot (no result object)."""
+        offset = (branch_pc >> _SLOT_SHIFT) & _SLOT_MASK
+        hit, bundle = self._bundles.access(branch_pc & _BLOCK_MASK)
+        if hit and bundle is not None and (bundle.bitmap >> offset) & 1:
+            entry = bundle.entries.get(offset)
+            if entry is not None:
+                self.stats.record(True, taken)
+                slot.set_btb(True, entry.target, self.config.latency_cycles, "l1")
+                return
+            if self._overflow is not None:
+                overflow_hit, overflow_entry = self._overflow.access(branch_pc)
+                if overflow_hit:
+                    self.stats.record(True, taken)
+                    slot.set_btb(
+                        True,
+                        overflow_entry.target if overflow_entry is not None else None,
+                        self.config.latency_cycles, "overflow",
+                    )
+                    return
+        self.stats.record(False, taken)
+        slot.set_btb(False, None, 0, "miss")
+
     def peek_hit(self, branch_pc: int) -> bool:
         block = block_address(branch_pc)
         offset = block_offset(branch_pc)
@@ -170,9 +214,13 @@ class AirBTB(BaseBTB):
         if not allocates_entry(kind, taken):
             return
         self.stats.insertions += 1
-        block = block_address(branch_pc)
+        block = branch_pc & _BLOCK_MASK
         bundle = self._bundles.peek(block)
-        if bundle is None:
+        if bundle is not None:
+            held = bundle.entries.get((branch_pc >> _SLOT_SHIFT) & _SLOT_MASK)
+            if held is not None and held.kind is kind and held.target == target:
+                return  # the bundle already holds this very entry
+        else:
             if self.synchronized:
                 # Content is mirrored from the L1-I; a missing bundle means the
                 # block is not resident, so nothing is allocated here.
@@ -215,7 +263,6 @@ class AirBTB(BaseBTB):
 
     def _drop_overflow_entries(self, bundle: _Bundle) -> None:
         """Remove this block's spilled entries from the overflow buffer."""
-        capacity = self.config.branch_entries_per_bundle
         bitmap = bundle.bitmap
         if self._overflow is None:
             return
@@ -234,19 +281,26 @@ class AirBTB(BaseBTB):
         return self._install_predecoded(predecoded)
 
     def _install_predecoded(self, predecoded: PredecodedBlock) -> _Bundle:
+        """Install a block's bundle; its descriptors are the entries.
+
+        A block holds one branch per slot, so the first
+        ``branch_entries_per_bundle`` descriptors fill a new bundle and the
+        rest spill to the overflow buffer, in offset order.
+        """
         block_addr = predecoded.block_address
         existing = self._bundles.peek(block_addr)
         if existing is not None:
             self._bundles.touch(block_addr)
             return existing
         bundle = _Bundle(block_addr, bitmap=predecoded.bitmap)
+        entries = bundle.entries
+        capacity = self.config.branch_entries_per_bundle
         for descriptor in predecoded.branches:
-            entry = BTBEntry(
-                branch_pc=block_addr + descriptor.offset * 4,
-                kind=descriptor.kind,
-                target=descriptor.target,
-            )
-            self._place_entry(bundle, descriptor.offset, entry)
+            if len(entries) < capacity:
+                entries[descriptor.offset] = descriptor
+            elif self._overflow is not None:
+                self._overflow.insert(descriptor.branch_pc, descriptor)
+                self.overflow_insertions += 1
         self._install_bundle(bundle)
         return bundle
 

@@ -5,7 +5,8 @@ the branch kind and the PC-relative displacement of each branch.  The scan
 takes a few cycles but stays off the critical path when the block arrives
 ahead of demand (Section 3.2).  This module models that scan and produces the
 exact metadata AirBTB stores: per-branch (offset, kind, target) descriptors
-plus the 16-bit branch bitmap of the block.
+plus the 16-bit branch bitmap of the block.  A descriptor *is* the entry
+AirBTB installs, so a predecoded block is installed without a copy.
 """
 
 from __future__ import annotations
@@ -18,12 +19,23 @@ from repro.isa.instruction import BranchKind, INSTRUCTIONS_PER_BLOCK
 
 
 @dataclass(frozen=True)
-class BranchDescriptor:
+class BTBEntry:
+    """One branch target buffer entry.
+
+    Defined beside the predecoder, whose descriptors are entries too; BTB
+    code imports it from :mod:`repro.branch.btb_base`.
+    """
+
+    branch_pc: int
+    kind: Optional[BranchKind]
+    target: Optional[int]
+
+
+@dataclass(frozen=True)
+class BranchDescriptor(BTBEntry):
     """Predecoded metadata for one branch instruction inside a block."""
 
     offset: int
-    kind: BranchKind
-    target: Optional[int]
 
     def __post_init__(self) -> None:
         if not 0 <= self.offset < INSTRUCTIONS_PER_BLOCK:
@@ -75,9 +87,10 @@ class Predecoder:
             bitmap |= 1 << offset
             descriptors.append(
                 BranchDescriptor(
-                    offset=offset,
+                    branch_pc=instruction.address,
                     kind=instruction.kind,
                     target=instruction.target,
+                    offset=offset,
                 )
             )
         self.blocks_scanned += 1

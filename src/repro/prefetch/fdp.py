@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set
 
 from repro.isa.instruction import BLOCK_SIZE_BYTES, BranchKind
 from repro.prefetch.base import InstructionPrefetcher, PrefetchContext
-from repro.registry import PREFETCHER_REGISTRY, BuildContext
+from repro.registry import PREFETCHER_REGISTRY, BuildContext, check_count
 from repro.staticcheck.markers import hot_loop
 from repro.workloads.packed import NO_VALUE, PackedTrace
 
@@ -52,8 +52,7 @@ class FetchDirectedPrefetcher(InstructionPrefetcher):
     def __init__(self, queue_depth_basic_blocks: int = 6) -> None:
         super().__init__()
         depth = queue_depth_basic_blocks
-        if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
-            raise ValueError(f"fetch queue depth must be an int >= 1, got {depth!r}")
+        check_count("fetch queue depth", depth, 1)
         self.queue_depth = depth
         # The branch prediction unit produces one fetch region per cycle, so
         # the prefetcher can run at most one cycle per queued basic block

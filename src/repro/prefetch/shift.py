@@ -25,7 +25,8 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.caches.llc import SharedLLC
 from repro.isa.instruction import BLOCK_SIZE_BYTES
 from repro.prefetch.base import InstructionPrefetcher, PrefetchContext
-from repro.registry import PREFETCHER_REGISTRY, BuildContext
+from repro.registry import PREFETCHER_REGISTRY, BuildContext, check_count
+from repro.staticcheck.markers import hot_loop
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,11 @@ class ShiftConfig:
     index_entries: int = 96 * 1024
     read_ahead_degree: int = 24
     divergence_threshold: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("history_entries", "index_entries", "read_ahead_degree"):
+            check_count(name, getattr(self, name), 1)
+        check_count("divergence_threshold", self.divergence_threshold, 0)
 
     # NOTE: the paper sizes the history at 32K entries, which is "sufficient
     # to capture the instruction working set of the server workloads
@@ -86,8 +92,9 @@ class ShiftHistory:
         if llc is not None:
             blocks = int(self.config.history_storage_kb * 1024 / BLOCK_SIZE_BYTES) + 1
             llc.reserve_region(self._region_name, blocks)
-        capacity = self.config.history_entries
-        self._buffer: List[int] = [0] * capacity
+        #: History length in entries (``config.history_entries``).
+        self.capacity = self.config.history_entries
+        self._buffer: List[int] = [0] * self.capacity
         self._valid = 0  # number of entries written so far (saturates at capacity)
         self._head = 0  # next write position
         self._index: Dict[int, int] = {}
@@ -95,25 +102,22 @@ class ShiftHistory:
         self.index_hits = 0
         self.index_lookups = 0
 
-    @property
-    def capacity(self) -> int:
-        return self.config.history_entries
-
+    @hot_loop
     def record(self, block_addr: int) -> None:
         """Append one L1-I block access to the shared history."""
         position = self._head
+        capacity = self.capacity
+        index = self._index
         overwritten = self._buffer[position]
         self._buffer[position] = block_addr
-        self._index[block_addr] = position
-        # Drop the index entry of the overwritten slot if it still points here.
-        if (
-            self._valid == self.capacity
-            and overwritten != block_addr
-            and self._index.get(overwritten) == position
-        ):
-            del self._index[overwritten]
-        self._head = (position + 1) % self.capacity
-        self._valid = min(self._valid + 1, self.capacity)
+        index[block_addr] = position
+        if self._valid < capacity:
+            self._valid += 1
+        elif overwritten != block_addr and index.get(overwritten) == position:
+            # The overwritten slot's index entry still points here: drop it.
+            del index[overwritten]
+        position += 1
+        self._head = position if position < capacity else 0
         self.records += 1
         if self.llc is not None and self.records % (BLOCK_SIZE_BYTES // 8) == 0:
             # Histories are spilled to their LLC region a block at a time.
@@ -203,8 +207,10 @@ class ShiftPrefetcher(InstructionPrefetcher):
         # block, whose successors are the blocks about to be needed.
         if context.demand_miss_block is not None:
             self._on_demand_miss(context.demand_miss_block, targets)
+        stream = self._stream
         for block in context.region_blocks():
-            self._confirm(block, targets)
+            if stream is not None and block in stream.pending:
+                self._confirm(stream, block, targets)
             if self.record_history and block != self._last_recorded_block:
                 self.history.record(block)
                 self._last_recorded_block = block
@@ -238,11 +244,8 @@ class ShiftPrefetcher(InstructionPrefetcher):
         self.streams_started += 1
         targets.extend(pending)
 
-    def _confirm(self, block: int, targets: List[int]) -> None:
-        """Demanded blocks that match the stream keep its lookahead topped up."""
-        stream = self._stream
-        if stream is None or block not in stream.pending:
-            return
+    def _confirm(self, stream: _ActiveStream, block: int, targets: List[int]) -> None:
+        """A demanded ``block`` of ``stream.pending`` tops the lookahead up."""
         stream.pending.remove(block)
         stream.confirmations += 1
         self.stream_confirmations += 1

@@ -26,7 +26,7 @@ simulator wiring can pick it up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.caches.l1i import InstructionCache
@@ -75,6 +75,16 @@ def ensure_unique_names(
             f"duplicate {kind} name(s): {', '.join(duplicates)} — every "
             f"{kind} in a run needs a unique name ({hint})"
         )
+
+
+def check_count(name: str, value: object, minimum: int) -> None:
+    """The single check of a component's count setting (a size, a depth).
+
+    A count is an ``int`` of at least ``minimum``; a ``bool`` is not a count
+    even though it is an ``int``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 @dataclass
@@ -173,10 +183,6 @@ class Registry:
 
     def __len__(self) -> int:
         return len(self._factories)
-
-    def names(self) -> List[str]:
-        self._load_lazily()
-        return sorted(self._factories)
 
 
 _BUILTIN_COMPONENT_MODULES = (

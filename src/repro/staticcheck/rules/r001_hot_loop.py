@@ -16,7 +16,7 @@ Hot region:
   ``build_branch_columns`` and FDP's per-call packed path are of this kind;
 * a marked function without loops is a per-iteration leaf
   (``lookup_into``, the hybrid direction predictor's ``predict`` and
-  ``update``) and is checked in full.
+  ``update``, SHIFT's ``ShiftHistory.record``) and is checked in full.
 
 Flagged inside the hot region: comprehensions and generator expressions,
 ``lambda`` and nested ``def`` (closure objects), list/set/dict displays and

@@ -53,6 +53,36 @@ class TestAirBTBConfig:
     def test_bigger_bundles_cost_more(self):
         assert AirBTBConfig(branch_entries_per_bundle=4).storage_kb > AirBTBConfig().storage_kb
 
+    @pytest.mark.parametrize(
+        "field, value, minimum",
+        [
+            # ways=0 used to raise ZeroDivisionError, overflow_entries=-4
+            # built no buffer yet priced below 0 entries, and latency -1,
+            # True and 4.0 were accepted.
+            ("bundles", 0, 1),
+            ("bundles", 512.0, 1),
+            ("ways", 0, 1),
+            ("ways", True, 1),
+            ("branch_entries_per_bundle", 0, 1),
+            ("branch_entries_per_bundle", -1, 1),
+            ("latency_cycles", 0, 1),
+            ("latency_cycles", -1, 1),
+            ("overflow_entries", -4, 0),
+            ("overflow_entries", 4.0, 0),
+            ("overflow_entries", False, 0),
+        ],
+    )
+    def test_invalid_counts_rejected(self, field, value, minimum):
+        with pytest.raises(
+            ValueError, match=f"^{field} must be an int >= {minimum}, got {value!r}$"
+        ):
+            AirBTBConfig(**{field: value})
+
+    def test_zero_overflow_entries_accepted(self):
+        config = AirBTBConfig(overflow_entries=0)
+        assert config.storage_kb < AirBTBConfig(overflow_entries=4).storage_kb
+        assert AirBTB(config)._overflow is None
+
 
 class TestAirBTB:
     def test_block_fill_installs_all_branches(self):

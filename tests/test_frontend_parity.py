@@ -26,6 +26,16 @@ from repro.sweep import TraceStore
 #: (record/columnar runahead), 2level_shift (BTB bubbles + shared history).
 PARITY_DESIGNS = ("baseline", "confluence", "fdp", "2level_shift")
 
+#: Confluence variants that reach every AirBTB lookup branch: one-entry
+#: bundles with a 4-entry overflow buffer (overflow hits; evicted bundles
+#: run the spilled-entry drop), no overflow buffer, and bundles left
+#: unsynchronized with the L1-I (Figure 8's step before synchronization).
+AIRBTB_VARIANTS = {
+    "confluence_b1_ob4": {"branch_entries_per_bundle": 1, "overflow_entries": 4},
+    "confluence_ob0": {"overflow_entries": 0},
+    "confluence_unsynced": {"synchronized": False},
+}
+
 
 def scalar_legs(*designs):
     """Parametrize ``design``; each id names the loop checked and the design."""
@@ -34,8 +44,16 @@ def scalar_legs(*designs):
     )
 
 
+def _spec(design):
+    if design in AIRBTB_VARIANTS:
+        return resolve_design("confluence").derive(
+            design, btb_params=AIRBTB_VARIANTS[design]
+        )
+    return resolve_design(design)
+
+
 def _simulator(program, design):
-    simulator, _ = design_from_spec(resolve_design(design), program)
+    simulator, _ = design_from_spec(_spec(design), program)
     return simulator
 
 
@@ -111,17 +129,17 @@ def second_tiny_trace(tiny_program):
 class TestBackendReferenceParity:
     """Two profiles x the design set: identical results field for field."""
 
-    @scalar_legs(*PARITY_DESIGNS)
+    @scalar_legs(*PARITY_DESIGNS, *AIRBTB_VARIANTS)
     def test_oltp_parity(self, tiny_program, tiny_trace, design):
         fast, oracle = _run_vs_reference(tiny_program, tiny_trace, design)
         assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
 
-    @scalar_legs("baseline", "confluence")
+    @scalar_legs("baseline", "confluence", *AIRBTB_VARIANTS)
     def test_web_parity(self, small_program, small_trace, design):
         fast, oracle = _run_vs_reference(small_program, small_trace, design)
         assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
 
-    @scalar_legs("baseline", "fdp", "confluence")
+    @scalar_legs("baseline", "fdp", "confluence", *AIRBTB_VARIANTS)
     def test_warm_reuse_parity(
         self, tiny_program, tiny_trace, second_tiny_trace, design
     ):
@@ -356,11 +374,63 @@ class TestAllocationFreeKernel:
         assert contexts["count"] == 1  # hoisted out of the region loop
 
     def test_slot_fallback_btb_still_bit_identical(self, tiny_program, tiny_trace):
-        # PhantomBTB/AirBTB keep the generic lookup_into (which delegates to
-        # lookup); the slot plumbing must not change their results either.
-        for design in ("phantom_shift", "confluence"):
-            fast, oracle = _run_vs_reference(tiny_program, tiny_trace, design)
-            assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
+        # Only PhantomBTB still keeps the generic lookup_into (which
+        # delegates to lookup); the slot plumbing must not change its
+        # results either.
+        fast, oracle = _run_vs_reference(tiny_program, tiny_trace, "phantom_shift")
+        assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
+
+    def test_confluence_uses_the_slot_lookup(
+        self, tiny_program, tiny_trace, monkeypatch
+    ):
+        from repro.core.airbtb import AirBTB
+
+        lookups = self._count_calls(monkeypatch, AirBTB, "lookup")
+        simulator = _simulator(tiny_program, "confluence")
+        result = simulator.run(tiny_trace)
+        assert result.fetch_regions > 0
+        assert lookups["count"] == 0
+
+
+@scalar_legs("confluence", "2level_shift")
+def test_component_counters_match_the_oracle(tiny_program, tiny_trace, design):
+    """Counters no result carries: predecoder, Confluence, AirBTB, SHIFT, LLC."""
+
+    def counters(simulator):
+        prefetcher = simulator.prefetcher
+        history = prefetcher.history
+        llc = simulator.llc
+        values = {
+            "history": (history.records, history.index_lookups, history.index_hits),
+            "stream": (prefetcher.streams_started, prefetcher.stream_confirmations),
+            "llc": (llc.metadata_reads, llc.metadata_writes),
+        }
+        confluence = simulator.confluence
+        if confluence is not None:
+            airbtb = confluence.airbtb
+            predecoder = confluence.predecoder
+            values["predecoder"] = (
+                predecoder.blocks_scanned, predecoder.branches_extracted
+            )
+            values["fills"] = (
+                confluence.demand_predecodes, confluence.prefetch_predecodes
+            )
+            values["airbtb"] = (
+                airbtb.bundle_insertions,
+                airbtb.bundle_evictions,
+                airbtb.overflow_insertions,
+                dataclasses.asdict(airbtb.stats),
+            )
+        return values
+
+    fast = _simulator(tiny_program, design)
+    fast.run(tiny_trace)
+    oracle = _simulator(tiny_program, design)
+    _oracle_run(oracle, tiny_trace)
+    assert counters(fast) == counters(oracle)
+    assert counters(fast)["history"][0] > 0
+    if design == "confluence":
+        assert counters(fast)["predecoder"][0] > 0
 
 
 class TestBranchColumnMemo:

@@ -209,6 +209,15 @@ class TestPredecoder:
         with pytest.raises(ValueError):
             Predecoder(latency_cycles=-1)
 
+    def test_descriptors_are_the_btb_entries(self):
+        from repro.branch.btb_base import BTBEntry
+
+        block = InstructionBlock(0x4000)
+        block.add(Instruction(address=0x4008, kind=BranchKind.CALL, target=0x9000))
+        (descriptor,) = Predecoder().predecode(block).branches
+        assert isinstance(descriptor, BTBEntry)
+        assert (descriptor.branch_pc, descriptor.offset) == (0x4008, 2)
+
     def test_image_blocks_predecode_consistently(self, tiny_program):
         predecoder = Predecoder()
         checked = 0

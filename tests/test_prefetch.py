@@ -194,6 +194,39 @@ class TestShiftHistory:
         assert config.history_storage_kb > 100
         assert config.index_storage_kb > 100
 
+    @pytest.mark.parametrize(
+        "field, value, minimum",
+        [
+            # history_entries=0 used to crash the first record() with an
+            # IndexError; a zero or negative read-ahead built a SHIFT that
+            # never prefetched; True and 6.0 passed as counts.
+            ("history_entries", 0, 1),
+            ("history_entries", True, 1),
+            ("index_entries", 0, 1),
+            ("index_entries", 6.0, 1),
+            ("read_ahead_degree", 0, 1),
+            ("read_ahead_degree", -3, 1),
+            ("read_ahead_degree", True, 1),
+            ("divergence_threshold", -1, 0),
+            ("divergence_threshold", 1.0, 0),
+        ],
+    )
+    def test_invalid_counts_rejected(self, field, value, minimum):
+        with pytest.raises(
+            ValueError, match=f"^{field} must be an int >= {minimum}, got {value!r}$"
+        ):
+            ShiftConfig(**{field: value})
+
+    def test_boundary_counts_accepted(self):
+        config = ShiftConfig(
+            history_entries=1, index_entries=1, read_ahead_degree=1,
+            divergence_threshold=0,
+        )
+        history = ShiftHistory(config)
+        history.record(0x40)
+        history.record(0x80)
+        assert history.lookup(0x80) == 0
+
 
 class TestHistoryOverwrite:
     """record() on a full circular buffer: the overwritten slot's

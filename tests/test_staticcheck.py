@@ -41,7 +41,9 @@ class TestRepositoryIsClean:
         from repro.branch.btb_two_level import TwoLevelBTB
         from repro.branch.columns import build_branch_columns
         from repro.branch.direction import HybridDirectionPredictor
+        from repro.core.airbtb import AirBTB
         from repro.prefetch.fdp import FetchDirectedPrefetcher
+        from repro.prefetch.shift import ShiftHistory
 
         for func in (
             ScalarBackend.run,
@@ -49,9 +51,11 @@ class TestRepositoryIsClean:
             ConventionalBTB.lookup_into,
             PerfectBTB.lookup_into,
             TwoLevelBTB.lookup_into,
+            AirBTB.lookup_into,
             HybridDirectionPredictor.predict,
             HybridDirectionPredictor.update,
             FetchDirectedPrefetcher._targets_packed,
+            ShiftHistory.record,
         ):
             assert getattr(func, HOT_LOOP_ATTRIBUTE, False), func.__qualname__
 
