@@ -14,10 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Protocol
 
 from repro.caches.sram import CacheStats, SetAssociativeCache
-from repro.isa.instruction import BLOCK_SIZE_BYTES, block_address
-
-#: :func:`block_address` as a mask, for the per-region probes.
-_BLOCK_MASK = ~(BLOCK_SIZE_BYTES - 1)
+from repro.isa.instruction import BLOCK_MASK, BLOCK_SIZE_BYTES, block_address
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ class InstructionCache:
 
     def contains(self, address: int) -> bool:
         """Presence check (no LRU update, no statistics)."""
-        return self._cache.contains(address & _BLOCK_MASK)
+        return self._cache.contains(address & BLOCK_MASK)
 
     def access(self, address: int) -> bool:
         """Demand access to the block containing ``address``.
@@ -100,7 +97,7 @@ class InstructionCache:
         the caller decides when the block arrives (see :meth:`fill`), which
         lets the frontend model fill latency and prefetch timeliness.
         """
-        hit, _ = self._cache.access(address & _BLOCK_MASK)
+        hit, _ = self._cache.access(address & BLOCK_MASK)
         return hit
 
     def fill(self, address: int, demand: bool = True) -> Optional[int]:

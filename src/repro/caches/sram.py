@@ -60,11 +60,7 @@ class SetAssociativeCache:
         self.sets = sets
         self.ways = ways
         self.name = name
-        # Set selection: keys are byte addresses for most users, so the
-        # aligned low-order bits are shifted out before indexing.  Every
-        # method computes ``(key >> index_shift) & _set_mask`` inline.
         self.index_shift = index_shift
-        self._set_mask = sets - 1
         self.stats = CacheStats()
         self._on_eviction = on_eviction
         # One ordered dict per set: key -> payload, in LRU order (oldest first).
@@ -74,13 +70,18 @@ class SetAssociativeCache:
     def capacity(self) -> int:
         return self.sets * self.ways
 
+    def _set_index(self, key: int) -> int:
+        """Set selection: keys are byte addresses for most users, so the
+        aligned low-order bits are shifted out before indexing."""
+        return (key >> self.index_shift) & (self.sets - 1)
+
     def contains(self, key: int) -> bool:
         """Presence check without updating LRU state or statistics."""
-        return key in self._storage[(key >> self.index_shift) & self._set_mask]
+        return key in self._storage[self._set_index(key)]
 
     def peek(self, key: int) -> Any:
         """Return the payload without updating LRU state or statistics."""
-        return self._storage[(key >> self.index_shift) & self._set_mask].get(key)
+        return self._storage[self._set_index(key)].get(key)
 
     def lookup(self, key: int) -> Any:
         """Look up ``key``; updates LRU order and statistics.
@@ -94,7 +95,7 @@ class SetAssociativeCache:
 
     def access(self, key: int) -> Tuple[bool, Any]:
         """Look up ``key``; returns ``(hit, payload)`` and updates LRU."""
-        target_set = self._storage[(key >> self.index_shift) & self._set_mask]
+        target_set = self._storage[self._set_index(key)]
         self.stats.lookups += 1
         if key in target_set:
             self.stats.hits += 1
@@ -109,7 +110,7 @@ class SetAssociativeCache:
         Inserting an already-present key refreshes its LRU position and
         payload without evicting anything.
         """
-        target_set = self._storage[(key >> self.index_shift) & self._set_mask]
+        target_set = self._storage[self._set_index(key)]
         evicted: Optional[int] = None
         if key in target_set:
             target_set.move_to_end(key)
@@ -126,7 +127,7 @@ class SetAssociativeCache:
 
     def invalidate(self, key: int) -> bool:
         """Remove ``key`` if present; returns whether it was present."""
-        target_set = self._storage[(key >> self.index_shift) & self._set_mask]
+        target_set = self._storage[self._set_index(key)]
         if key in target_set:
             del target_set[key]
             return True
@@ -134,7 +135,7 @@ class SetAssociativeCache:
 
     def touch(self, key: int) -> bool:
         """Refresh LRU position of ``key`` without counting a lookup."""
-        target_set = self._storage[(key >> self.index_shift) & self._set_mask]
+        target_set = self._storage[self._set_index(key)]
         if key in target_set:
             target_set.move_to_end(key)
             return True

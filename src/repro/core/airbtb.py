@@ -32,9 +32,9 @@ from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_
 from repro.caches.sram import SetAssociativeCache
 from repro.isa.block import InstructionBlock
 from repro.isa.instruction import (
-    BLOCK_SIZE_BYTES,
-    INSTRUCTION_SIZE_BYTES,
-    INSTRUCTIONS_PER_BLOCK,
+    BLOCK_MASK,
+    SLOT_MASK,
+    SLOT_SHIFT,
     BranchKind,
     block_address,
     block_offset,
@@ -49,12 +49,6 @@ if TYPE_CHECKING:  # import cycle guard: unit.py imports btb_base
 #: A callback that returns the instruction block at a given block address
 #: (normally ``ProgramImage.block_at``); AirBTB predecodes through it.
 BlockProvider = Callable[[int], Optional[InstructionBlock]]
-
-#: ``block_address`` and ``block_offset`` as bit operations, for the per-region
-#: ``lookup_into`` and ``update``.
-_BLOCK_MASK = ~(BLOCK_SIZE_BYTES - 1)
-_SLOT_SHIFT = INSTRUCTION_SIZE_BYTES.bit_length() - 1
-_SLOT_MASK = INSTRUCTIONS_PER_BLOCK - 1
 
 
 @dataclass(frozen=True)
@@ -170,8 +164,8 @@ class AirBTB(BaseBTB):
         self, slot: "PredictionSlot", branch_pc: int, taken: bool = True
     ) -> None:
         """:meth:`lookup` mirrored into a reusable slot (no result object)."""
-        offset = (branch_pc >> _SLOT_SHIFT) & _SLOT_MASK
-        hit, bundle = self._bundles.access(branch_pc & _BLOCK_MASK)
+        offset = (branch_pc >> SLOT_SHIFT) & SLOT_MASK
+        hit, bundle = self._bundles.access(branch_pc & BLOCK_MASK)
         if hit and bundle is not None and (bundle.bitmap >> offset) & 1:
             entry = bundle.entries.get(offset)
             if entry is not None:
@@ -214,10 +208,10 @@ class AirBTB(BaseBTB):
         if not allocates_entry(kind, taken):
             return
         self.stats.insertions += 1
-        block = branch_pc & _BLOCK_MASK
+        block = branch_pc & BLOCK_MASK
         bundle = self._bundles.peek(block)
         if bundle is not None:
-            held = bundle.entries.get((branch_pc >> _SLOT_SHIFT) & _SLOT_MASK)
+            held = bundle.entries.get((branch_pc >> SLOT_SHIFT) & SLOT_MASK)
             if held is not None and held.kind is kind and held.target == target:
                 return  # the bundle already holds this very entry
         else:

@@ -20,6 +20,13 @@ INSTRUCTION_SIZE_BYTES = 4
 #: Number of instructions that fit in one instruction block.
 INSTRUCTIONS_PER_BLOCK = BLOCK_SIZE_BYTES // INSTRUCTION_SIZE_BYTES
 
+#: ``address & BLOCK_MASK`` is :func:`block_address`; hot loops use the mask.
+BLOCK_MASK = ~(BLOCK_SIZE_BYTES - 1)
+
+#: ``(address >> SLOT_SHIFT) & SLOT_MASK`` is :func:`block_offset`.
+SLOT_SHIFT = INSTRUCTION_SIZE_BYTES.bit_length() - 1
+SLOT_MASK = INSTRUCTIONS_PER_BLOCK - 1
+
 
 class BranchKind(enum.Enum):
     """Branch categories tracked by the BTB designs in the paper.
@@ -113,7 +120,7 @@ class Instruction:
 
 def block_address(address: int) -> int:
     """Return the base address of the 64-byte block containing ``address``."""
-    return address & ~(BLOCK_SIZE_BYTES - 1)
+    return address & BLOCK_MASK
 
 
 def block_index(address: int) -> int:
@@ -123,4 +130,4 @@ def block_index(address: int) -> int:
 
 def block_offset(address: int) -> int:
     """Return the instruction slot (0..15) of ``address`` within its block."""
-    return (address % BLOCK_SIZE_BYTES) // INSTRUCTION_SIZE_BYTES
+    return (address >> SLOT_SHIFT) & SLOT_MASK

@@ -13,7 +13,6 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.isa.instruction import BLOCK_SIZE_BYTES
 from repro.registry import PREFETCHER_REGISTRY, BuildContext
 from repro.workloads.packed import PackedTrace
 from repro.workloads.trace import FetchRecord
@@ -68,16 +67,9 @@ class PrefetchContext:
         return self.records[self.index]
 
     def region_blocks(self) -> Sequence[int]:
-        """Block addresses of the current region, whichever path is active.
-
-        On the packed path this is a ``range`` over the region's span in
-        the packed columns; no tuple is built.
-        """
-        packed = self.packed
-        if packed is not None:
-            first = packed.block_firsts[self.index]
-            stop = first + packed.block_counts[self.index] * BLOCK_SIZE_BYTES
-            return range(first, stop, BLOCK_SIZE_BYTES)
+        """Block addresses of the current region, whichever path is active."""
+        if self.packed is not None:
+            return self.packed.region_blocks(self.index)
         return self.current_record.blocks()
 
 

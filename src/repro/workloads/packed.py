@@ -249,11 +249,14 @@ class PackedTrace:
             self._instruction_count = sum(self.instruction_counts)
         return self._instruction_count
 
-    def region_blocks(self, index: int) -> Tuple[int, ...]:
-        """Block addresses touched by region ``index``, in fetch order."""
+    def region_blocks(self, index: int) -> range:
+        """Block addresses touched by region ``index``, in fetch order.
+
+        A ``range`` over the span the block columns encode; no tuple is built.
+        """
         first = self.block_firsts[index]
-        count = self.block_counts[index]
-        return tuple(range(first, first + count * BLOCK_SIZE_BYTES, BLOCK_SIZE_BYTES))
+        stop = first + self.block_counts[index] * BLOCK_SIZE_BYTES
+        return range(first, stop, BLOCK_SIZE_BYTES)
 
     def slice(self, start: int, stop: Optional[int] = None) -> "PackedTrace":
         """A new packed trace over ``[start:stop]`` (list-slice semantics)."""

@@ -27,11 +27,13 @@ from repro.sweep import TraceStore
 PARITY_DESIGNS = ("baseline", "confluence", "fdp", "2level_shift")
 
 #: Confluence variants that reach every AirBTB lookup branch: one-entry
-#: bundles with a 4-entry overflow buffer (overflow hits; evicted bundles
-#: run the spilled-entry drop), no overflow buffer, and bundles left
-#: unsynchronized with the L1-I (Figure 8's step before synchronization).
+#: bundles in a 16-bundle array (overflow hits; bundles are evicted while
+#: the 32-entry overflow buffer still holds their spilled entries, so the
+#: spilled-entry drop removes some: 157 on the tiny trace, 1,567 on the web
+#: trace), no overflow buffer, and bundles left unsynchronized with the
+#: L1-I (Figure 8's step before synchronization).
 AIRBTB_VARIANTS = {
-    "confluence_b1_ob4": {"branch_entries_per_bundle": 1, "overflow_entries": 4},
+    "confluence_b1_bun16": {"branch_entries_per_bundle": 1, "bundles": 16},
     "confluence_ob0": {"overflow_entries": 0},
     "confluence_unsynced": {"synchronized": False},
 }

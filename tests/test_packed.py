@@ -133,7 +133,7 @@ class TestPackedBuilder:
     def test_block_span_columns_match_record_blocks(self, tiny_trace):
         packed = tiny_trace.packed
         for index, record in zip(range(300), tiny_trace.records, strict=False):
-            assert packed.region_blocks(index) == record.blocks()
+            assert tuple(packed.region_blocks(index)) == record.blocks()
             assert packed.block_firsts[index] == block_address(record.start)
 
     def test_ragged_columns_rejected(self):
