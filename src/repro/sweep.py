@@ -13,7 +13,11 @@ runs nearly free:
   a :class:`~concurrent.futures.ProcessPoolExecutor` is bit-identical to
   running them one after another.  This is the repo's only process pool: a
   cell's cores always run one after another inside whichever process runs
-  the cell.
+  the cell.  The pool picks cells by grid *row* (the designs of one
+  workload, which share a memoized driver and its traces): the first wave
+  starts one cell per row, and a worker that finishes a cell gets the next
+  cell of the same row, so each row's traces are walked and predicted in
+  one worker instead of in every worker running one of its designs.
 * Every finished cell is summarized to plain JSON data and stored in a
   **content-addressed result cache** (:class:`ResultCache`): the file name is
   a stable hash of the cell's parameters, so an unchanged cell is loaded
@@ -75,6 +79,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Callable,
     Deque,
     Dict,
@@ -83,6 +88,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     TypeVar,
     Union,
@@ -807,7 +813,8 @@ class SweepOutcome:
 #: share it too.)  Traces are the heavy part (cores x instructions_per_core
 #: fetch records per entry), so this memo is a small LRU rather than
 #: unbounded.
-_CMP_MEMO: "OrderedDict[tuple, ChipMultiprocessor]" = OrderedDict()
+_RowKey = Tuple[object, ...]  # a memoized driver's key; its cells are a grid row
+_CMP_MEMO: "OrderedDict[_RowKey, ChipMultiprocessor]" = OrderedDict()
 _CMP_MEMO_MAX_ENTRIES = 4
 
 
@@ -815,6 +822,22 @@ def clear_workload_memo() -> None:
     """Drop the per-process program/trace memos (frees their memory)."""
     clear_program_memo()
     _CMP_MEMO.clear()
+
+
+def _driver_key(
+    profile: Union[WorkloadProfile, BoundScenario],
+    cores: int,
+    instructions_per_core: int,
+    trace_seed_base: int,
+    frontend_config: Optional[FrontendConfig],
+) -> _RowKey:
+    """What :func:`cmp_driver` memoizes a driver (and its traces) under.
+
+    The cells sharing this key are one grid *row*: every design of a
+    workload at one chip shape, all run on the same driver and traces.  The
+    pooled scheduler groups cells by it (see :func:`_next_row`).
+    """
+    return (profile, cores, instructions_per_core, trace_seed_base, frontend_config)
 
 
 def cmp_driver(
@@ -834,8 +857,9 @@ def cmp_driver(
     ``trace_store`` attaches to the memoized driver: traces it has not yet
     materialized are loaded from (or saved to) the store.
     """
-    memo_key = (profile, cores, instructions_per_core, trace_seed_base,
-                frontend_config)
+    memo_key = _driver_key(
+        profile, cores, instructions_per_core, trace_seed_base, frontend_config
+    )
     cmp_model = _CMP_MEMO.get(memo_key)
     if cmp_model is None:
         if isinstance(profile, BoundScenario):
@@ -1052,6 +1076,36 @@ def _attempt_cell(
     raise _cell_failure(cell, last_error)
 
 
+def _next_row(
+    remaining: Mapping[_RowKey, Deque[int]],
+    preferred: Optional[_RowKey],
+    busy: AbstractSet[_RowKey],
+    started: AbstractSet[_RowKey],
+) -> _RowKey:
+    """The grid row whose next queued cell a free pool slot runs.
+
+    ``remaining`` maps each row (in cell order) to its queued cells,
+    ``preferred`` is the row of the cell the slot just finished (None for a
+    slot of a fresh pool), ``busy`` holds the rows with a cell in flight and
+    ``started`` the rows this pool has run a cell of.  A slot keeps its row
+    while the row has cells queued, because its worker already holds the
+    row's driver, traces and branch columns.  Otherwise it takes the first
+    row not started yet, then the first with no cell in flight, and only
+    last one in flight — whose traces another worker is walking right now.
+    At least one row must have a cell queued.
+    """
+    if preferred is not None and remaining.get(preferred):
+        return preferred
+    candidates = [row for row, queued in remaining.items() if queued]
+    for row in candidates:
+        if row not in started:
+            return row
+    for row in candidates:
+        if row not in busy:
+            return row
+    return candidates[0]
+
+
 def _run_pending_pooled(
     cells: Sequence[SweepCell],
     pending: Sequence[int],
@@ -1072,11 +1126,26 @@ def _run_pending_pooled(
     terminated.  After ``policy.max_pool_rebuilds`` recoveries the
     remaining cells degrade to the in-process serial path — a sweep never
     fails merely because pooling does.
+
+    Each submission is picked by grid row (:func:`_next_row`).
+    Completions are handled in cell order, so the picks do not depend on
+    which future the pool reports first; a rebuilt pool starts with no
+    row preferences, since its workers hold no row.
     """
     trace_dir = str(traces.directory) if traces is not None else None
     width = min(workers, len(pending))
     attempts: Dict[int, int] = {index: 0 for index in pending}
-    queue: Deque[int] = deque(pending)
+    row_of: Dict[int, _RowKey] = {}
+    remaining: Dict[_RowKey, Deque[int]] = {}
+    for index in pending:
+        cell = cells[index]
+        row_of[index] = _driver_key(
+            cell.profile, cell.cores, cell.instructions_per_core,
+            cell.trace_seed_base, cell.frontend_config,
+        )
+        remaining.setdefault(row_of[index], deque()).append(index)
+    started: Set[_RowKey] = set()
+    freed: Deque[_RowKey] = deque()  # rows of the slots freed since the last fill
     in_flight: Dict[Future[_CellOutcome], int] = {}
     deadlines: Dict[Future[_CellOutcome], float] = {}
     rebuilds = 0
@@ -1094,13 +1163,23 @@ def _run_pending_pooled(
         if attempts[index] > policy.retries:
             raise _cell_failure(cells[index], error)
         stats.retried += 1
-        queue.append(index)
+        remaining[row_of[index]].append(index)
 
     try:
-        while queue or in_flight:
+        while in_flight or any(remaining.values()):
             broken = False
-            while queue and len(in_flight) < width and pool is not None:
-                index = queue.popleft()
+            while (
+                len(in_flight) < width and pool is not None
+                and any(remaining.values())
+            ):
+                row = _next_row(
+                    remaining,
+                    freed.popleft() if freed else None,
+                    {row_of[index] for index in in_flight.values()},
+                    started,
+                )
+                index = remaining[row].popleft()
+                started.add(row)
                 if attempts[index] > 0:
                     time.sleep(policy.delay(attempts[index] - 1))
                 try:
@@ -1108,7 +1187,7 @@ def _run_pending_pooled(
                         _cell_job, (cells[index], trace_dir, attempts[index])
                     )
                 except BrokenProcessPool:
-                    queue.appendleft(index)
+                    remaining[row].appendleft(index)
                     broken = True
                     break
                 in_flight[future] = index
@@ -1124,9 +1203,10 @@ def _run_pending_pooled(
                 done, _ = wait(
                     list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
                 )
-                for future in done:
+                for future in sorted(done, key=in_flight.__getitem__):
                     index = in_flight.pop(future)
                     deadlines.pop(future, None)
+                    freed.append(row_of[index])
                     try:
                         outcome = future.result()
                     except BrokenProcessPool as error:
@@ -1174,16 +1254,19 @@ def _run_pending_pooled(
                         )
                 in_flight.clear()
                 deadlines.clear()
+                started.clear()
+                freed.clear()
                 if pool is not None:
                     _terminate_pool(pool)
                     pool = None
                 if rebuilds > policy.max_pool_rebuilds:
-                    while queue:
-                        index = queue.popleft()
-                        complete(index, _attempt_cell(
-                            cells[index], traces, stats, policy,
-                            first_attempt=attempts[index],
-                        ))
+                    for queued in remaining.values():
+                        while queued:
+                            index = queued.popleft()
+                            complete(index, _attempt_cell(
+                                cells[index], traces, stats, policy,
+                                first_attempt=attempts[index],
+                            ))
                     return
                 pool = ProcessPoolExecutor(max_workers=width, mp_context=context)
     finally:
@@ -1225,6 +1308,32 @@ def _build_pending_specs(
             ) from error
 
 
+def _create_store_dirs(
+    store: Optional[ResultCache], traces: Optional[TraceStore]
+) -> None:
+    """Create the result-cache and trace-store directories before any cell.
+
+    A store path that names a file (or sits under one) would otherwise
+    surface mid-sweep: a cell that already simulated dies on its first
+    ``put``, and a trace store fails every attempt of a cell that already
+    walked its traces.  Here it is one :class:`ValueError` naming the store
+    and the path.
+    """
+    directories: List[Tuple[str, Path]] = []
+    if store is not None:
+        directories.append(("result cache", store.directory))
+    if traces is not None:
+        directories.append(("trace store", traces.directory))
+    for what, directory in directories:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            raise ValueError(
+                f"{what} directory {str(directory)!r} cannot be created: "
+                f"{error.strerror or type(error).__name__}"
+            ) from error
+
+
 def _coerce_journal(
     journal: Union[None, bool, str, Path, RunJournal],
     keys: Sequence[str],
@@ -1263,10 +1372,15 @@ def run_cells(
     Cache misses follow one rule: with ``workers > 1`` and more than one
     pending cell they fan out across a process pool of
     ``min(workers, pending cells)`` processes, one cell per task; otherwise
-    they run one after another in this process.  Inside a cell the cores
-    always run serially, so the pool is never nested.  Both paths are
-    bit-identical (cells are pure functions of their parameters), so the
-    choice only affects wall-clock.
+    they run one after another in this process, in cell order.  Inside a
+    cell the cores always run serially, so the pool is never nested.  The
+    pool picks each next cell by grid row (the cells sharing one
+    :func:`cmp_driver`): its first wave starts one cell per row, and a slot
+    freed by a finished cell runs that row's next cell, because its worker
+    already holds the row's traces; a slot whose row has nothing queued
+    takes a row not started yet, then one with no cell in flight, and only
+    last one in flight.  Both paths are bit-identical (cells are pure
+    functions of their parameters), so the choice only affects wall-clock.
 
     Execution is resilient (``docs/resilience.md``): every path runs under
     ``policy`` (default :class:`RetryPolicy`) — bounded retry with
@@ -1280,8 +1394,9 @@ def run_cells(
     into the cache, so only the missing cells simulate.  A cell that fails
     past its retry budget raises :class:`CellExecutionError` naming the
     cell; cells already completed keep their cache/journal entries, so the
-    rerun resumes.  A design that cannot be built raises
-    :class:`ValueError` before any cell simulates.  Returns the summaries in cell order plus the
+    rerun resumes.  A design that cannot be built, or a cache or trace-store
+    directory that cannot be created, raises :class:`ValueError` before any
+    cell simulates.  Returns the summaries in cell order plus the
     :class:`SweepStats` of this run.
     """
     if workers is not None and workers <= 0:
@@ -1319,7 +1434,9 @@ def run_cells(
         pending.append(index)
     if store is not None:
         stats.quarantined += store.quarantined - cache_quarantined_before
-    _build_pending_specs(cells, pending)
+    if pending:
+        _create_store_dirs(store, traces)
+        _build_pending_specs(cells, pending)
 
     def complete(index: int, outcome: _CellOutcome) -> None:
         """Stream one fresh simulation into stats, cache and journal."""

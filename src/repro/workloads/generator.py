@@ -14,18 +14,34 @@ evaluated frontend mechanisms depend on:
 * a minority are parameter-sensitive (the warehouse / URL / table a request
   touches), widening the dynamic instruction working set across requests, and
 * loops and data-dependent branches add bounded per-execution variation.
+
+Every outcome except a data-dependent branch's is a pure function of
+(branch, key) through :func:`_stable_fraction`, and those recur: the same
+(request type, operation) path visits the same blocks with the same keys
+request after request.  One walk (:meth:`TraceWalker.run_packed`) therefore
+keeps two caches that die with it: a row per visited block (its static
+region columns, dispatch code, targets and parameter-sensitivity flag) and
+a ``(pc, key)`` memo of :func:`_stable_fraction`.  They only save work —
+the walker draws from its RNG in the same order, so a trace is the same
+with or without them.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instruction import BranchKind
-from repro.workloads.cfg import BranchBehavior, SyntheticProgram, synthesize_program
-from repro.workloads.packed import NO_VALUE, PackedTrace, PackedTraceBuilder, kind_code
+from repro.workloads.cfg import SyntheticProgram, synthesize_program
+from repro.workloads.packed import (
+    NO_VALUE,
+    PackedTrace,
+    PackedTraceBuilder,
+    RegionRow,
+    kind_code,
+    region_row,
+)
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.trace import Trace
 
@@ -53,13 +69,35 @@ def _stable_fraction(branch_pc: int, key: int) -> float:
     return (zlib.crc32(data) & 0xFFFFFFFF) / 2**32
 
 
-@dataclass
-class _Frame:
-    """Per-invocation state: return address and loop trip bookkeeping."""
+# How the walker resolves a block's terminating branch (a block row's
+# dispatch code; the emitted ``kinds`` column keeps the branch kind).
+_DETERMINISTIC = 0  # conditional, a pure function of (branch, key)
+_DATA_DEPENDENT = 1  # conditional, one RNG draw
+_LOOP = 2  # conditional back edge with a per-invocation trip count
+_JUMP = 3  # unconditional
+_CALL = 4
+_INDIRECT_CALL = 5
+_INDIRECT = 6
+_RETURN = 7
 
-    return_address: Optional[int]
-    loop_counts: Dict[int, int]
-    loop_limits: Dict[int, int]
+#: (``kinds`` column code, dispatch code) per branch kind; a conditional's
+#: dispatch code is refined from its behavior.
+_KIND_DISPATCH: Dict[BranchKind, Tuple[int, int]] = {
+    kind: (kind_code(kind), code)
+    for kind, code in (
+        (BranchKind.CONDITIONAL, _DETERMINISTIC),
+        (BranchKind.UNCONDITIONAL, _JUMP),
+        (BranchKind.CALL, _CALL),
+        (BranchKind.INDIRECT_CALL, _INDIRECT_CALL),
+        (BranchKind.INDIRECT, _INDIRECT),
+        (BranchKind.RETURN, _RETURN),
+    )
+}
+
+#: A visited block, resolved once per walk: (region row, instruction count,
+#: dispatch code, branch pc, static target, end, parameter-sensitive flag,
+#: taken bias, loop trip range or indirect targets).
+_BlockRow = Tuple[RegionRow, int, int, int, int, int, bool, float, Tuple[int, ...]]
 
 
 class TraceWalker:
@@ -75,7 +113,6 @@ class TraceWalker:
         )
         self.requests_completed = 0
         self.operations_completed = 0
-        self._call_budget = 0
 
     def _build_request_weights(self) -> List[float]:
         s = self.profile.request_zipf_s
@@ -92,24 +129,25 @@ class TraceWalker:
     ) -> PackedTrace:
         """Generate the trace directly in columnar form.
 
-        The walker appends scalar columns into a
-        :class:`~repro.workloads.packed.PackedTraceBuilder` — no
-        ``FetchRecord`` objects exist on this path.
+        The walker hands each operation's regions to a
+        :class:`~repro.workloads.packed.PackedTraceBuilder` in one batch —
+        no ``FetchRecord`` objects exist on this path.  The block rows and
+        the fraction memo live for this call only.
         """
-        builder = PackedTraceBuilder(name=name or self.profile.name)
-        self._walk_requests(max_instructions, builder)
-        return builder.build()
-
-    def _walk_requests(self, max_instructions: int, builder: PackedTraceBuilder) -> None:
-        """Serve requests into ``builder`` until ``max_instructions`` ran."""
         if max_instructions <= 0:
             raise ValueError("max_instructions must be positive")
+        builder = PackedTraceBuilder(name=name or self.profile.name)
+        blocks: Dict[int, _BlockRow] = {}
+        fractions: Dict[Tuple[int, int], float] = {}
         instructions = 0
         while instructions < max_instructions:
             request_type = self._pick_request_type()
             parameter = self._rng.randrange(self.profile.request_parameters)
-            instructions += self._run_request(request_type, parameter, builder)
+            instructions += self._run_request(
+                request_type, parameter, builder, blocks, fractions
+            )
             self.requests_completed += 1
+        return builder.build()
 
     def _pick_request_type(self) -> int:
         draw = self._rng.random()
@@ -121,7 +159,12 @@ class TraceWalker:
         return len(self._request_weights) - 1
 
     def _run_request(
-        self, request_type: int, parameter: int, builder: PackedTraceBuilder
+        self,
+        request_type: int,
+        parameter: int,
+        builder: PackedTraceBuilder,
+        blocks: Dict[int, _BlockRow],
+        fractions: Dict[Tuple[int, int], float],
     ) -> int:
         """Serve one request: the fixed operation sequence of its type.
 
@@ -138,7 +181,9 @@ class TraceWalker:
             # given pair always follows the same deterministic path, which is
             # the unit of temporal-stream recurrence.
             path_key = (request_type << 8) | op_index
-            instructions += self._run_operation(entry, path_key, parameter, builder)
+            instructions += self._run_operation(
+                entry, path_key, parameter, builder, blocks, fractions
+            )
             self.operations_completed += 1
         return instructions
 
@@ -153,146 +198,164 @@ class TraceWalker:
         index = int(selector * len(self._layer0_entries))
         return self._layer0_entries[min(index, len(self._layer0_entries) - 1)]
 
+    def _block_row(self, pc: int) -> Optional[_BlockRow]:
+        """The walker's row for the block starting at ``pc`` (None: no block)."""
+        cfg = self.program.cfg
+        block = cfg.block_starting_at(pc)
+        if block is None:
+            return None
+        behavior = cfg.behavior_of(block.terminator_pc)
+        dispatch = _KIND_DISPATCH.get(behavior.kind)
+        if dispatch is None:
+            raise ValueError(f"unhandled branch kind {behavior.kind}")
+        kind, code = dispatch
+        extra: Tuple[int, ...] = behavior.indirect_targets
+        if code == _DETERMINISTIC:
+            if behavior.is_loop:
+                code, extra = _LOOP, behavior.trip_range
+            elif not behavior.deterministic:
+                code = _DATA_DEPENDENT
+        # Resolution key: the (type, operation) path, plus the request
+        # parameter for the minority of parameter-sensitive branches.  Only
+        # keyed outcomes need the flag.
+        keyed = code == _DETERMINISTIC or code == _LOOP or len(extra) > 1
+        sensitive = (
+            keyed
+            and _stable_fraction(behavior.pc, 0xA11CE) < _PARAMETER_SENSITIVE_FRACTION
+        )
+        target = behavior.taken_target
+        static_target = target if target is not None else NO_VALUE
+        return (
+            region_row(pc, block.length, behavior.pc, kind, static_target),
+            block.length,
+            code,
+            behavior.pc,
+            static_target,
+            block.end,
+            sensitive,
+            behavior.taken_bias,
+            extra,
+        )
+
     def _run_operation(
         self,
         entry: int,
         path_key: int,
         parameter: int,
         builder: PackedTraceBuilder,
+        blocks: Dict[int, _BlockRow],
+        fractions: Dict[Tuple[int, int], float],
     ) -> int:
-        cfg = self.program.cfg
-        pc = entry
-        stack: List[_Frame] = [_Frame(None, {}, {})]
-        instructions = 0
-        regions = 0
+        """Walk one operation from ``entry``; returns its instruction count.
+
+        One loop resolves every branch inline: conditionals against their
+        bias (loops count trips per function invocation, data-dependent
+        branches draw from the RNG), calls within the operation's
+        invocation budget, indirect branches by a keyed dispatch.  The
+        operation ends when its entry function returns, its walk reaches an
+        address with no block, or it hits ``_MAX_REGIONS_PER_OPERATION``;
+        its regions then go to ``builder`` in one batch.
+        """
+        draw = self._rng.random
+        sensitive_key = path_key * 8191 + parameter + 1
         budget_span = _MAX_INVOCATIONS_PER_OPERATION - _MIN_INVOCATIONS_PER_OPERATION
-        self._call_budget = _MIN_INVOCATIONS_PER_OPERATION + int(
+        budget = _MIN_INVOCATIONS_PER_OPERATION + int(
             _stable_fraction(entry, path_key) * (budget_span + 1)
         )
-
+        returns: List[int] = []  # return address of each open call
+        # Per function invocation: loop branch pc -> back edges left.  The
+        # count bounds the *total* times a back edge is taken within one
+        # invocation and is never re-armed on loop exit: overlapping back
+        # edges would otherwise keep re-arming each other and the walk would
+        # never make forward progress.
+        loops: List[Dict[int, int]] = [{}]
+        rows: List[RegionRow] = []
+        takens: List[int] = []
+        next_pcs: List[int] = []
+        instructions = 0
+        regions = 0
+        pc = entry
         while regions < _MAX_REGIONS_PER_OPERATION:
-            block = cfg.block_starting_at(pc)
+            block = blocks.get(pc)
             if block is None:
-                break
-            behavior = cfg.behavior_of(block.terminator_pc)
-            taken, next_pc = self._resolve(behavior, path_key, parameter, stack)
-            target = behavior.taken_target
-            builder.append(
-                pc,
-                block.length,
-                block.terminator_pc,
-                kind_code(behavior.kind),
-                1 if taken else 0,
-                target if target is not None else NO_VALUE,
-                next_pc if next_pc is not None else block.end,
-            )
-            instructions += block.length
+                block = self._block_row(pc)
+                if block is None:
+                    break
+                blocks[pc] = block
+            row, length, code, branch_pc, target, end, sensitive, bias, extra = block
+            instructions += length
             regions += 1
-            if next_pc is None:
-                break
-            pc = next_pc
+            rows.append(row)
+            if code <= _LOOP:  # a conditional branch
+                if code == _DATA_DEPENDENT:
+                    taken = draw() < bias
+                else:
+                    key = sensitive_key if sensitive else path_key
+                    if code == _DETERMINISTIC:
+                        memo = (branch_pc, key)
+                        fraction = fractions.get(memo)
+                        if fraction is None:
+                            fraction = fractions[memo] = _stable_fraction(branch_pc, key)
+                        taken = fraction < bias
+                    else:
+                        frame = loops[-1]
+                        left = frame.get(branch_pc)
+                        if left is None:
+                            # Trip counts are data-dependent in real code,
+                            # but for a given request the data is fixed: the
+                            # same path over the same parameter iterates the
+                            # same number of times, which keeps the
+                            # request-level recurrence stream prefetchers
+                            # rely on.
+                            memo = (branch_pc ^ 0x10F00, key)
+                            fraction = fractions.get(memo)
+                            if fraction is None:
+                                fraction = fractions[memo] = _stable_fraction(*memo)
+                            low, high = extra
+                            left = low + int(fraction * (high - low + 1))
+                        left -= 1
+                        frame[branch_pc] = left
+                        taken = left > 0
+                takens.append(taken)
+                pc = target if taken else end
+                next_pcs.append(pc)
+                continue
+            takens.append(1)
+            if code == _RETURN:
+                if not returns:  # the operation's entry function returned
+                    next_pcs.append(end)
+                    break
+                loops.pop()
+                pc = returns.pop()
+            elif code == _JUMP:
+                pc = target
+            elif code != _INDIRECT and budget <= 0:
+                # A call past the budget: the callee's work is elided,
+                # modelling a trivially short callee that returns at once.
+                pc = end
+            else:
+                if code != _INDIRECT:
+                    budget -= 1
+                    returns.append(end)
+                    loops.append({})
+                if code != _CALL:
+                    # Request-determined dispatch, mirroring virtual-call
+                    # sites whose receiver is a function of the request.
+                    if len(extra) == 1:
+                        pc = extra[0]
+                    else:
+                        key = sensitive_key if sensitive else path_key
+                        memo = (branch_pc, key)
+                        fraction = fractions.get(memo)
+                        if fraction is None:
+                            fraction = fractions[memo] = _stable_fraction(branch_pc, key)
+                        index = int(fraction * len(extra))
+                        pc = extra[min(index, len(extra) - 1)]
+                else:
+                    pc = target
+            next_pcs.append(pc)
+        builder.extend(rows, takens, next_pcs)
         return instructions
-
-    def _branch_key(self, behavior: BranchBehavior, path_key: int, parameter: int) -> int:
-        """Resolution key: the (type, operation) path, plus the request
-        parameter for the minority of parameter-sensitive branches."""
-        if _stable_fraction(behavior.pc, 0xA11CE) < _PARAMETER_SENSITIVE_FRACTION:
-            return path_key * 8191 + parameter + 1
-        return path_key
-
-    def _resolve(
-        self,
-        behavior: BranchBehavior,
-        path_key: int,
-        parameter: int,
-        stack: List[_Frame],
-    ) -> Tuple[bool, Optional[int]]:
-        """Resolve one branch: (taken, next_pc); next_pc None ends the operation."""
-        kind = behavior.kind
-
-        if kind is BranchKind.RETURN:
-            frame = stack.pop()
-            if not stack or frame.return_address is None:
-                return True, None
-            return True, frame.return_address
-
-        if kind is BranchKind.CONDITIONAL:
-            taken = self._resolve_conditional(behavior, path_key, parameter, stack[-1])
-            return taken, behavior.taken_target if taken else behavior.fallthrough
-
-        if kind is BranchKind.UNCONDITIONAL:
-            return True, behavior.taken_target
-
-        if kind is BranchKind.CALL:
-            if self._call_budget <= 0:
-                # Budget exhausted: the callee's work is elided, modelling a
-                # trivially short callee that returns immediately.
-                return True, behavior.fallthrough
-            self._call_budget -= 1
-            stack.append(_Frame(behavior.fallthrough, {}, {}))
-            return True, behavior.taken_target
-
-        if kind is BranchKind.INDIRECT_CALL:
-            if self._call_budget <= 0:
-                return True, behavior.fallthrough
-            self._call_budget -= 1
-            target = self._resolve_indirect(behavior, path_key, parameter)
-            stack.append(_Frame(behavior.fallthrough, {}, {}))
-            return True, target
-
-        if kind is BranchKind.INDIRECT:
-            return True, self._resolve_indirect(behavior, path_key, parameter)
-
-        raise ValueError(f"unhandled branch kind {kind}")
-
-    def _resolve_conditional(
-        self,
-        behavior: BranchBehavior,
-        path_key: int,
-        parameter: int,
-        frame: _Frame,
-    ) -> bool:
-        if behavior.is_loop:
-            pc = behavior.pc
-            if pc not in frame.loop_limits:
-                frame.loop_limits[pc] = self._loop_trip_count(behavior, path_key, parameter)
-                frame.loop_counts[pc] = 0
-            frame.loop_counts[pc] += 1
-            # The limit bounds the *total* times this back edge is taken within
-            # one function invocation.  Counters are intentionally never reset
-            # on exit: overlapping back edges would otherwise keep re-arming
-            # each other and the walk would never make forward progress.
-            return frame.loop_counts[pc] < frame.loop_limits[pc]
-        if behavior.deterministic:
-            key = self._branch_key(behavior, path_key, parameter)
-            return _stable_fraction(behavior.pc, key) < behavior.taken_bias
-        return self._rng.random() < behavior.taken_bias
-
-    def _loop_trip_count(self, behavior: BranchBehavior, path_key: int, parameter: int) -> int:
-        """Trip count of a loop for this (path, parameter).
-
-        Trip counts are data-dependent in real code, but for a given request
-        the data is fixed — the same path over the same parameter iterates the
-        same number of times.  Keeping trips a pure function of the path key
-        preserves the request-level recurrence of the instruction stream that
-        server workloads exhibit and stream prefetchers rely on.
-        """
-        low, high = behavior.trip_range
-        key = self._branch_key(behavior, path_key, parameter)
-        fraction = _stable_fraction(behavior.pc ^ 0x10F00, key)
-        return low + int(fraction * (high - low + 1))
-
-    def _resolve_indirect(
-        self, behavior: BranchBehavior, path_key: int, parameter: int
-    ) -> int:
-        targets = behavior.indirect_targets
-        if len(targets) == 1:
-            return targets[0]
-        # Request-determined dispatch, mirroring virtual-call sites whose
-        # receiver is a function of the request being served.
-        key = self._branch_key(behavior, path_key, parameter)
-        index = int(_stable_fraction(behavior.pc, key) * len(targets))
-        return targets[min(index, len(targets) - 1)]
 
 
 def generate_trace(

@@ -21,9 +21,12 @@ Columns (one slot per fetch region):
 * ``block_firsts`` / ``block_counts`` — precomputed span of 64 B instruction
   blocks the region touches, so the L1-I loops never recompute it.
 
-Traces are built through :class:`PackedTraceBuilder`, which buffers appends
+Traces are built through :class:`PackedTraceBuilder`, which buffers regions
 in plain lists and flushes them into the arrays every ``_FLUSH_REGIONS``
-regions, so generation never holds more boxed integers than that.
+regions, so generation never holds more boxed integers than that.  A region
+is a :func:`region_row` (its static columns, block span included) plus its
+outcome (``taken``, ``next_pc``); the trace walker computes one row per
+block it visits and hands each operation's regions over in one batch.
 :meth:`PackedTrace.save` writes a trace as one compact binary file — a
 header, one block of the nine columns and a trailer; the
 :class:`repro.sweep.TraceStore` artifact format — and :func:`load_packed`
@@ -60,10 +63,10 @@ from typing import (
 )
 
 from repro.isa.instruction import (
+    BLOCK_MASK,
     BLOCK_SIZE_BYTES,
     INSTRUCTION_SIZE_BYTES,
     BranchKind,
-    block_address,
 )
 
 if TYPE_CHECKING:  # import cycle guard: trace.py imports this module
@@ -79,6 +82,7 @@ __all__ = [
     "kind_code",
     "kind_from_code",
     "load_packed",
+    "region_row",
 ]
 
 #: Branch-kind encoding used by the ``kinds`` column; index = stored code.
@@ -143,6 +147,28 @@ def kind_from_code(code: int) -> Optional[BranchKind]:
     if code == NO_VALUE:
         return None
     return KIND_CODES[code]
+
+
+#: The static columns of one region, in :func:`region_row` order: start,
+#: instruction count, branch pc, kind code, target, first block, block count.
+RegionRow = Tuple[int, int, int, int, int, int, int]
+
+
+def region_row(
+    start: int, instruction_count: int, branch_pc: int, kind: int, target: int
+) -> RegionRow:
+    """The static columns of a region, with its 64 B block span derived.
+
+    ``branch_pc``/``kind``/``target`` use ``-1`` for None.  This is the one
+    place the span is computed: every later consumer reads the block
+    columns instead.
+    """
+    first = start & BLOCK_MASK
+    last = (start + (instruction_count - 1) * INSTRUCTION_SIZE_BYTES) & BLOCK_MASK
+    return (
+        start, instruction_count, branch_pc, kind, target,
+        first, (last - first) // BLOCK_SIZE_BYTES + 1,
+    )
 
 
 def _empty_columns() -> List[array]:
@@ -468,8 +494,8 @@ def load_packed(path: Union[str, Path]) -> PackedTrace:
 class PackedTraceBuilder:
     """Buffered appender producing a :class:`PackedTrace`.
 
-    Appends accumulate in plain Python lists (the fastest append path) and
-    are flushed into the arrays every ``_FLUSH_REGIONS`` entries, so
+    Regions accumulate in plain Python lists (the fastest append path) and
+    are flushed into the arrays every ``_FLUSH_REGIONS`` regions, so
     building an N-region trace never holds more than that many boxed
     integers per column.
     """
@@ -490,26 +516,46 @@ class PackedTraceBuilder:
         target: int,
         next_pc: int,
     ) -> None:
-        """Append one region; ``branch_pc``/``kind``/``target`` use ``-1`` for None.
+        """Append one region; ``branch_pc``/``kind``/``target`` use ``-1`` for None."""
+        self.extend(
+            (region_row(start, instruction_count, branch_pc, kind, target),),
+            (taken,),
+            (next_pc,),
+        )
 
-        The block-span columns are derived here, once, so every later
-        consumer reads them instead of recomputing the span.
+    def extend(
+        self,
+        rows: Sequence[RegionRow],
+        takens: Sequence[int],
+        next_pcs: Sequence[int],
+    ) -> None:
+        """Append a batch of regions: region ``i`` is ``rows[i]`` (a
+        :func:`region_row`) with outcome ``takens[i]`` and ``next_pcs[i]``.
+
+        The batch is split at the flush bound, so the buffers never hold
+        more than ``_FLUSH_REGIONS`` regions.
         """
-        first = block_address(start)
-        last = block_address(start + (instruction_count - 1) * INSTRUCTION_SIZE_BYTES)
         buffers = self._buffers
-        buffers[0].append(start)
-        buffers[1].append(instruction_count)
-        buffers[2].append(branch_pc)
-        buffers[3].append(kind)
-        buffers[4].append(taken)
-        buffers[5].append(target)
-        buffers[6].append(next_pc)
-        buffers[7].append(first)
-        buffers[8].append((last - first) // BLOCK_SIZE_BYTES + 1)
-        self._buffered += 1
-        if self._buffered >= _FLUSH_REGIONS:
-            self._flush()
+        done = 0
+        total = len(rows)
+        while done < total:
+            stop = min(total, done + _FLUSH_REGIONS - self._buffered)
+            starts, counts, branch_pcs, kinds, targets, firsts, spans = zip(
+                *rows[done:stop]
+            )
+            buffers[0].extend(starts)
+            buffers[1].extend(counts)
+            buffers[2].extend(branch_pcs)
+            buffers[3].extend(kinds)
+            buffers[4].extend(takens[done:stop])
+            buffers[5].extend(targets)
+            buffers[6].extend(next_pcs[done:stop])
+            buffers[7].extend(firsts)
+            buffers[8].extend(spans)
+            self._buffered += stop - done
+            done = stop
+            if self._buffered >= _FLUSH_REGIONS:
+                self._flush()
 
     def append_record(self, record: "FetchRecord") -> None:
         """Append a :class:`~repro.workloads.trace.FetchRecord` (view-path compat)."""
@@ -527,7 +573,7 @@ class PackedTraceBuilder:
 
     def _flush(self) -> None:
         for column, buffer in zip(self._columns, self._buffers, strict=True):
-            column.extend(buffer)
+            column.fromlist(buffer)
             del buffer[:]
         self._buffered = 0
 

@@ -351,8 +351,44 @@ class TestSweepCommand:
             "--scale", "0.08", "--cores", "1", "--instructions-per-core",
             "5000", "--no-cache", "--trace-dir", str(blocker / "traces"),
         ])
-        assert code == 1
+        assert code == 2
         assert "sweep:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, store", [
+        ("--trace-dir", "trace store"),
+        ("--cache-dir", "result cache"),
+    ], ids=["trace-store", "result-cache"])
+    def test_store_path_naming_a_file_fails_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, flag, store
+    ):
+        # A store path that is an existing file: one usage error naming the
+        # store and the path, before any trace is walked or cell simulated.
+        import repro.core.cmp as cmp_module
+        from repro.sweep import clear_workload_memo
+
+        walks = []
+        real_generate = cmp_module.generate_trace
+
+        def counting_generate(*args, **kwargs):
+            walks.append(args)
+            return real_generate(*args, **kwargs)
+
+        monkeypatch.setattr(cmp_module, "generate_trace", counting_generate)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("in the way")
+        other = "--cache-dir" if flag == "--trace-dir" else "--trace-dir"
+        clear_workload_memo()
+        code = main([
+            "sweep", "--profiles", "oltp_db2", "--designs", "baseline",
+            "--scale", "0.08", "--cores", "1", "--instructions-per-core",
+            "5000", "--no-journal", flag, str(blocker),
+            other, str(tmp_path / "other"),
+        ])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("sweep:")
+        assert store in err[0] and str(blocker) in err[0]
+        assert walks == []
 
     def test_unknown_scenario_exits_with_usage_error(self, capsys):
         code = main([

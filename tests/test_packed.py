@@ -19,6 +19,7 @@ from repro.workloads.packed import (
     kind_code,
     kind_from_code,
     load_packed,
+    region_row,
 )
 from repro.workloads.trace import FetchRecord, Trace, TraceStatistics, pack_records
 
@@ -129,6 +130,28 @@ class TestPackedBuilder:
         small_packed, big_packed = small.build(), big.build()
         for attr in ("starts", "branch_pcs", "kinds", "takens", "block_counts"):
             assert getattr(small_packed, attr) == getattr(big_packed, attr)
+
+    def test_batches_respect_the_flush_bound(self, tiny_trace, monkeypatch):
+        # The walker hands whole operations over in one call; a batch longer
+        # than the bound is split so the buffers never outgrow it.
+        source = tiny_trace.packed
+        count = 500
+        rows = [
+            region_row(
+                source.starts[i], source.instruction_counts[i],
+                source.branch_pcs[i], source.kinds[i], source.targets[i],
+            )
+            for i in range(count)
+        ]
+        takens, next_pcs = list(source.takens[:count]), list(source.next_pcs[:count])
+        monkeypatch.setattr(packed_module, "_FLUSH_REGIONS", 7)
+        builder = PackedTraceBuilder(name="t")
+        builder.extend(rows[:3], takens[:3], next_pcs[:3])
+        builder.extend(rows[3:], takens[3:], next_pcs[3:])
+        assert builder._buffered < 7
+        built = builder.build()
+        for attr in COLUMN_NAMES:
+            assert getattr(built, attr) == getattr(source, attr)[:count]
 
     def test_block_span_columns_match_record_blocks(self, tiny_trace):
         packed = tiny_trace.packed

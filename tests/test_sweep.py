@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -11,6 +14,7 @@ import repro.sweep as sweep_module
 from repro.api import Session, reports_from_sweep, run_grid
 from repro.core.designs import resolve_design
 from repro.core.frontend import FrontendConfig
+from repro.resilience import RetryPolicy
 from repro.sweep import (
     CACHE_SCHEMA_VERSION,
     CorruptArtifactWarning,
@@ -635,6 +639,132 @@ class TestSweepParityAndCache:
         bumped = dict(GRID_KW, instructions_per_core=7_000)
         outcome = run_sweep(["oltp_db2"], ["baseline"], cache=cache, **bumped)
         assert outcome.stats.simulated == 1  # different cell, not a stale hit
+
+
+class _StandInPool:
+    """In-process stand-in for the cell pool, with scripted completions.
+
+    ``executor`` replaces ``sweep.ProcessPoolExecutor`` and ``wait``
+    replaces ``sweep.wait``: a submission only records its job, and each
+    ``wait`` settles one in-flight future by running the real cell job
+    here.  ``script`` names the cells to settle first, in order, as
+    ``(label, "ok" | "break")``; a ``"break"`` fails the future with
+    ``BrokenProcessPool`` instead.  Unscripted waits settle the oldest
+    submission.  ``submitted`` lists ``(pool number, label)`` per submit.
+    """
+
+    def __init__(self, script=()):
+        self.script = deque(script)
+        self.submitted = []
+        self.pools = 0
+        self.jobs = {}
+
+    @staticmethod
+    def label(cell):
+        return f"{cell.profile.name}/{cell.spec.name}"
+
+    def executor(self, max_workers, mp_context=None):
+        self.pools += 1
+        stand_in, number = self, self.pools
+
+        class Executor:
+            def submit(self, fn, job):
+                future = Future()
+                stand_in.jobs[future] = (fn, job)
+                stand_in.submitted.append((number, stand_in.label(job[0])))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        return Executor()
+
+    def wait(self, futures, timeout=None, return_when=None):
+        by_label = {self.label(self.jobs[future][1][0]): future for future in futures}
+        action = "ok"
+        if self.script and self.script[0][0] in by_label:
+            label, action = self.script.popleft()
+            future = by_label[label]
+        else:
+            future = min(futures, key=lambda f: list(self.jobs).index(f))
+        fn, job = self.jobs[future]
+        if action == "break":
+            future.set_exception(BrokenProcessPool("scripted worker death"))
+        else:
+            future.set_result(fn(job))
+        return {future}, set(futures) - {future}
+
+
+class TestRowAffinePicks:
+    """The pooled scheduler picks each submission by grid row."""
+
+    ROWS = ["oltp_db2", "dss_qry2"]
+    DESIGNS = ["baseline", "fdp", "confluence"]
+    KW = dict(scale=0.08, cores=1, instructions_per_core=3_000, cache=False)
+
+    def _sweep(self, monkeypatch, script=()):
+        pool = _StandInPool(script)
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", pool.executor)
+        monkeypatch.setattr(sweep_module, "wait", pool.wait)
+        clear_workload_memo()
+        outcome = run_sweep(
+            self.ROWS, self.DESIGNS, workers=2,
+            policy=RetryPolicy(retries=2, backoff=0.0), **self.KW,
+        )
+        return pool, outcome
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        clear_workload_memo()
+        return run_sweep(self.ROWS, self.DESIGNS, **self.KW).summaries
+
+    def test_each_freed_slot_keeps_its_row(self, monkeypatch, serial):
+        # dss_qry2's first cell finishes first: its slot runs dss_qry2's next
+        # cell, not the next cell in grid order.
+        pool, outcome = self._sweep(monkeypatch, [("dss_qry2/baseline", "ok")])
+        labels = [label for _, label in pool.submitted]
+        assert labels == [
+            "oltp_db2/baseline", "dss_qry2/baseline",  # one cell per row
+            "dss_qry2/fdp",  # the slot dss_qry2/baseline freed
+            "oltp_db2/fdp",  # the slot oltp_db2/baseline freed
+            "dss_qry2/confluence",
+            "oltp_db2/confluence",
+        ]
+        assert outcome.summaries == serial
+
+    def test_a_rebuild_drops_the_slot_preferences(self, monkeypatch, serial):
+        # oltp_db2's slot moves on to oltp_db2/fdp; then dss_qry2's worker
+        # dies, which also takes oltp_db2/fdp down.  The rebuilt pool holds
+        # no row: its first wave starts one cell per row in grid order, not
+        # dss_qry2 first for the slot that broke.
+        pool, outcome = self._sweep(monkeypatch, [
+            ("oltp_db2/baseline", "ok"), ("dss_qry2/baseline", "break"),
+        ])
+        assert pool.pools == 2
+        assert pool.submitted[:3] == [
+            (1, "oltp_db2/baseline"), (1, "dss_qry2/baseline"), (1, "oltp_db2/fdp"),
+        ]
+        assert pool.submitted[3:5] == [(2, "oltp_db2/confluence"), (2, "dss_qry2/fdp")]
+        assert sorted(label for _, label in pool.submitted[3:]) == sorted(
+            f"{row}/{design}" for row in self.ROWS for design in self.DESIGNS
+            if f"{row}/{design}" != "oltp_db2/baseline"
+        )
+        assert outcome.stats.pool_rebuilds == 1
+        assert outcome.summaries == serial
+
+    def test_an_exhausted_row_moves_to_an_unstarted_row_first(self):
+        rows = {"a": deque([1]), "b": deque(), "c": deque([5]), "d": deque([7])}
+        pick = sweep_module._next_row
+        # b's slot ran b's last cell: an unstarted row (d) beats a row with
+        # nothing in flight (c) and a row in flight (a).
+        assert pick(rows, "b", {"a"}, {"a", "b", "c"}) == "d"
+        assert pick(rows, "b", {"a", "d"}, {"a", "b", "c", "d"}) == "c"
+        assert pick(rows, "b", {"a", "c", "d"}, {"a", "b", "c", "d"}) == "a"
+        # A slot whose row still has cells queued keeps it, even when
+        # another row has not started.
+        assert pick(rows, "a", {"a"}, {"a", "b", "c"}) == "a"
+        # A fresh slot (no row yet) starts the first unstarted row.
+        assert pick(rows, None, set(), set()) == "a"
 
 
 class TestSweepOutcome:

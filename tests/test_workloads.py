@@ -1,6 +1,9 @@
 """Tests for workload profiles, program synthesis and trace generation."""
 
 import dataclasses
+import hashlib
+import sys
+from array import array
 
 import pytest
 
@@ -14,6 +17,7 @@ from repro.workloads import (
     get_profile,
     synthesize_program,
 )
+from repro.workloads.packed import COLUMN_NAMES
 
 
 class TestProfiles:
@@ -217,3 +221,45 @@ class TestTraceGeneration:
         blocks = record.blocks()
         assert blocks[0] == block_address(record.start)
         assert blocks[-1] == block_address(record.last_instruction)
+
+
+def _column_digest(packed) -> str:
+    """SHA-256 over the nine packed columns, little-endian, in column order."""
+    digest = hashlib.sha256()
+    for attr in COLUMN_NAMES:
+        column = getattr(packed, attr)
+        column = array(column.typecode, column)
+        if sys.byteorder != "little":
+            column.byteswap()
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+class TestGeneratedTraceContent:
+    """Generated traces byte for byte, not only what is derived from them.
+
+    The digests and counters were recorded before the walker became one
+    loop over per-walk caches; any change to the walk (an RNG draw moved,
+    a memo keyed wrongly, a region batched out of order) moves them.  Each
+    case serves several requests, so the request and parameter draws
+    between operations are pinned too.
+    """
+
+    @pytest.mark.parametrize("name, scale, seed, length, digest, requests, operations", [
+        ("web_frontend", 0.05, 5, 60_000,
+         "2680265c8a9fe65d07722eca681e6901e00f9cddbe3e4ebcb6a6ea073832738b", 5, 120),
+        ("dss_qry2", 0.05, 13, 50_000,
+         "ac82125e04fa4d22892d2d07a66728a52f40bc11354fac0aa49b86b172ade921", 3, 48),
+        ("oltp_db2", 0.05, 3, 60_000,
+         "663990a6c339546b7f223be0a12c8057bc81ab21f1216b87583f83a41ab46580", 3, 72),
+        ("media_streaming", 0.05, 2, 40_000,
+         "3b2fc93f39221707d3beefefa50385ceb1a7a92db46980ddf87f5192dc7960d5", 2, 48),
+    ])
+    def test_columns_and_walker_counters_are_pinned(
+        self, name, scale, seed, length, digest, requests, operations
+    ):
+        walker = TraceWalker(synthesize_program(get_profile(name).scaled(scale)), seed=seed)
+        packed = walker.run_packed(length)
+        assert _column_digest(packed) == digest
+        assert walker.requests_completed == requests
+        assert walker.operations_completed == operations
