@@ -44,6 +44,7 @@ from typing import (
 
 from repro.api import RunReport, run_grid
 from repro.branch.btb_base import BaseBTB
+from repro.branch.unit import PredictionSlot
 from repro.core.airbtb import AirBTBConfig
 from repro.core.area import FrontendAreaReport
 from repro.core.designs import (
@@ -54,6 +55,7 @@ from repro.core.designs import (
 from repro.core.frontend import FrontendConfig, FrontendResult, check_warmup_fraction
 from repro.core.metrics import geometric_mean, miss_coverage, mpki
 from repro.registry import build_btb, ensure_unique_names
+from repro.staticcheck.markers import hot_loop
 from repro.sweep import btb_closure, content_key, design_closure
 from repro.workloads.cfg import SyntheticProgram
 from repro.workloads.profiles import EVALUATION_WORKLOADS
@@ -150,6 +152,7 @@ def _run_design(
 # BTB-only coverage harness (Figures 1, 8, 9, 10)
 # --------------------------------------------------------------------------- #
 
+@hot_loop
 def run_btb_coverage(
     btb: BaseBTB,
     trace: Trace,
@@ -160,8 +163,13 @@ def run_btb_coverage(
     Returns ``(taken_misses, measured_instructions)`` for the post-warmup
     portion, following the paper's miss definition (entry for a predicted
     taken branch absent at lookup time).  The walk reads the packed columns
-    directly — no record objects on this path.  ``btb`` is the caller's and
-    ends the walk trained, so this driver is never memoized.
+    directly and has the BTB answer through
+    :meth:`~repro.branch.btb_base.BaseBTB.lookup_into` into one reusable
+    :class:`~repro.branch.unit.PredictionSlot`, as the ``scalar`` loop
+    does, so it builds no record or lookup-result objects (a BTB without
+    its own ``lookup_into`` still answers through its ``lookup``).
+    ``btb`` is the caller's and ends the walk trained, so this driver is
+    never memoized.
     """
     from repro.workloads.packed import NO_VALUE, kind_from_code
 
@@ -169,7 +177,8 @@ def run_btb_coverage(
     boundary = int(len(packed) * check_warmup_fraction(warmup_fraction))
     taken_misses = 0
     instructions = 0
-    lookup = btb.lookup
+    slot = PredictionSlot()
+    lookup_into = btb.lookup_into
     update = btb.update
     for index, (count, branch_pc, code, taken_flag, target) in enumerate(
         zip(
@@ -187,8 +196,8 @@ def run_btb_coverage(
         if branch_pc == NO_VALUE:
             continue
         taken = bool(taken_flag)
-        result = lookup(branch_pc, taken=taken)
-        if measured and taken and not result.hit:
+        lookup_into(slot, branch_pc, taken)
+        if measured and taken and not slot.btb_hit:
             taken_misses += 1
         update(
             branch_pc,

@@ -51,13 +51,15 @@ class ScalarBackend(SimBackend):
         a single :class:`~repro.prefetch.base.PrefetchContext` is mutated per
         iteration instead of constructed, and designs with no prefetcher
         (plain :class:`~repro.prefetch.base.NullPrefetcher`) or a perfect
-        L1-I skip the corresponding machinery entirely.
+        L1-I skip the corresponding machinery entirely.  The measured
+        counters live in locals and fill the :class:`FrontendResult` once,
+        after the loop; each is summed region by region in the oracle's
+        order, so the float cycle counts come out bit-identical.
         """
         packed = trace.packed
         records = trace.records  # lazy view, handed to custom prefetchers
         total = len(packed)
         warmup_boundary = int(total * warmup)
-        result = FrontendResult(design=simulator.design_name, workload=trace.name)
 
         config = simulator.config
         base_cpi = config.base_cpi
@@ -86,7 +88,25 @@ class ScalarBackend(SimBackend):
         max_lead = prefetcher.max_lead_cycles
         inflight = simulator._inflight
         cycle = simulator._cycle
-        misfetches = 0
+        misfetches = 0  # every region's, for the unit; the result's are measured only
+
+        # The measured portion's counters (FrontendResult fields).
+        instructions = 0
+        fetch_regions = 0
+        base_cycles = 0.0
+        misfetch_stall_cycles = 0
+        direction_stall_cycles = 0
+        btb_latency_stall_cycles = 0
+        l1i_stall_cycles = 0
+        measured_misfetches = 0
+        btb_taken_lookups = 0
+        btb_taken_misses = 0
+        second_level_accesses = 0
+        l1i_accesses = 0
+        l1i_misses = 0
+        l1i_prefetch_hits = 0
+        direction_mispredictions = 0
+        prefetches_issued = 0
 
         # The one BTB scratch the whole loop writes into, and — for designs
         # that prefetch at all — the one context the prefetcher sees
@@ -176,7 +196,8 @@ class ScalarBackend(SimBackend):
                     l1i_fill(block, demand=True)
 
             # --- cycle accounting -------------------------------------------
-            cycle += count * base_cpi
+            region_base = count * base_cpi
+            cycle += region_base
             if misfetch:
                 cycle += misfetch_penalty
             if direction_miss:
@@ -214,28 +235,50 @@ class ScalarBackend(SimBackend):
 
             if index < warmup_boundary:
                 continue
-            result.instructions += count
-            result.fetch_regions += 1
-            result.base_cycles += count * base_cpi
-            result.misfetch_stall_cycles += misfetch_penalty if misfetch else 0
-            result.direction_stall_cycles += direction_penalty if direction_miss else 0
-            result.btb_latency_stall_cycles += btb_bubble
-            result.l1i_stall_cycles += fetch_stall
-            result.misfetches += int(misfetch)
+            instructions += count
+            fetch_regions += 1
+            base_cycles += region_base
+            btb_latency_stall_cycles += btb_bubble
+            l1i_stall_cycles += fetch_stall
+            l1i_accesses += accesses
+            l1i_misses += misses
+            l1i_prefetch_hits += prefetch_hits
+            prefetches_issued += issued
+            # A branchless region can never report a misfetch or a direction
+            # misprediction (the stall charges above use the same predicates).
+            if misfetch:
+                measured_misfetches += 1
+                misfetch_stall_cycles += misfetch_penalty
+            if direction_miss:
+                direction_mispredictions += 1
+                direction_stall_cycles += direction_penalty
             if taken:
-                result.btb_taken_lookups += 1
+                btb_taken_lookups += 1
                 if not btb_hit:
-                    result.btb_taken_misses += 1
+                    btb_taken_misses += 1
             if second_level:
-                result.second_level_accesses += 1
-            result.l1i_accesses += accesses
-            result.l1i_misses += misses
-            result.l1i_prefetch_hits += prefetch_hits
-            # A branchless region can never report a direction misprediction
-            # (the stall charge above uses the same predicate).
-            result.direction_mispredictions += int(direction_miss)
-            result.prefetches_issued += issued
+                second_level_accesses += 1
 
+        result = FrontendResult(
+            design=simulator.design_name,
+            workload=trace.name,
+            instructions=instructions,
+            fetch_regions=fetch_regions,
+            base_cycles=base_cycles,
+            misfetch_stall_cycles=misfetch_stall_cycles,
+            btb_latency_stall_cycles=btb_latency_stall_cycles,
+            l1i_stall_cycles=l1i_stall_cycles,
+            direction_stall_cycles=direction_stall_cycles,
+            misfetches=measured_misfetches,
+            btb_taken_lookups=btb_taken_lookups,
+            btb_taken_misses=btb_taken_misses,
+            second_level_accesses=second_level_accesses,
+            l1i_accesses=l1i_accesses,
+            l1i_misses=l1i_misses,
+            l1i_prefetch_hits=l1i_prefetch_hits,
+            direction_mispredictions=direction_mispredictions,
+            prefetches_issued=prefetches_issued,
+        )
         bpu.predictions += total
         bpu.misfetches += misfetches
         bpu.direction_mispredictions += columns.direction_mispredictions

@@ -85,6 +85,19 @@ def allocates_entry(kind: Optional[BranchKind], taken: bool) -> bool:
     return taken or (kind is not None and kind.is_unconditional)
 
 
+def holds_entry(
+    entry: Optional[BTBEntry], kind: Optional[BranchKind], target: Optional[int]
+) -> bool:
+    """Whether a resident entry already records a resolved branch.
+
+    ``entry`` is what the BTB holds under the branch's PC (``None`` when
+    nothing is resident).  Entries are frozen and compared by value, so an
+    update that finds one with the branch's kind and target may keep it
+    rather than build an equal one.
+    """
+    return entry is not None and entry.kind is kind and entry.target == target
+
+
 class BaseBTB(abc.ABC):
     """Abstract BTB: lookup before prediction, update after resolution."""
 
@@ -137,6 +150,10 @@ class BaseBTB(abc.ABC):
         """Train the BTB with the resolved branch (insert/refresh its entry).
 
         ``kind`` is ``None`` for a branch whose trace record carries no kind.
+        Entries are frozen and compared by value, so an update that finds
+        an equal entry resident (:func:`holds_entry`) may keep that object
+        instead of building a new one; it still counts the insertion and
+        refreshes the entry's replacement state as a fresh one would.
         """
 
     def on_block_fill(self, predecoded: PredecodedBlock, demand: bool = False) -> None:

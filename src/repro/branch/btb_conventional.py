@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry
+from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry, holds_entry
 from repro.caches.sram import SetAssociativeCache
 from repro.isa.instruction import BranchKind
-from repro.registry import BTB_REGISTRY, BuildContext
+from repro.registry import BTB_REGISTRY, BuildContext, check_count
 from repro.staticcheck.markers import hot_loop
 
 if TYPE_CHECKING:  # import cycle guard: unit.py imports btb_base
@@ -63,6 +63,10 @@ class ConventionalBTB(BaseBTB):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name or f"conventional_btb_{entries}")
+        check_count("entries", entries, 1)
+        check_count("ways", ways, 1)
+        check_count("victim_entries", victim_entries, 0)
+        check_count("latency_cycles", latency_cycles, 1)
         if entries % ways:
             raise ValueError("entry count must be divisible by associativity")
         self.entries = entries
@@ -146,7 +150,9 @@ class ConventionalBTB(BaseBTB):
         """
         if not allocates_entry(kind, taken):
             return
-        entry = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
+        entry = self._main.peek(branch_pc)
+        if not holds_entry(entry, kind, target):
+            entry = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
         self.stats.insertions += 1
         self._main.insert(branch_pc, entry)
 
@@ -160,6 +166,7 @@ class PerfectBTB(BaseBTB):
 
     def __init__(self, latency_cycles: int = 1) -> None:
         super().__init__("perfect_btb")
+        check_count("latency_cycles", latency_cycles, 1)
         self.latency_cycles = latency_cycles
         self._entries: Dict[int, BTBEntry] = {}
 
@@ -190,7 +197,8 @@ class PerfectBTB(BaseBTB):
         self, branch_pc: int, kind: Optional[BranchKind], target: Optional[int], taken: bool
     ) -> None:
         self.stats.insertions += 1
-        self._entries[branch_pc] = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
+        if not holds_entry(self._entries.get(branch_pc), kind, target):
+            self._entries[branch_pc] = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
 
     @property
     def storage_kb(self) -> float:

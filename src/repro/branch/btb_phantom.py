@@ -25,12 +25,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, List, Optional
 
-from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry
+from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry, holds_entry
 from repro.branch.btb_conventional import conventional_entry_bits
 from repro.caches.llc import SharedLLC
 from repro.caches.sram import SetAssociativeCache
 from repro.isa.instruction import BranchKind
-from repro.registry import BTB_REGISTRY, BuildContext
+from repro.registry import BTB_REGISTRY, BuildContext, check_count
 
 #: Instructions per temporal-group tag region (Section 4.2.2).
 _REGION_INSTRUCTIONS = 32
@@ -52,6 +52,12 @@ class PhantomBTB(BaseBTB):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name or "phantom_btb")
+        check_count("l1_entries", l1_entries, 1)
+        check_count("ways", ways, 1)
+        check_count("prefetch_buffer_entries", prefetch_buffer_entries, 1)
+        check_count("entries_per_group", entries_per_group, 1)
+        check_count("group_capacity", group_capacity, 1)
+        check_count("l1_latency_cycles", l1_latency_cycles, 1)
         self.l1_entries = l1_entries
         self.ways = ways
         self.prefetch_buffer_entries = prefetch_buffer_entries
@@ -133,7 +139,9 @@ class PhantomBTB(BaseBTB):
     ) -> None:
         if not allocates_entry(kind, taken):
             return
-        entry = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
+        entry = self._l1.peek(branch_pc)
+        if not holds_entry(entry, kind, target):
+            entry = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
         self.stats.insertions += 1
         was_present = self._l1.contains(branch_pc) or self._prefetch_buffer.contains(branch_pc)
         self._l1.insert(branch_pc, entry)

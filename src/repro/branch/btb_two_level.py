@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry
+from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry, holds_entry
 from repro.branch.btb_conventional import conventional_entry_bits
 from repro.caches.sram import SetAssociativeCache
 from repro.isa.instruction import BranchKind
-from repro.registry import BTB_REGISTRY, BuildContext
+from repro.registry import BTB_REGISTRY, BuildContext, check_count
 from repro.staticcheck.markers import hot_loop
 
 if TYPE_CHECKING:  # import cycle guard: unit.py imports btb_base
@@ -36,6 +36,11 @@ class TwoLevelBTB(BaseBTB):
         name: Optional[str] = None,
     ) -> None:
         super().__init__(name or "two_level_btb")
+        check_count("l1_entries", l1_entries, 1)
+        check_count("l2_entries", l2_entries, 1)
+        check_count("ways", ways, 1)
+        check_count("l1_latency_cycles", l1_latency_cycles, 1)
+        check_count("l2_latency_cycles", l2_latency_cycles, 1)
         self.l1_entries = l1_entries
         self.l2_entries = l2_entries
         self.ways = ways
@@ -99,7 +104,9 @@ class TwoLevelBTB(BaseBTB):
     ) -> None:
         if not allocates_entry(kind, taken):
             return
-        entry = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
+        entry = self._l1.peek(branch_pc)
+        if not holds_entry(entry, kind, target):
+            entry = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
         self.stats.insertions += 1
         self._l1.insert(branch_pc, entry)
         self._l2.insert(branch_pc, entry)

@@ -15,6 +15,7 @@ from typing import List, Optional, Protocol
 
 from repro.caches.sram import CacheStats, SetAssociativeCache
 from repro.isa.instruction import BLOCK_MASK, BLOCK_SIZE_BYTES, block_address
+from repro.registry import check_count
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,8 @@ class L1IConfig:
     hit_latency_cycles: int = 2
 
     def __post_init__(self) -> None:
+        check_count("size_bytes", self.size_bytes, 1)
+        check_count("associativity", self.associativity, 1)
         if self.size_bytes % (self.associativity * BLOCK_SIZE_BYTES):
             raise ValueError("cache size must be a multiple of way size")
 

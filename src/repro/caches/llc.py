@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.isa.instruction import BLOCK_SIZE_BYTES
+from repro.registry import check_count
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,13 @@ class LLCConfig:
     bank_hit_latency_cycles: int = 6
     mesh_hop_cycles: int = 3
     mesh_dimension: int = 4
+
+    def __post_init__(self) -> None:
+        for name in (
+            "slice_kb_per_core", "cores", "mesh_dimension", "bank_hit_latency_cycles"
+        ):
+            check_count(name, getattr(self, name), 1)
+        check_count("mesh_hop_cycles", self.mesh_hop_cycles, 0)
 
     @property
     def total_bytes(self) -> int:

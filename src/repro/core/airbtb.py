@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry
+from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry, holds_entry
 from repro.caches.sram import SetAssociativeCache
 from repro.isa.block import InstructionBlock
 from repro.isa.instruction import (
@@ -212,7 +212,7 @@ class AirBTB(BaseBTB):
         bundle = self._bundles.peek(block)
         if bundle is not None:
             held = bundle.entries.get((branch_pc >> SLOT_SHIFT) & SLOT_MASK)
-            if held is not None and held.kind is kind and held.target == target:
+            if holds_entry(held, kind, target):
                 return  # the bundle already holds this very entry
         else:
             if self.synchronized:

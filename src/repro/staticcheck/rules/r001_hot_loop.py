@@ -13,7 +13,8 @@ Hot region:
 * a marked function containing loops is checked inside its loop bodies
   (the prelude may allocate — hoisting is the point of the discipline);
   ``ScalarBackend.run``, the branch column builder
-  ``build_branch_columns`` and FDP's per-call packed path are of this kind;
+  ``build_branch_columns``, FDP's per-call packed path and the BTB-only
+  coverage walk ``run_btb_coverage`` are of this kind;
 * a marked function without loops is a per-iteration leaf
   (``lookup_into``, the hybrid direction predictor's ``predict`` and
   ``update``, SHIFT's ``ShiftHistory.record``) and is checked in full.

@@ -14,9 +14,11 @@ from repro.branch import (
     ReturnAddressStack,
     TwoLevelBTB,
 )
+from repro.branch.btb_base import BTBEntry
 from repro.branch.btb_conventional import conventional_entry_bits
 from repro.caches.llc import SharedLLC
 from repro.isa.instruction import BranchKind
+from repro.registry import build_btb
 from repro.workloads.trace import FetchRecord
 
 
@@ -257,6 +259,119 @@ class TestPhantomBTB:
         baseline = ConventionalBTB(entries=1024, victim_entries=64)
         assert abs(phantom.storage_kb - baseline.storage_kb) < 2.0
         assert phantom.virtualized_kb == pytest.approx(256.0)
+
+
+class TestStockBTBCounts:
+    """Sizes and latencies of the stock BTBs go through ``check_count``."""
+
+    @pytest.mark.parametrize(
+        "name, field, value, minimum",
+        [
+            # ways=0 used to raise a bare ZeroDivisionError, and latency -3,
+            # an L2 latency of 0 and entries=True were accepted.
+            ("conventional", "entries", 0, 1),
+            ("conventional", "entries", True, 1),
+            ("conventional", "entries", 1024.0, 1),
+            ("conventional", "ways", 0, 1),
+            ("conventional", "latency_cycles", -3, 1),
+            ("conventional", "victim_entries", -1, 0),
+            ("conventional", "victim_entries", 64.0, 0),
+            ("two_level", "l1_entries", 0, 1),
+            ("two_level", "l2_entries", -4, 1),
+            ("two_level", "ways", 0, 1),
+            ("two_level", "l1_latency_cycles", 0, 1),
+            ("two_level", "l2_latency_cycles", 0, 1),
+            ("perfect", "latency_cycles", 0, 1),
+            ("phantom", "l1_entries", 0, 1),
+            ("phantom", "ways", False, 1),
+            ("phantom", "prefetch_buffer_entries", 0, 1),
+            ("phantom", "entries_per_group", 0, 1),
+            ("phantom", "group_capacity", 0, 1),
+            ("phantom", "l1_latency_cycles", -1, 1),
+        ],
+    )
+    def test_invalid_counts_rejected(self, name, field, value, minimum):
+        with pytest.raises(
+            ValueError, match=f"^{field} must be an int >= {minimum}, got {value!r}$"
+        ):
+            build_btb(name, **{field: value})
+
+    def test_phantom_without_an_llc_rejects_a_negative_group_capacity(self):
+        # It used to be accepted, then the first group commit raised
+        # KeyError('dictionary is empty').
+        with pytest.raises(ValueError, match="^group_capacity must be an int >= 1"):
+            PhantomBTB(group_capacity=-5)
+
+    @pytest.mark.parametrize(
+        "btb_class, settings",
+        [
+            (ConventionalBTB, dict(entries=1, ways=1, victim_entries=0, latency_cycles=1)),
+            (TwoLevelBTB, dict(l1_entries=1, l2_entries=1, ways=1,
+                               l1_latency_cycles=1, l2_latency_cycles=1)),
+            (PerfectBTB, dict(latency_cycles=1)),
+            (PhantomBTB, dict(l1_entries=1, ways=1, prefetch_buffer_entries=1,
+                              entries_per_group=1, group_capacity=1, l1_latency_cycles=1)),
+        ],
+    )
+    def test_smallest_counts_accepted(self, btb_class, settings):
+        btb = btb_class(**settings)
+        for pc in (0x4000, 0x4040, 0x4000):
+            btb.lookup(pc, taken=True)
+            btb.update(pc, BranchKind.UNCONDITIONAL, pc + 0x100, taken=True)
+        result = btb.lookup(0x4000)
+        assert result.hit and result.target == 0x4100
+
+
+class TestEntryReuse:
+    """An update that finds an equal entry resident keeps it (no new object)."""
+
+    @pytest.fixture
+    def entries_built(self, monkeypatch):
+        built = {"count": 0}
+        original = BTBEntry.__init__
+
+        def counting(self, *args, **kwargs):
+            built["count"] += 1
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BTBEntry, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize(
+        "btb_class", [ConventionalBTB, TwoLevelBTB, PerfectBTB, PhantomBTB]
+    )
+    def test_repeated_update_builds_one_entry(self, btb_class, entries_built):
+        btb = btb_class()
+        for _ in range(2):
+            btb.update(0x4000, BranchKind.CONDITIONAL, 0x5000, taken=True)
+        assert entries_built["count"] == 1
+        assert btb.stats.insertions == 2
+        btb.update(0x4000, BranchKind.CONDITIONAL, 0x6000, taken=True)
+        assert entries_built["count"] == 2
+        assert btb.stats.insertions == 3
+        assert btb.lookup(0x4000).target == 0x6000
+
+    @pytest.mark.parametrize(
+        "btb_class", [ConventionalBTB, TwoLevelBTB, PerfectBTB, PhantomBTB]
+    )
+    def test_a_new_kind_builds_a_new_entry(self, btb_class, entries_built):
+        btb = btb_class()
+        btb.update(0x4000, BranchKind.CONDITIONAL, 0x5000, taken=True)
+        btb.update(0x4000, BranchKind.UNCONDITIONAL, 0x5000, taken=True)
+        assert entries_built["count"] == 2
+        assert btb.lookup(0x4000).entry.kind is BranchKind.UNCONDITIONAL
+
+    def test_reused_entry_still_refreshes_lru(self):
+        # Four ways of one set: re-training the oldest entry must make the
+        # next insertion evict the second oldest, as a fresh entry would.
+        btb = ConventionalBTB(entries=4, ways=4)
+        pcs = [0x4000 + i * 4 for i in range(4)]
+        for pc in pcs:
+            btb.update(pc, BranchKind.UNCONDITIONAL, pc + 0x100, taken=True)
+        btb.update(pcs[0], BranchKind.UNCONDITIONAL, pcs[0] + 0x100, taken=True)
+        btb.update(0x5000, BranchKind.UNCONDITIONAL, 0x5100, taken=True)
+        assert btb.peek_hit(pcs[0])
+        assert not btb.peek_hit(pcs[1])
 
 
 class TestBranchPredictionUnit:

@@ -154,6 +154,41 @@ class TestInstructionCache:
         assert len(l1i) <= l1i.block_capacity
 
 
+class TestGeometryCounts:
+    @pytest.mark.parametrize(
+        "config_class, field, value, minimum",
+        [
+            # associativity=0 used to raise ZeroDivisionError; a slice of
+            # -1 KB built an LLC of -256 blocks, and a bank latency of -6
+            # silently shortened the round trip to 12 cycles.
+            (L1IConfig, "size_bytes", 0, 1),
+            (L1IConfig, "size_bytes", 32768.0, 1),
+            (L1IConfig, "associativity", 0, 1),
+            (L1IConfig, "associativity", True, 1),
+            (LLCConfig, "slice_kb_per_core", -1, 1),
+            (LLCConfig, "cores", 0, 1),
+            (LLCConfig, "mesh_dimension", 0, 1),
+            (LLCConfig, "bank_hit_latency_cycles", -6, 1),
+            (LLCConfig, "mesh_hop_cycles", -1, 0),
+            (LLCConfig, "mesh_hop_cycles", 3.0, 0),
+        ],
+    )
+    def test_invalid_counts_rejected(self, config_class, field, value, minimum):
+        with pytest.raises(
+            ValueError, match=f"^{field} must be an int >= {minimum}, got {value!r}$"
+        ):
+            config_class(**{field: value})
+
+    def test_smallest_counts_accepted(self):
+        assert L1IConfig(size_bytes=64, associativity=1).block_count == 1
+        llc = LLCConfig(
+            slice_kb_per_core=1, cores=1, mesh_dimension=1,
+            bank_hit_latency_cycles=1, mesh_hop_cycles=0,
+        )
+        assert llc.total_blocks == 16
+        assert llc.round_trip_latency_cycles == 1
+
+
 class TestSharedLLC:
     def test_round_trip_latency_is_positive_and_stable(self):
         llc = SharedLLC()

@@ -120,6 +120,23 @@ def _two_bank_btb():
     return TwoBankBTB()
 
 
+def _lookup_coverage(btb, trace, warmup_fraction):
+    """``run_btb_coverage`` written record by record through ``lookup``."""
+    boundary = int(len(trace) * warmup_fraction)
+    taken_misses = instructions = 0
+    for index, record in enumerate(trace.records):
+        measured = index >= boundary
+        if measured:
+            instructions += record.instruction_count
+        if record.branch_pc is None:
+            continue
+        result = btb.lookup(record.branch_pc, taken=record.taken)
+        if measured and record.taken and not result.hit:
+            taken_misses += 1
+        btb.update(record.branch_pc, record.kind, record.target, record.taken)
+    return taken_misses, instructions
+
+
 @pytest.fixture(scope="module")
 def second_tiny_trace(tiny_program):
     """The tiny profile under another seed (a core's next trace)."""
@@ -219,6 +236,23 @@ class TestBackendReferenceParity:
         fast = simulator().run(trace)
         oracle = _oracle_run(simulator(), trace)
         assert dataclasses.asdict(fast) == dataclasses.asdict(oracle)
+
+    def test_lookup_only_btb_coverage_matches_a_lookup_loop(self, tiny_trace):
+        # run_btb_coverage reads through lookup_into; a BTB that overrides
+        # only lookup must still be walked through its own lookup.
+        from repro.analysis.experiments import run_btb_coverage
+
+        walked = _two_bank_btb()
+        looped = _two_bank_btb()
+        assert run_btb_coverage(walked, tiny_trace, 0.2) == _lookup_coverage(
+            looped, tiny_trace, 0.2
+        )
+        for btb in (walked, looped):
+            assert btb.stats.taken_misses > 0 and btb.odd_bank.stats.lookups > 0
+        assert dataclasses.asdict(walked.stats) == dataclasses.asdict(looped.stats)
+        assert dataclasses.asdict(walked.odd_bank.stats) == dataclasses.asdict(
+            looped.odd_bank.stats
+        )
 
     # One design per BTB family: conventional, two-level, PhantomBTB, AirBTB.
     @scalar_legs("baseline", "2level_shift", "phantom_shift", "confluence")
@@ -375,6 +409,16 @@ class TestAllocationFreeKernel:
         assert result.fetch_regions > 0
         assert contexts["count"] == 1  # hoisted out of the region loop
 
+    def test_btb_coverage_uses_the_slot_lookup(self, tiny_trace, monkeypatch):
+        from repro.analysis.experiments import run_btb_coverage
+        from repro.branch.btb_conventional import ConventionalBTB
+
+        lookups = self._count_calls(monkeypatch, ConventionalBTB, "lookup")
+        btb = ConventionalBTB(entries=256, victim_entries=16)
+        # Recorded before the walk read through lookup_into.
+        assert run_btb_coverage(btb, tiny_trace) == (675, 44491)
+        assert lookups["count"] == 0
+
     def test_slot_fallback_btb_still_bit_identical(self, tiny_program, tiny_trace):
         # Only PhantomBTB still keeps the generic lookup_into (which
         # delegates to lookup); the slot plumbing must not change its
@@ -433,6 +477,73 @@ def test_component_counters_match_the_oracle(tiny_program, tiny_trace, design):
     assert counters(fast)["history"][0] > 0
     if design == "confluence":
         assert counters(fast)["predecoder"][0] > 0
+
+
+#: BTB counters after one run of each design on the tiny trace, recorded
+#: before BTB updates reused resident entries.  The scalar loop and the
+#: oracle share ``update``, so parity cannot see a counter it skips; these
+#: pins can.  Each internal cache reads ``(CacheStats, occupancy)``.
+def _btb_stats(taken_misses, not_taken_misses, insertions, second_level):
+    """The tiny trace looks up 13,016 branches, 8,609 of them taken."""
+    return dict(
+        lookups=13016, taken_lookups=8609, taken_misses=taken_misses,
+        not_taken_lookups=4407, not_taken_misses=not_taken_misses,
+        insertions=insertions, second_level_accesses=second_level,
+    )
+
+
+def _cache(lookups, hits, misses, insertions, evictions, occupancy):
+    return (
+        dict(lookups=lookups, hits=hits, misses=misses, insertions=insertions,
+             evictions=evictions),
+        occupancy,
+    )
+
+
+RECORDED_BTB_COUNTERS = {
+    "baseline": {
+        "stats": _btb_stats(389, 1669, 8609, 0),
+        "_main": _cache(13016, 10934, 2082, 413, 29, 384),
+        "_victim": _cache(2082, 24, 2058, 29, 0, 5),
+    },
+    "2level_shift": {
+        "stats": _btb_stats(389, 1669, 8609, 24),
+        "_l1": _cache(13016, 10934, 2082, 413, 29, 384),
+        "_l2": _cache(2082, 24, 2058, 389, 0, 389),
+        "l1_misses_served_by_l2": 24,
+    },
+    "ideal": {
+        "stats": _btb_stats(330, 134, 13016, 0),
+    },
+    "phantom_shift": {
+        "stats": _btb_stats(406, 1684, 8609, 2090),
+        "_l1": _cache(13016, 10921, 2095, 411, 27, 384),
+        "_prefetch_buffer": _cache(2095, 5, 2090, 9, 0, 4),
+        "group_fetches": 1023,
+        "group_writes": 67,
+        "prefetch_buffer_hits": 5,
+    },
+}
+
+
+@scalar_legs(*RECORDED_BTB_COUNTERS)
+def test_btb_counters_hold_their_recorded_values(tiny_program, tiny_trace, design):
+    """BTB statistics, internal caches and level counters no result carries."""
+    from repro.caches.sram import SetAssociativeCache
+
+    simulator = _simulator(tiny_program, design)
+    simulator.run(tiny_trace)
+    btb = simulator.bpu.btb
+    counters = {"stats": dataclasses.asdict(btb.stats)}
+    for name, value in vars(btb).items():
+        if isinstance(value, SetAssociativeCache):
+            counters[name] = (dataclasses.asdict(value.stats), value.occupancy())
+    for name in (
+        "l1_misses_served_by_l2", "group_fetches", "group_writes", "prefetch_buffer_hits"
+    ):
+        if hasattr(btb, name):
+            counters[name] = getattr(btb, name)
+    assert counters == RECORDED_BTB_COUNTERS[design]
 
 
 class TestBranchColumnMemo:

@@ -36,6 +36,7 @@ class TestRepositoryIsClean:
         assert run_lint([SRC]) == []
 
     def test_kernel_functions_carry_the_marker(self):
+        from repro.analysis.experiments import run_btb_coverage
         from repro.backends.scalar import ScalarBackend
         from repro.branch.btb_conventional import ConventionalBTB, PerfectBTB
         from repro.branch.btb_two_level import TwoLevelBTB
@@ -48,6 +49,7 @@ class TestRepositoryIsClean:
         for func in (
             ScalarBackend.run,
             build_branch_columns,
+            run_btb_coverage,
             ConventionalBTB.lookup_into,
             PerfectBTB.lookup_into,
             TwoLevelBTB.lookup_into,
