@@ -79,7 +79,6 @@ from repro.registry import (
     PREFETCHER_REGISTRY,
     BuildContext,
     build_btb,
-    build_prefetcher,
 )
 from repro.core import (
     AirBTB,
@@ -89,7 +88,6 @@ from repro.core import (
     Confluence,
     ConfluenceConfig,
     DESIGN_POINTS,
-    DesignPoint,
     DesignSpec,
     FrontendConfig,
     FrontendResult,
@@ -140,7 +138,6 @@ __all__ = [
     "PREFETCHER_REGISTRY",
     "BuildContext",
     "build_btb",
-    "build_prefetcher",
     "AirBTB",
     "AirBTBConfig",
     "ChipMultiprocessor",
@@ -148,7 +145,6 @@ __all__ = [
     "Confluence",
     "ConfluenceConfig",
     "DESIGN_POINTS",
-    "DesignPoint",
     "DesignSpec",
     "FrontendConfig",
     "FrontendResult",

@@ -40,6 +40,19 @@ def conventional_entry_bits(entries: int, ways: int = 4, address_bits: int = 48)
     return tag_bits + payload_bits + 1  # +1 valid bit
 
 
+def check_whole_sets(name: str, entries: int, ways: int) -> None:
+    """An entry count must fill whole sets of ``ways`` entries.
+
+    A remainder would be dropped by the set-associative structure while
+    :func:`conventional_entry_bits` still priced it.
+    """
+    if entries % ways:
+        raise ValueError(
+            f"{name} must be divisible by associativity, got {entries} entries "
+            f"and {ways} ways"
+        )
+
+
 def conventional_storage_kb(entries: int, ways: int = 4, victim_entries: int = 0) -> float:
     """Storage of a conventional BTB geometry, without instantiating one.
 
@@ -67,8 +80,7 @@ class ConventionalBTB(BaseBTB):
         check_count("ways", ways, 1)
         check_count("victim_entries", victim_entries, 0)
         check_count("latency_cycles", latency_cycles, 1)
-        if entries % ways:
-            raise ValueError("entry count must be divisible by associativity")
+        check_whole_sets("entries", entries, ways)
         self.entries = entries
         self.ways = ways
         self.latency_cycles = latency_cycles
@@ -165,7 +177,7 @@ class PerfectBTB(BaseBTB):
     """Infinite-capacity, single-cycle BTB (the 'perfect BTB' upper bound)."""
 
     def __init__(self, latency_cycles: int = 1) -> None:
-        super().__init__("perfect_btb")
+        super().__init__("perfect")
         check_count("latency_cycles", latency_cycles, 1)
         self.latency_cycles = latency_cycles
         self._entries: Dict[int, BTBEntry] = {}

@@ -26,7 +26,7 @@ from collections import OrderedDict
 from typing import Any, List, Optional
 
 from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry, holds_entry
-from repro.branch.btb_conventional import conventional_entry_bits
+from repro.branch.btb_conventional import check_whole_sets, conventional_entry_bits
 from repro.caches.llc import SharedLLC
 from repro.caches.sram import SetAssociativeCache
 from repro.isa.instruction import BranchKind
@@ -58,6 +58,7 @@ class PhantomBTB(BaseBTB):
         check_count("entries_per_group", entries_per_group, 1)
         check_count("group_capacity", group_capacity, 1)
         check_count("l1_latency_cycles", l1_latency_cycles, 1)
+        check_whole_sets("l1_entries", l1_entries, ways)
         self.l1_entries = l1_entries
         self.ways = ways
         self.prefetch_buffer_entries = prefetch_buffer_entries

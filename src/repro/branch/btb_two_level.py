@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry, holds_entry
-from repro.branch.btb_conventional import conventional_entry_bits
+from repro.branch.btb_conventional import check_whole_sets, conventional_entry_bits
 from repro.caches.sram import SetAssociativeCache
 from repro.isa.instruction import BranchKind
 from repro.registry import BTB_REGISTRY, BuildContext, check_count
@@ -41,6 +41,8 @@ class TwoLevelBTB(BaseBTB):
         check_count("ways", ways, 1)
         check_count("l1_latency_cycles", l1_latency_cycles, 1)
         check_count("l2_latency_cycles", l2_latency_cycles, 1)
+        check_whole_sets("l1_entries", l1_entries, ways)
+        check_whole_sets("l2_entries", l2_entries, ways)
         self.l1_entries = l1_entries
         self.l2_entries = l2_entries
         self.ways = ways

@@ -1,7 +1,8 @@
 """L1 instruction cache model.
 
 The paper's configuration (Table 1) is a 32 KB, 4-way set-associative cache
-with 64 B blocks and a 2-cycle load-to-use latency.  The cache exposes a fill
+with 64 B blocks.  Its 2-cycle load-to-use latency is hidden by the fetch
+pipeline, so only misses stall the modelled core.  The cache exposes a fill
 listener interface: Confluence registers a listener so that every block
 brought into the L1-I (demand or prefetch) is also predecoded and inserted
 into AirBTB, and every eviction removes the corresponding AirBTB bundle —
@@ -20,7 +21,7 @@ from repro.registry import check_count
 
 @dataclass(frozen=True)
 class L1IConfig:
-    """Geometry and latency of the L1 instruction cache.
+    """Geometry of the L1 instruction cache.
 
     Blocks are always :data:`BLOCK_SIZE_BYTES`, the size the traces, the
     prefetchers and :func:`block_address` use, so they are not a field.
@@ -28,7 +29,6 @@ class L1IConfig:
 
     size_bytes: int = 32 * 1024
     associativity: int = 4
-    hit_latency_cycles: int = 2
 
     def __post_init__(self) -> None:
         check_count("size_bytes", self.size_bytes, 1)

@@ -16,17 +16,16 @@
 * :mod:`~repro.core.area` — the storage/area model calibrated to the paper's
   CACTI numbers.
 * :class:`~repro.core.cmp.ChipMultiprocessor` — the 16-core CMP wrapper with
-  a shared SHIFT history and an opt-in parallel core runner.
+  a shared SHIFT history; its cores run one after another in one process.
 """
 
 from repro.core.airbtb import AirBTB, AirBTBConfig
 from repro.core.confluence import Confluence, ConfluenceConfig
 from repro.core.frontend import FrontendConfig, FrontendResult, FrontendSimulator
 from repro.core.area import AreaModel, FrontendAreaReport
-from repro.core.metrics import mpki, miss_coverage, speedup
+from repro.core.metrics import mpki, miss_coverage
 from repro.core.designs import (
     DESIGN_POINTS,
-    DesignPoint,
     DesignSpec,
     build_design,
     design_from_spec,
@@ -47,8 +46,6 @@ __all__ = [
     "FrontendAreaReport",
     "mpki",
     "miss_coverage",
-    "speedup",
-    "DesignPoint",
     "DesignSpec",
     "build_design",
     "design_from_spec",

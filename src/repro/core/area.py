@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 #: Area of the modelled core at 40 nm (ARM Cortex-A72-like), mm^2.
 CORE_AREA_MM2 = 7.2
@@ -64,20 +64,20 @@ class FrontendAreaReport:
 
 
 class AreaModel:
-    """Builds :class:`FrontendAreaReport` objects for the evaluated designs."""
+    """Builds :class:`FrontendAreaReport` objects for the evaluated designs.
 
-    def __init__(self, core_area_mm2: float = CORE_AREA_MM2) -> None:
-        self.core_area_mm2 = core_area_mm2
+    The BTB is the only dedicated SRAM a design adds: FDP reuses the branch
+    predictor's metadata, and SHIFT (alone or inside Confluence) keeps its
+    history and index in the LLC.
+    """
 
     def report_for(
         self,
         design: str,
         btb_storage_kb: float = 0.0,
-        prefetcher_storage_kb: float = 0.0,
         shift_shared: bool = False,
-        extra_components: Optional[Dict[str, float]] = None,
     ) -> FrontendAreaReport:
-        """Assemble an area report from per-component storage figures.
+        """Assemble an area report from the BTB's storage.
 
         ``shift_shared`` adds the fixed per-core cost of SHIFT's virtualized
         history/index (which is not dedicated SRAM and therefore not run
@@ -86,10 +86,6 @@ class AreaModel:
         report = FrontendAreaReport(design=design)
         if btb_storage_kb:
             report.add("btb", sram_area_mm2(btb_storage_kb))
-        if prefetcher_storage_kb:
-            report.add("prefetcher", sram_area_mm2(prefetcher_storage_kb))
         if shift_shared:
             report.add("shift", SHIFT_PER_CORE_MM2)
-        for name, value in (extra_components or {}).items():
-            report.add(name, value)
         return report

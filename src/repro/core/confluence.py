@@ -24,16 +24,26 @@ from repro.core.airbtb import AirBTB, AirBTBConfig
 from repro.isa.block import ProgramImage
 from repro.isa.predecode import Predecoder
 from repro.prefetch.shift import ShiftConfig, ShiftHistory, ShiftPrefetcher
-from repro.registry import BTB_REGISTRY, BuildContext
+from repro.registry import BTB_REGISTRY, BuildContext, check_count
 
 
 @dataclass(frozen=True)
 class ConfluenceConfig:
-    """Configuration of a Confluence frontend instance."""
+    """Configuration of a Confluence frontend instance.
+
+    ``predecode_latency_cycles`` is the few cycles the predecoder's branch
+    scan takes before a block enters the L1-I and AirBTB (Section 3.2; the
+    paper cites existing predecoding hardware in Bulldozer and SPARC T4).
+    Only a demand miss pays it: a block that arrives ahead of demand absorbs
+    the scan off the critical path.
+    """
 
     airbtb: AirBTBConfig = AirBTBConfig()
     shift: ShiftConfig = ShiftConfig()
     predecode_latency_cycles: int = 2
+
+    def __post_init__(self) -> None:
+        check_count("predecode_latency_cycles", self.predecode_latency_cycles, 0)
 
 
 class Confluence:
@@ -56,7 +66,7 @@ class Confluence:
         self.config = config or ConfluenceConfig()
         self.image = image
         self.l1i = l1i
-        self.predecoder = Predecoder(latency_cycles=self.config.predecode_latency_cycles)
+        self.predecoder = Predecoder()
         self.airbtb = AirBTB(
             config=self.config.airbtb,
             block_provider=image.block_at,
@@ -92,22 +102,13 @@ class Confluence:
         self.airbtb.on_block_evict(block_addr)
 
     # ------------------------------------------------------------------ #
-    # Convenience accessors used by the frontend simulator and benches
+    # Read by the frontend simulator's stall model
     # ------------------------------------------------------------------ #
-
-    @property
-    def btb(self) -> AirBTB:
-        return self.airbtb
 
     @property
     def demand_fill_penalty_cycles(self) -> int:
         """Extra cycles a demand miss pays for predecoding before insertion."""
         return self.config.predecode_latency_cycles
-
-    @property
-    def storage_kb(self) -> float:
-        """Dedicated per-core storage added by Confluence (AirBTB only)."""
-        return self.airbtb.storage_kb
 
 
 @BTB_REGISTRY.register("airbtb")

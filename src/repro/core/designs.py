@@ -75,23 +75,18 @@ class DesignSpec:
         prefetcher_params: parameter overrides for the prefetcher factory.
         uses_shift: whether the design pays SHIFT's per-core area share.
         perfect_l1i: model a perfect instruction cache.
-        perfect_btb: the BTB is an idealisation, not a real structure.
         btb_storage_kb: explicit storage for area accounting.  ``None`` means
             "ask the built BTB"; idealised designs (infinite storage) set it
             to the storage they should be *priced* at — e.g. ``ideal`` carries
             the baseline BTB's storage so relative-area plots stay anchored.
     """
 
-    # Field order keeps positional construction compatible with the old
-    # DesignPoint(name, label, btb, prefetcher, uses_shift, ...) descriptor;
-    # the spec-only fields come after every inherited one.
     name: str
     label: str
     btb: str
     prefetcher: str
     uses_shift: bool = False
     perfect_l1i: bool = False
-    perfect_btb: bool = False
     btb_params: Mapping[str, object] = field(default_factory=dict)
     prefetcher_params: Mapping[str, object] = field(default_factory=dict)
     btb_storage_kb: Optional[float] = None
@@ -125,17 +120,12 @@ class DesignSpec:
             "prefetcher_params": dict(self.prefetcher_params),
             "uses_shift": self.uses_shift,
             "perfect_l1i": self.perfect_l1i,
-            "perfect_btb": self.perfect_btb,
             "btb_storage_kb": self.btb_storage_kb,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "DesignSpec":
         return cls(**data)
-
-
-#: Backwards-compatible alias: the old descriptor type grew into the spec.
-DesignPoint = DesignSpec
 
 
 def _paper_design_points() -> Tuple[DesignSpec, ...]:
@@ -161,8 +151,7 @@ def _paper_design_points() -> Tuple[DesignSpec, ...]:
         ),
         DesignSpec("confluence", "Confluence", "airbtb", "shift", uses_shift=True),
         DesignSpec(
-            "ideal", "Ideal", "perfect", "perfect",
-            perfect_l1i=True, perfect_btb=True,
+            "ideal", "Ideal", "perfect", "perfect", perfect_l1i=True,
             # Priced at the baseline BTB's storage (the paper's convention for
             # the ideal core) straight from the area model — no shadow BTB.
             btb_storage_kb=conventional_storage_kb(1024, ways=4, victim_entries=64),

@@ -31,6 +31,7 @@ from repro.caches.llc import SharedLLC
 from repro.core.confluence import Confluence
 from repro.core.metrics import mpki
 from repro.prefetch.base import InstructionPrefetcher, NullPrefetcher
+from repro.registry import check_count
 from repro.workloads.trace import Trace
 
 
@@ -63,6 +64,12 @@ class FrontendConfig:
         check_warmup_fraction(self.warmup_fraction)
         if self.base_cpi <= 0:
             raise ValueError("base_cpi must be positive")
+        check_count("misfetch_penalty_cycles", self.misfetch_penalty_cycles, 0)
+        check_count(
+            "direction_mispredict_penalty_cycles",
+            self.direction_mispredict_penalty_cycles,
+            0,
+        )
 
 
 @dataclass

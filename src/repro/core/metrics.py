@@ -1,12 +1,12 @@
 """Metrics used throughout the evaluation.
 
 Small, dependency-free helpers so benchmarks, tests and examples all compute
-MPKI, miss coverage and speedups the same way the paper does.
+MPKI, miss coverage and averaged speedups the same way the paper does.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Iterable
 
 
 def mpki(misses: int, instructions: int) -> float:
@@ -42,13 +42,6 @@ def miss_coverage(baseline_misses: int, design_misses: int) -> float:
     return (baseline_misses - design_misses) / baseline_misses
 
 
-def speedup(baseline_cycles: float, design_cycles: float) -> float:
-    """Performance of a design relative to a baseline (same instruction count)."""
-    if design_cycles <= 0 or baseline_cycles <= 0:
-        return 0.0
-    return baseline_cycles / design_cycles
-
-
 def geometric_mean(values: Iterable[float]) -> float:
     """Geometric mean, the conventional way to average speedups.
 
@@ -82,19 +75,3 @@ def fraction_of_ideal(design_speedup: float, ideal_speedup: float) -> float:
     if ideal_speedup <= 1.0:
         return 0.0
     return (design_speedup - 1.0) / (ideal_speedup - 1.0)
-
-
-def normalize(values: Mapping[str, float], reference_key: str) -> Dict[str, float]:
-    """Normalize a mapping of values to one reference entry.
-
-    Degenerate input raises :class:`ValueError` (matching
-    :func:`geometric_mean`'s loud-failure behavior) rather than a bare
-    ``KeyError`` or a silent division artifact.
-    """
-    if reference_key not in values:
-        known = ", ".join(sorted(str(key) for key in values))
-        raise ValueError(f"unknown reference {reference_key!r}; known: {known}")
-    reference = values[reference_key]
-    if reference == 0:
-        raise ValueError(f"reference value {reference_key!r} is zero")
-    return {key: value / reference for key, value in values.items()}

@@ -2,7 +2,7 @@
 
 Chaos testing a process pool usually means racing real ``kill`` signals
 against real work — flaky by construction.  This module replaces that with
-**seeded fault plans** fired at **named injection points**: a
+**deterministic fault plans** fired at **named injection points**: a
 :class:`FaultPlan` is a list of rules ("raise a transient ``OSError`` the
 first two times cell X simulates", "kill the worker running cell Y once",
 "hang cell Z"), and the production code calls :func:`injection_point` at
@@ -107,17 +107,13 @@ class FaultRule:
 
 
 class FaultPlan:
-    """A seeded, ordered schedule of faults.
+    """An ordered schedule of faults.
 
-    ``seed`` feeds :attr:`rng` (a private :class:`random.Random`) so plans
-    that *choose* targets — e.g. pick one cell of a grid to kill — stay
-    reproducible.  Rules themselves fire deterministically on
-    (point, label, attempt); see :class:`FaultRule`.
+    Rules fire deterministically on (point, label, attempt); see
+    :class:`FaultRule`.
     """
 
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
-        self.rng = random.Random(seed)
+    def __init__(self) -> None:
         self.rules: List[FaultRule] = []
         #: Every (point, label, attempt) that fired a rule, per process —
         #: observability for tests (forked workers accumulate their own).

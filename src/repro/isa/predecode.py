@@ -1,12 +1,11 @@
 """Hardware predecoder model.
 
 Confluence scans every instruction block on its way into the L1-I, extracting
-the branch kind and the PC-relative displacement of each branch.  The scan
-takes a few cycles but stays off the critical path when the block arrives
-ahead of demand (Section 3.2).  This module models that scan and produces the
-exact metadata AirBTB stores: per-branch (offset, kind, target) descriptors
-plus the 16-bit branch bitmap of the block.  A descriptor *is* the entry
-AirBTB installs, so a predecoded block is installed without a copy.
+the branch kind and the PC-relative displacement of each branch.  This module
+models that scan and produces the exact metadata AirBTB stores: per-branch
+(offset, kind, target) descriptors plus the 16-bit branch bitmap of the block.
+A descriptor *is* the entry AirBTB installs, so a predecoded block is
+installed without a copy.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class PredecodedBlock:
     block_address: int
     bitmap: int
     branches: Tuple[BranchDescriptor, ...]
-    latency_cycles: int
 
     @property
     def branch_count(self) -> int:
@@ -65,16 +63,11 @@ class PredecodedBlock:
 class Predecoder:
     """Scans instruction blocks for branches, as done before L1-I insertion.
 
-    ``latency_cycles`` models the few cycles the branch scan takes (the paper
-    cites existing predecoding hardware in Bulldozer and SPARC T4).  The
-    latency only matters for demand misses; prefetched blocks absorb it off
-    the critical path.
+    The scan's latency is :class:`~repro.core.confluence.ConfluenceConfig`'s
+    ``predecode_latency_cycles``.
     """
 
-    def __init__(self, latency_cycles: int = 2) -> None:
-        if latency_cycles < 0:
-            raise ValueError("predecode latency cannot be negative")
-        self.latency_cycles = latency_cycles
+    def __init__(self) -> None:
         self.blocks_scanned = 0
         self.branches_extracted = 0
 
@@ -99,5 +92,4 @@ class Predecoder:
             block_address=block.base_address,
             bitmap=bitmap,
             branches=tuple(descriptors),
-            latency_cycles=self.latency_cycles,
         )

@@ -123,7 +123,6 @@ def run_kernel_benchmark(
     seed: int = 3,
     designs: Sequence[str] = ("baseline", "confluence"),
     repeats: int = 3,
-    artifact_dir: Optional[str] = None,
 ) -> Dict[str, object]:
     """Measure the simulation kernel and return one trajectory point.
 
@@ -152,7 +151,7 @@ def run_kernel_benchmark(
     trace = generate_trace(program, instructions, seed=seed, name=profile.name)
     generate_s = time.perf_counter() - start
 
-    def _measure(directory: str) -> Dict[str, object]:
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as directory:
         artifact = Path(directory) / "bench.trace"
         start = time.perf_counter()
         trace.packed.save(artifact)
@@ -160,21 +159,8 @@ def run_kernel_benchmark(
         start = time.perf_counter()
         packed = load_packed(artifact)
         load_s = time.perf_counter() - start
-        mapped_trace = Trace.from_packed(packed)
-        return {
-            "save_s": save_s,
-            "load_s": load_s,
-            "artifact_bytes": artifact.stat().st_size,
-            "mapped": packed.mapped,
-            "trace": mapped_trace,
-        }
-
-    if artifact_dir is not None:
-        round_trip = _measure(artifact_dir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-") as directory:
-            round_trip = _measure(directory)
-    bench_trace: Trace = round_trip.pop("trace")
+        bench_trace = Trace.from_packed(packed)
+        artifact_bytes = artifact.stat().st_size
     regions = len(bench_trace)
 
     # Built once per trace and memoized on it: timed here, as set-up, so the
@@ -223,13 +209,13 @@ def run_kernel_benchmark(
         "trace": {
             "regions": regions,
             "instructions": bench_trace.instruction_count,
-            "artifact_bytes": round_trip["artifact_bytes"],
-            "mapped": round_trip["mapped"],
+            "artifact_bytes": artifact_bytes,
+            "mapped": packed.mapped,
         },
         "stages": {
             "generate_s": generate_s,
-            "save_s": round_trip["save_s"],
-            "load_s": round_trip["load_s"],
+            "save_s": save_s,
+            "load_s": load_s,
             "branch_columns_s": branch_columns_s,
         },
         "designs": design_rows,

@@ -92,11 +92,6 @@ class InstructionPrefetcher(abc.ABC):
     def prefetch_targets(self, context: PrefetchContext) -> Iterable[int]:
         """Return block addresses to prefetch, in priority order."""
 
-    @property
-    def storage_kb(self) -> float:
-        """Dedicated per-core storage of the prefetcher."""
-        return 0.0
-
 
 class NullPrefetcher(InstructionPrefetcher):
     """No prefetching (the baseline core)."""

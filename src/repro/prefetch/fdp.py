@@ -195,11 +195,6 @@ class FetchDirectedPrefetcher(InstructionPrefetcher):
                     targets.append(block)
         return targets
 
-    @property
-    def storage_kb(self) -> float:
-        """FDP reuses existing branch predictor metadata (no extra storage)."""
-        return 0.0
-
 
 @PREFETCHER_REGISTRY.register("fdp")
 def _build_fdp(ctx: BuildContext, **params: Any) -> FetchDirectedPrefetcher:

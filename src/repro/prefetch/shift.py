@@ -37,16 +37,17 @@ class ShiftConfig:
     the core's fetch stream and the replayed history (in instruction blocks);
     ``divergence_threshold`` is how many uncovered demand misses the engine
     tolerates before it abandons the active stream and re-anchors at the
-    missing block.
+    missing block.  The index has no size of its own: it maps each block to
+    its latest history slot and loses the entry when that slot is
+    overwritten, so ``history_entries`` bounds it too.
     """
 
     history_entries: int = 96 * 1024
-    index_entries: int = 96 * 1024
     read_ahead_degree: int = 24
     divergence_threshold: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("history_entries", "index_entries", "read_ahead_degree"):
+        for name in ("history_entries", "read_ahead_degree"):
             check_count(name, getattr(self, name), 1)
         check_count("divergence_threshold", self.divergence_threshold, 0)
 
@@ -64,11 +65,6 @@ class ShiftConfig:
         # Each entry holds a block address pointer; the paper quotes 204 KB
         # for 32K entries (~51 bits per entry with pointers and tags).
         return self.history_entries * 51 / 8 / 1024
-
-    @property
-    def index_storage_kb(self) -> float:
-        """Index footprint (embedded in the LLC tag array)."""
-        return self.index_entries * 60 / 8 / 1024
 
 
 class ShiftHistory:
@@ -257,11 +253,6 @@ class ShiftPrefetcher(InstructionPrefetcher):
         stream.position = (stream.position + len(extension)) % self.history.capacity
         stream.pending.extend(extension)
         targets.extend(extension)
-
-    @property
-    def storage_kb(self) -> float:
-        """Dedicated per-core storage: none (history and index live in LLC)."""
-        return 0.0
 
 
 @PREFETCHER_REGISTRY.register("shift")

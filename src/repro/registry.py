@@ -222,20 +222,6 @@ BTB_REGISTRY = Registry("BTB design", loader=load_builtin_components)
 PREFETCHER_REGISTRY = Registry("prefetcher", loader=load_builtin_components)
 
 
-def _bare_context(
-    program: Optional["SyntheticProgram"] = None,
-    llc: Optional["SharedLLC"] = None,
-) -> BuildContext:
-    from repro.caches.l1i import InstructionCache
-    from repro.caches.llc import SharedLLC
-
-    return BuildContext(
-        program=program,
-        llc=llc if llc is not None else SharedLLC(),
-        l1i=InstructionCache(),
-    )
-
-
 def build_btb(
     name: str,
     program: Optional["SyntheticProgram"] = None,
@@ -247,14 +233,12 @@ def build_btb(
     Used by coverage harnesses and sweeps that drive a bare BTB with a
     branch stream (no frontend timing model around it).
     """
-    return BTB_REGISTRY.get(name)(_bare_context(program, llc), **params)
+    from repro.caches.l1i import InstructionCache
+    from repro.caches.llc import SharedLLC
 
-
-def build_prefetcher(
-    name: str,
-    program: Optional["SyntheticProgram"] = None,
-    llc: Optional["SharedLLC"] = None,
-    **params: Any,
-) -> Any:
-    """Instantiate a registered prefetcher outside a full design point."""
-    return PREFETCHER_REGISTRY.get(name)(_bare_context(program, llc), **params)
+    context = BuildContext(
+        program=program,
+        llc=llc if llc is not None else SharedLLC(),
+        l1i=InstructionCache(),
+    )
+    return BTB_REGISTRY.get(name)(context, **params)

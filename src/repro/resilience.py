@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Union
 
+from repro.registry import check_count
+
 __all__ = ["CellExecutionError", "RetryPolicy", "RunJournal"]
 
 
@@ -69,14 +71,12 @@ class RetryPolicy:
     max_pool_rebuilds: int = 2
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("retries must be non-negative")
+        check_count("retries", self.retries, 0)
+        check_count("max_pool_rebuilds", self.max_pool_rebuilds, 0)
         if self.backoff < 0 or self.backoff_cap < 0:
             raise ValueError("backoff and backoff_cap must be non-negative")
         if self.cell_timeout is not None and self.cell_timeout <= 0:
             raise ValueError("cell_timeout must be positive when given")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be non-negative")
 
     def delay(self, attempt: int) -> float:
         """Seconds to wait before re-execution ``attempt + 1`` (attempt >= 0)."""

@@ -141,7 +141,6 @@ __all__ = [
     "quarantine",
     "run_cells",
     "run_sweep",
-    "simulate_cell",
     "summarize_result",
     "trace_key",
     "workload_program",
@@ -958,11 +957,6 @@ def _cell_failure(
 #: (summary, traces generated, loaded, artifacts quarantined) — the
 #: per-cell deltas a scheduler folds into :class:`SweepStats`.
 _CellOutcome = Tuple[Dict[str, object], int, int, int]
-
-
-def simulate_cell(cell: SweepCell) -> Dict[str, object]:
-    """Run one grid cell in this process and return its summary."""
-    return _simulate_cell_counted(cell, None)[0]
 
 
 def _simulate_cell_counted(

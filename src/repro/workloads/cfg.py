@@ -130,7 +130,6 @@ class SyntheticProgram:
     profile: WorkloadProfile
     cfg: ControlFlowGraph
     image: ProgramImage
-    entry_points: Tuple[int, ...]
 
     @property
     def footprint_bytes(self) -> int:
@@ -171,11 +170,7 @@ def synthesize_program(profile: WorkloadProfile) -> SyntheticProgram:
     for plan in plans:
         function = _materialize_function(plan, plans_by_layer, profile, rng, cfg, image)
         cfg.add_function(function)
-
-    entries = tuple(
-        plan.entry for plan in plans_by_layer[0][: profile.request_types]
-    )
-    return SyntheticProgram(profile=profile, cfg=cfg, image=image, entry_points=entries)
+    return SyntheticProgram(profile=profile, cfg=cfg, image=image)
 
 
 #: Per-process memo of synthesized programs: every consumer of a profile —

@@ -19,7 +19,7 @@ from repro import (
     resolve_design,
 )
 from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult
-from repro.core.designs import DESIGN_POINTS, DesignPoint
+from repro.core.designs import DESIGN_POINTS
 from repro.registry import Registry
 
 
@@ -112,9 +112,9 @@ class TestDesignSpec:
         assert base.btb_params["entries"] == 1024  # original untouched
 
     def test_designpoint_positional_compat(self, tiny_program):
-        # The old DesignPoint(name, label, btb, prefetcher, uses_shift, ...)
-        # positional form must keep working against the grown spec.
-        point = DesignPoint("compat", "Compat", "conventional_1k", "fdp", True)
+        # The positional form (name, label, btb, prefetcher, uses_shift, ...)
+        # keeps working.
+        point = DesignSpec("compat", "Compat", "conventional_1k", "fdp", True)
         assert point.uses_shift is True
         assert point.btb_params == {}
         simulator, _ = design_from_spec(point, tiny_program)

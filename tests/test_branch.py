@@ -296,6 +296,26 @@ class TestStockBTBCounts:
         ):
             build_btb(name, **{field: value})
 
+    @pytest.mark.parametrize(
+        "name, settings, field",
+        [
+            # The two-level and Phantom BTBs used to drop the remainder:
+            # l1_entries=6 held 4 entries, l2_entries=16386 held 16,384 but
+            # priced 16,386, and l2_entries=1030 failed on a power-of-two
+            # set count instead.
+            ("conventional", dict(entries=6), "entries"),
+            ("two_level", dict(l1_entries=6), "l1_entries"),
+            ("two_level", dict(l2_entries=16386), "l2_entries"),
+            ("two_level", dict(l2_entries=1030), "l2_entries"),
+            ("phantom", dict(l1_entries=6), "l1_entries"),
+        ],
+    )
+    def test_entry_counts_fill_whole_sets(self, name, settings, field):
+        with pytest.raises(
+            ValueError, match=f"^{field} must be divisible by associativity, got "
+        ):
+            build_btb(name, ways=4, **settings)
+
     def test_phantom_without_an_llc_rejects_a_negative_group_capacity(self):
         # It used to be accepted, then the first group commit raised
         # KeyError('dictionary is empty').

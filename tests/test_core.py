@@ -15,15 +15,8 @@ from repro.core import (
     FrontendSimulator,
     build_design,
 )
-from repro.core.area import AreaModel, sram_area_mm2
-from repro.core.metrics import (
-    fraction_of_ideal,
-    geometric_mean,
-    miss_coverage,
-    mpki,
-    normalize,
-    speedup,
-)
+from repro.core.area import SHIFT_PER_CORE_MM2, AreaModel, sram_area_mm2
+from repro.core.metrics import fraction_of_ideal, geometric_mean, miss_coverage, mpki
 from repro.isa.block import InstructionBlock
 from repro.isa.instruction import BranchKind, Instruction
 from repro.isa.predecode import Predecoder
@@ -181,8 +174,13 @@ class TestConfluence:
         assert bundle_blocks <= l1i_blocks
 
     def test_storage_is_airbtb_only(self, tiny_program):
-        confluence = Confluence(image=tiny_program.image, l1i=InstructionCache())
-        assert confluence.storage_kb == confluence.airbtb.storage_kb
+        # The predecoder and SHIFT add no dedicated SRAM: Confluence is
+        # priced as its AirBTB plus SHIFT's fixed per-core share.
+        _, area = build_design("confluence", tiny_program)
+        assert area.components_mm2 == {
+            "btb": sram_area_mm2(AirBTBConfig().storage_kb),
+            "shift": SHIFT_PER_CORE_MM2,
+        }
 
 
 class TestFrontendSimulator:
@@ -214,6 +212,22 @@ class TestFrontendSimulator:
             FrontendConfig(base_cpi=0)
         with pytest.raises(ValueError):
             FrontendConfig(warmup_fraction=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # A negative penalty took cycles off every misfetch or
+            # misprediction; 2.5 and True passed as cycle counts.
+            ("misfetch_penalty_cycles", -4),
+            ("misfetch_penalty_cycles", 2.5),
+            ("direction_mispredict_penalty_cycles", -12),
+            ("direction_mispredict_penalty_cycles", True),
+        ],
+    )
+    def test_invalid_penalties_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an int >= 0, got {value!r}$"):
+            FrontendConfig(**{field: value})
+        assert getattr(FrontendConfig(**{field: 0}), field) == 0
 
     @pytest.mark.parametrize("warmup", [1.0, 1.5, -0.5])
     def test_warmup_override_outside_unit_interval_rejected(
@@ -379,10 +393,13 @@ class TestAreaModel:
 
     def test_report_composition(self):
         model = AreaModel()
-        report = model.report_for("x", btb_storage_kb=10, shift_shared=True,
-                                  extra_components={"predecoder": 0.01})
-        assert set(report.components_mm2) == {"btb", "shift", "predecoder"}
+        report = model.report_for("x", btb_storage_kb=10, shift_shared=True)
+        assert report.components_mm2 == {
+            "btb": sram_area_mm2(10),
+            "shift": SHIFT_PER_CORE_MM2,
+        }
         assert report.total_mm2 == pytest.approx(sum(report.components_mm2.values()))
+        assert model.report_for("y").components_mm2 == {}
 
 
 class TestMetrics:
@@ -391,7 +408,7 @@ class TestMetrics:
 
     def test_mpki_rejects_degenerate_instruction_count(self):
         # A run that measured nothing is broken, not miss-free (the same
-        # loud-failure policy as geometric_mean/normalize).
+        # loud-failure policy as geometric_mean).
         with pytest.raises(ValueError, match="positive instruction count"):
             mpki(50, 0)
         with pytest.raises(ValueError, match="positive instruction count"):
@@ -404,10 +421,6 @@ class TestMetrics:
     def test_miss_coverage_rejects_missless_baseline(self):
         with pytest.raises(ValueError, match="positive baseline misses"):
             miss_coverage(0, 10)
-
-    def test_speedup(self):
-        assert speedup(200, 100) == pytest.approx(2.0)
-        assert speedup(0, 100) == 0.0
 
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
@@ -423,16 +436,6 @@ class TestMetrics:
     def test_fraction_of_ideal(self):
         assert fraction_of_ideal(1.30, 1.35) == pytest.approx(0.857, abs=0.01)
         assert fraction_of_ideal(1.1, 1.0) == 0.0
-
-    def test_normalize(self):
-        values = {"a": 2.0, "b": 4.0}
-        assert normalize(values, "a") == {"a": 1.0, "b": 2.0}
-        with pytest.raises(ValueError):
-            normalize({"a": 0.0}, "a")
-
-    def test_normalize_unknown_reference(self):
-        with pytest.raises(ValueError, match="known: a, b"):
-            normalize({"a": 1.0, "b": 2.0}, "missing")
 
 
 class TestChipMultiprocessor:

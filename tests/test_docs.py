@@ -1,6 +1,6 @@
-"""Documentation integrity: intra-repo links resolve, CLI examples are real.
+"""Documentation integrity: links resolve, CLI and script examples are real.
 
-Three drift guards, all cheap enough for tier-1:
+Four drift guards, all cheap enough for tier-1:
 
 * every relative markdown link (and same-file anchor) in the repo's
   documentation points at something that exists — CI's docs job runs this
@@ -10,11 +10,16 @@ Three drift guards, all cheap enough for tier-1:
   cannot point readers at a deleted doc;
 * every ``--flag`` used in a documented ``python -m repro <cmd>`` example
   is a real option of that subcommand's parser — the docs cannot describe
-  a CLI that no longer exists.
+  a CLI that no longer exists;
+* every name an ``examples/*.py`` script imports from a ``repro`` module
+  exists there — nothing else imports or runs the examples, so a deleted
+  name would otherwise break one unnoticed.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -124,3 +129,18 @@ def test_documented_cli_examples_use_real_flags():
         elif flag not in known[sub]:
             stale.append(f"{doc}: 'repro {sub}' has no flag {flag}")
     assert not stale, f"documentation drifted from the CLI: {stale}"
+
+
+def test_example_imports_exist():
+    """Parse each example (no workload runs) and resolve its repro imports."""
+    missing = []
+    for script in sorted((REPO_ROOT / "examples").glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                module = importlib.import_module(node.module)
+                missing += [
+                    f"{script.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not hasattr(module, alias.name)
+                ]
+    assert not missing, f"examples import names that do not exist: {missing}"

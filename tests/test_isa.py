@@ -186,12 +186,10 @@ class TestPredecoder:
         block = InstructionBlock(0x4000)
         block.add(Instruction(address=0x4004, kind=BranchKind.CONDITIONAL, target=0x4100))
         block.add(Instruction(address=0x4020, kind=BranchKind.RETURN))
-        predecoder = Predecoder(latency_cycles=3)
-        decoded = predecoder.predecode(block)
+        decoded = Predecoder().predecode(block)
         assert decoded.block_address == 0x4000
         assert decoded.branch_count == 2
         assert decoded.bitmap == (1 << 1) | (1 << 8)
-        assert decoded.latency_cycles == 3
         assert decoded.branch_at_offset(1).target == 0x4100
         assert decoded.branch_at_offset(8).kind is BranchKind.RETURN
         assert decoded.branch_at_offset(2) is None
@@ -206,8 +204,15 @@ class TestPredecoder:
         assert predecoder.branches_extracted == 2
 
     def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            Predecoder(latency_cycles=-1)
+        # The scan latency is a Confluence setting: the stall model reads it
+        # from ConfluenceConfig, and a demand fill may pay zero cycles.
+        from repro.core import ConfluenceConfig
+
+        with pytest.raises(
+            ValueError, match="^predecode_latency_cycles must be an int >= 0, got -1$"
+        ):
+            ConfluenceConfig(predecode_latency_cycles=-1)
+        assert ConfluenceConfig(predecode_latency_cycles=0).predecode_latency_cycles == 0
 
     def test_descriptors_are_the_btb_entries(self):
         from repro.branch.btb_base import BTBEntry

@@ -5,6 +5,8 @@ import pytest
 from repro.branch import BranchPredictionUnit, PerfectBTB, ConventionalBTB
 from repro.caches.l1i import InstructionCache
 from repro.caches.llc import SharedLLC
+from repro.core import build_design
+from repro.core.area import SHIFT_PER_CORE_MM2
 from repro.prefetch import (
     FetchDirectedPrefetcher,
     NullPrefetcher,
@@ -192,7 +194,6 @@ class TestShiftHistory:
     def test_storage_estimates(self):
         config = ShiftConfig()
         assert config.history_storage_kb > 100
-        assert config.index_storage_kb > 100
 
     @pytest.mark.parametrize(
         "field, value, minimum",
@@ -202,8 +203,6 @@ class TestShiftHistory:
             # never prefetched; True and 6.0 passed as counts.
             ("history_entries", 0, 1),
             ("history_entries", True, 1),
-            ("index_entries", 0, 1),
-            ("index_entries", 6.0, 1),
             ("read_ahead_degree", 0, 1),
             ("read_ahead_degree", -3, 1),
             ("read_ahead_degree", True, 1),
@@ -219,8 +218,7 @@ class TestShiftHistory:
 
     def test_boundary_counts_accepted(self):
         config = ShiftConfig(
-            history_entries=1, index_entries=1, read_ahead_degree=1,
-            divergence_threshold=0,
+            history_entries=1, read_ahead_degree=1, divergence_threshold=0,
         )
         history = ShiftHistory(config)
         history.record(0x40)
@@ -233,26 +231,27 @@ class TestHistoryOverwrite:
     index-drop bookkeeping."""
 
     def test_record_drops_index_entry_of_overwritten_slot(self):
-        history = ShiftHistory(ShiftConfig(history_entries=4, index_entries=4))
+        history = ShiftHistory(ShiftConfig(history_entries=4))
         blocks = [0x0, 0x40, 0x80, 0xC0]
         for block in blocks:
             history.record(block)
         history.record(0x100)  # overwrites slot 0 (0x0), whose index points there
         assert history.lookup(0x0) is None
+        assert len(history._index) == 4  # the history bounds the index
         for block in (0x40, 0x80, 0xC0, 0x100):
             assert history.lookup(block) is not None
 
     def test_record_keeps_stale_index_of_rerecorded_block(self):
         # 0x0 recurs later in the buffer: overwriting its *old* slot must not
         # drop the index entry pointing at the newer occurrence.
-        history = ShiftHistory(ShiftConfig(history_entries=4, index_entries=4))
+        history = ShiftHistory(ShiftConfig(history_entries=4))
         for block in (0x0, 0x40, 0x0, 0x80):
             history.record(block)
         history.record(0xC0)  # overwrites slot 0, but index[0x0] == 2
         assert history.lookup(0x0) == 2
 
     def test_record_overwriting_slot_with_same_block_keeps_index(self):
-        history = ShiftHistory(ShiftConfig(history_entries=2, index_entries=2))
+        history = ShiftHistory(ShiftConfig(history_entries=2))
         for block in (0x0, 0x40, 0x0):  # third record overwrites slot 0 with 0x0
             history.record(block)
         assert history.lookup(0x0) == 0
@@ -320,6 +319,9 @@ class TestShiftPrefetcher:
             prefetcher.prefetch_targets(self._context(other, index, l1i, record.blocks()[0]))
         assert prefetcher.streams_started <= 2
 
-    def test_no_dedicated_storage(self):
-        history = ShiftHistory(ShiftConfig(history_entries=64))
-        assert ShiftPrefetcher(history).storage_kb == 0.0
+    def test_no_dedicated_storage(self, tiny_program):
+        # History and index live in the LLC: a SHIFT design prices its BTB
+        # and SHIFT's fixed per-core share, and nothing for the prefetcher.
+        _, area = build_design("2level_shift", tiny_program)
+        assert set(area.components_mm2) == {"btb", "shift"}
+        assert area.components_mm2["shift"] == SHIFT_PER_CORE_MM2

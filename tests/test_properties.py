@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.caches.sram import SetAssociativeCache
-from repro.core.metrics import miss_coverage, mpki, speedup
+from repro.core.frontend import FrontendResult
+from repro.core.metrics import miss_coverage, mpki
 from repro.isa.instruction import (
     BLOCK_SIZE_BYTES,
     INSTRUCTIONS_PER_BLOCK,
@@ -132,4 +133,7 @@ class TestMetricProperties:
 
     @given(st.floats(min_value=1, max_value=1e6), st.floats(min_value=1, max_value=1e6))
     def test_speedup_antisymmetry(self, a, b):
-        assert speedup(a, b) * speedup(b, a) == __import__("pytest").approx(1.0)
+        first = FrontendResult("first", "w", instructions=1000, base_cycles=a)
+        second = FrontendResult("second", "w", instructions=1000, base_cycles=b)
+        product = first.speedup_over(second) * second.speedup_over(first)
+        assert product == __import__("pytest").approx(1.0)

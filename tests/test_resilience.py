@@ -66,6 +66,11 @@ class TestRetryPolicy:
         {"cell_timeout": 0.0},
         {"cell_timeout": -5.0},
         {"max_pool_rebuilds": -1},
+        # Counts are ints: 2.5 retries used to crash the serial scheduler
+        # with a bare TypeError, and True acted as one retry.
+        {"retries": 2.5},
+        {"retries": True},
+        {"max_pool_rebuilds": 1.5},
     ])
     def test_invalid_knobs_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -174,7 +179,7 @@ class TestRetryPaths:
 
 class TestPoolRecovery:
     def test_worker_kill_mid_sweep_rebuilds_and_completes(self, reference):
-        plan = FaultPlan(seed=9)
+        plan = FaultPlan()
         plan.kill_worker("cell:simulate", match="oltp_db2/confluence", attempts=1)
         clear_workload_memo()
         with active(plan):

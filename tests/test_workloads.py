@@ -85,12 +85,19 @@ class TestSynthesis:
         first = synthesize_program(tiny_profile)
         second = synthesize_program(tiny_profile)
         assert first.footprint_bytes == second.footprint_bytes
-        assert first.entry_points == second.entry_points
+        assert first.cfg.functions == second.cfg.functions
 
     def test_entry_points_are_layer0_functions(self, tiny_program):
+        # Every operation the walker starts enters the program at a layer-0
+        # function, whatever its request type.
         layer0 = {f.entry for f in tiny_program.cfg.functions_in_layer(0)}
-        assert set(tiny_program.entry_points) <= layer0
-        assert len(tiny_program.entry_points) == tiny_program.profile.request_types
+        walker = TraceWalker(tiny_program)
+        entries = {
+            walker._operation_entry(request_type, op_index)
+            for request_type in range(tiny_program.profile.request_types)
+            for op_index in range(16)
+        }
+        assert entries <= layer0
 
     def test_every_function_ends_with_return(self, tiny_program):
         for function in tiny_program.cfg.functions:
