@@ -3,7 +3,7 @@ Scale-Out Servers" (Kaynak, Grot & Falsafi, MICRO-48, 2015).
 
 The package is organised as the paper's system is:
 
-* :mod:`repro.isa` — instruction/branch model, 64 B block model, predecoder.
+* :mod:`repro.isa` — branch kinds, 64 B block arithmetic, predecoder.
 * :mod:`repro.workloads` — synthetic scale-out server workloads, traces and
   consolidation :class:`Scenario` mixes (heterogeneous per-core assignments
   with a catalog mirroring :data:`DESIGN_POINTS`).

@@ -235,7 +235,7 @@ def branch_density_table(program: SyntheticProgram, trace: Trace) -> Dict[str, f
     static_total = 0
     counted = 0
     for block_addr in touched:
-        block = program.image.block_at(block_addr)
+        block = program.image.get(block_addr)
         if block is None:
             continue
         static_total += block.branch_count

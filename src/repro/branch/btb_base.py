@@ -181,10 +181,3 @@ class BaseBTB(abc.ABC):
     def storage_kb(self) -> float:
         """Dedicated per-core storage of the design in kilobytes."""
         return 0.0
-
-    def miss_coverage_over(self, baseline_taken_misses: int) -> float:
-        """Fraction of the baseline's taken-branch misses this design removed."""
-        if baseline_taken_misses == 0:
-            return 0.0
-        eliminated = baseline_taken_misses - self.stats.taken_misses
-        return eliminated / baseline_taken_misses

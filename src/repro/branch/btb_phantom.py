@@ -177,11 +177,6 @@ class PhantomBTB(BaseBTB):
         pb_bits = self.prefetch_buffer_entries * (48 + 30 + 2 + 1)
         return (l1_bits + pb_bits) / 8 / 1024
 
-    @property
-    def virtualized_kb(self) -> float:
-        """LLC footprint of the temporal groups (not dedicated storage)."""
-        return self.group_capacity * 64 / 1024
-
 
 @BTB_REGISTRY.register("phantom")
 def _build_phantom(ctx: BuildContext, **params: Any) -> PhantomBTB:

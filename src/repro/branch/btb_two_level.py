@@ -119,10 +119,6 @@ class TwoLevelBTB(BaseBTB):
         l2_bits = self.l2_entries * conventional_entry_bits(self.l2_entries, self.ways)
         return (l1_bits + l2_bits) / 8 / 1024
 
-    @property
-    def second_level_storage_kb(self) -> float:
-        return self.l2_entries * conventional_entry_bits(self.l2_entries, self.ways) / 8 / 1024
-
 
 @BTB_REGISTRY.register("two_level")
 def _build_two_level(ctx: BuildContext, **params: Any) -> TwoLevelBTB:

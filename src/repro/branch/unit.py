@@ -66,15 +66,6 @@ class BranchPrediction:
         return self.predicted_taken == self.actual_taken
 
     @property
-    def target_correct(self) -> bool:
-        """Did the unit steer fetch to the right next address?"""
-        if not self.direction_correct:
-            return False
-        if not self.actual_taken:
-            return True
-        return self.predicted_target == self.actual_target
-
-    @property
     def misfetch(self) -> bool:
         """A predicted-taken branch whose target the BTB could not supply.
 
@@ -89,12 +80,6 @@ class BranchPrediction:
         if not (self.actual_taken and self.predicted_taken):
             return False
         return not self.btb_hit or self.predicted_target != self.actual_target
-
-    @property
-    def direction_mispredicted(self) -> bool:
-        """The direction predictor steered fetch the wrong way (execute-time
-        flush; mutually exclusive with :attr:`misfetch` by construction)."""
-        return not self.direction_correct
 
 
 class BranchPredictionUnit:

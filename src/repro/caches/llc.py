@@ -119,14 +119,6 @@ class SharedLLC:
     def reserved_blocks(self) -> int:
         return sum(region.blocks for region in self._regions.values())
 
-    @property
-    def effective_data_blocks(self) -> int:
-        return self.config.total_blocks - self.reserved_blocks
-
-    @property
-    def reserved_fraction(self) -> float:
-        return self.reserved_blocks / self.config.total_blocks
-
     def fetch_instruction_block(self, block_addr: int) -> int:
         """Serve an instruction block to an L1-I; returns latency in cycles."""
         self.instruction_reads += 1

@@ -22,7 +22,7 @@
 from repro.core.airbtb import AirBTB, AirBTBConfig
 from repro.core.confluence import Confluence, ConfluenceConfig
 from repro.core.frontend import FrontendConfig, FrontendResult, FrontendSimulator
-from repro.core.area import AreaModel, FrontendAreaReport
+from repro.core.area import FrontendAreaReport
 from repro.core.metrics import mpki, miss_coverage
 from repro.core.designs import (
     DESIGN_POINTS,
@@ -42,7 +42,6 @@ __all__ = [
     "FrontendConfig",
     "FrontendResult",
     "FrontendSimulator",
-    "AreaModel",
     "FrontendAreaReport",
     "mpki",
     "miss_coverage",

@@ -26,11 +26,10 @@ ablation uses to isolate where AirBTB's coverage advantage comes from:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, allocates_entry, holds_entry
 from repro.caches.sram import SetAssociativeCache
-from repro.isa.block import InstructionBlock
 from repro.isa.instruction import (
     BLOCK_MASK,
     SLOT_MASK,
@@ -45,10 +44,6 @@ from repro.staticcheck.markers import hot_loop
 
 if TYPE_CHECKING:  # import cycle guard: unit.py imports btb_base
     from repro.branch.unit import PredictionSlot
-
-#: A callback that returns the instruction block at a given block address
-#: (normally ``ProgramImage.block_at``); AirBTB predecodes through it.
-BlockProvider = Callable[[int], Optional[InstructionBlock]]
 
 
 @dataclass(frozen=True)
@@ -100,19 +95,21 @@ class _Bundle:
 
 
 class AirBTB(BaseBTB):
-    """Block-based BTB with eager insertion and an overflow buffer."""
+    """Block-based BTB with eager insertion and an overflow buffer.
+
+    Standalone eager insertion predecodes a missing block through
+    ``predecoder``; without one, every insertion is a single entry.
+    """
 
     def __init__(
         self,
         config: Optional[AirBTBConfig] = None,
-        block_provider: Optional[BlockProvider] = None,
         predecoder: Optional[Predecoder] = None,
         name: str = "airbtb",
     ) -> None:
         super().__init__(name)
         self.config = config or AirBTBConfig()
-        self.block_provider = block_provider
-        self.predecoder = predecoder or Predecoder()
+        self.predecoder = predecoder
         self._bundles = SetAssociativeCache(
             sets=self.config.bundles // self.config.ways,
             ways=self.config.ways,
@@ -266,12 +263,11 @@ class AirBTB(BaseBTB):
 
     def _install_block(self, block_addr: int) -> Optional[_Bundle]:
         """Predecode and install the whole block (eager insertion)."""
-        if self.block_provider is None:
+        if self.predecoder is None:
             return None
-        block = self.block_provider(block_addr)
-        if block is None:
+        predecoded = self.predecoder.predecode(block_addr)
+        if predecoded is None:
             return None
-        predecoded = self.predecoder.predecode(block)
         return self._install_predecoded(predecoded)
 
     def _install_predecoded(self, predecoded: PredecodedBlock) -> _Bundle:
@@ -336,6 +332,6 @@ def _build_airbtb_standalone(ctx: BuildContext, **params: Any) -> AirBTB:
     spatial-locality steps); the full design point uses the ``airbtb``
     component, which wires in Confluence.
     """
-    provider = ctx.program.image.block_at if ctx.program is not None else None
+    predecoder = Predecoder(ctx.program.image) if ctx.program is not None else None
     config = AirBTBConfig(**params) if params else None
-    return AirBTB(config=config, block_provider=provider)
+    return AirBTB(config=config, predecoder=predecoder)

@@ -63,29 +63,22 @@ class FrontendAreaReport:
         return (CORE_AREA_MM2 + self.total_mm2 - baseline.total_mm2) / CORE_AREA_MM2
 
 
-class AreaModel:
-    """Builds :class:`FrontendAreaReport` objects for the evaluated designs.
+def area_report(
+    design: str,
+    btb_storage_kb: float = 0.0,
+    shift_shared: bool = False,
+) -> FrontendAreaReport:
+    """Assemble a design's area report from its BTB's storage.
 
     The BTB is the only dedicated SRAM a design adds: FDP reuses the branch
     predictor's metadata, and SHIFT (alone or inside Confluence) keeps its
-    history and index in the LLC.
+    history and index in the LLC.  ``shift_shared`` adds the fixed per-core
+    cost of SHIFT's virtualized history/index (which is not dedicated SRAM
+    and therefore not run through the power-law fit).
     """
-
-    def report_for(
-        self,
-        design: str,
-        btb_storage_kb: float = 0.0,
-        shift_shared: bool = False,
-    ) -> FrontendAreaReport:
-        """Assemble an area report from the BTB's storage.
-
-        ``shift_shared`` adds the fixed per-core cost of SHIFT's virtualized
-        history/index (which is not dedicated SRAM and therefore not run
-        through the power-law fit).
-        """
-        report = FrontendAreaReport(design=design)
-        if btb_storage_kb:
-            report.add("btb", sram_area_mm2(btb_storage_kb))
-        if shift_shared:
-            report.add("shift", SHIFT_PER_CORE_MM2)
-        return report
+    report = FrontendAreaReport(design=design)
+    if btb_storage_kb:
+        report.add("btb", sram_area_mm2(btb_storage_kb))
+    if shift_shared:
+        report.add("shift", SHIFT_PER_CORE_MM2)
+    return report

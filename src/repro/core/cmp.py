@@ -27,7 +27,7 @@ pool under the retry policy, so a chip never starts a pool of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.caches.llc import LLCConfig, SharedLLC
 from repro.core.area import FrontendAreaReport
@@ -35,7 +35,6 @@ from repro.core.designs import DesignSpec, design_from_spec, resolve_design
 from repro.core.frontend import FrontendConfig, FrontendResult
 from repro.core.metrics import mpki
 from repro.prefetch.shift import ShiftHistory
-from repro.registry import ensure_unique_names
 from repro.workloads.cfg import SyntheticProgram, workload_program
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import WorkloadProfile
@@ -309,16 +308,3 @@ class ChipMultiprocessor:
             core_results[index] = simulator.run(traces[index])
         result.core_results.extend(core_results[index] for index in range(self.cores))
         return result
-
-    def run_designs(
-        self, designs: Iterable[Union[str, DesignSpec]]
-    ) -> Dict[str, CMPResult]:
-        """Run a set of design points; returns ``{design name: CMPResult}``.
-
-        Each spec is resolved exactly once, and duplicate design names are
-        rejected: they would silently overwrite each other in the result
-        mapping (rename a derived spec with :meth:`DesignSpec.derive`).
-        """
-        specs = [resolve_design(design) for design in designs]
-        ensure_unique_names("design", [spec.name for spec in specs])
-        return {spec.name: self.run_design(spec) for spec in specs}

@@ -16,13 +16,12 @@ L1-I and the BTB ahead of the fetch stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 from repro.caches.l1i import InstructionCache
 from repro.caches.llc import SharedLLC
 from repro.core.airbtb import AirBTB, AirBTBConfig
-from repro.isa.block import ProgramImage
-from repro.isa.predecode import Predecoder
+from repro.isa.predecode import PredecodedBlock, Predecoder
 from repro.prefetch.shift import ShiftConfig, ShiftHistory, ShiftPrefetcher
 from repro.registry import BTB_REGISTRY, BuildContext, check_count
 
@@ -51,12 +50,14 @@ class Confluence:
 
     The instance registers itself as a fill listener on the L1-I: every block
     installed there (by SHIFT or on demand) is predecoded and mirrored into
-    AirBTB; every eviction removes the corresponding bundle.
+    AirBTB; every eviction removes the corresponding bundle.  ``image`` is
+    the program image the predecoder reads
+    (:attr:`~repro.workloads.cfg.SyntheticProgram.image`).
     """
 
     def __init__(
         self,
-        image: ProgramImage,
+        image: Dict[int, PredecodedBlock],
         l1i: InstructionCache,
         shared_history: Optional[ShiftHistory] = None,
         llc: Optional[SharedLLC] = None,
@@ -64,14 +65,9 @@ class Confluence:
         record_history: bool = True,
     ) -> None:
         self.config = config or ConfluenceConfig()
-        self.image = image
         self.l1i = l1i
-        self.predecoder = Predecoder()
-        self.airbtb = AirBTB(
-            config=self.config.airbtb,
-            block_provider=image.block_at,
-            predecoder=self.predecoder,
-        )
+        self.predecoder = Predecoder(image)
+        self.airbtb = AirBTB(config=self.config.airbtb, predecoder=self.predecoder)
         self.airbtb.synchronized = True
         self.history = shared_history or ShiftHistory(self.config.shift, llc=llc)
         self.prefetcher = ShiftPrefetcher(
@@ -87,10 +83,9 @@ class Confluence:
 
     def on_block_fill(self, block_addr: int, demand: bool) -> None:
         """Predecode an arriving block and insert its branches into AirBTB."""
-        block = self.image.block_at(block_addr)
-        if block is None:
+        predecoded = self.predecoder.predecode(block_addr)
+        if predecoded is None:
             return
-        predecoded = self.predecoder.predecode(block)
         if demand:
             self.demand_predecodes += 1
         else:

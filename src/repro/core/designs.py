@@ -44,7 +44,7 @@ from repro.branch.btb_conventional import conventional_storage_kb
 from repro.branch.unit import BranchPredictionUnit
 from repro.caches.l1i import InstructionCache
 from repro.caches.llc import SharedLLC
-from repro.core.area import AreaModel, FrontendAreaReport
+from repro.core.area import FrontendAreaReport, area_report
 from repro.core.frontend import FrontendConfig, FrontendSimulator
 from repro.prefetch.shift import ShiftHistory
 from repro.registry import (
@@ -229,7 +229,7 @@ def design_from_spec(
         btb_kb = getattr(btb, "storage_kb", 0.0)
     if btb_kb == float("inf"):
         btb_kb = 0.0
-    area = AreaModel().report_for(
+    area = area_report(
         design=spec.name,
         btb_storage_kb=btb_kb,
         shift_shared=spec.uses_shift,

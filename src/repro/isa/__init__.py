@@ -10,9 +10,11 @@ the ISA:
 * where the branch sits inside its 64-byte instruction block, and
 * the PC-relative target encoded in the instruction.
 
-This package provides a symbolic instruction model carrying exactly that
-information, the 64-byte / 16-instruction block model, and the hardware
-predecoder that Confluence uses to scan blocks on their way into the L1-I.
+This package provides the 64-byte / 16-instruction block arithmetic, the
+branch kinds, and the hardware predecoder that Confluence uses to scan blocks
+on their way into the L1-I.  No instruction is an object: a program's image
+maps each code block to its :class:`PredecodedBlock` (the branch bitmap and
+descriptors a scan yields), built once at synthesis.
 """
 
 from repro.isa.instruction import (
@@ -20,12 +22,9 @@ from repro.isa.instruction import (
     INSTRUCTION_SIZE_BYTES,
     INSTRUCTIONS_PER_BLOCK,
     BranchKind,
-    Instruction,
     block_address,
-    block_index,
     block_offset,
 )
-from repro.isa.block import InstructionBlock, ProgramImage
 from repro.isa.predecode import BranchDescriptor, PredecodedBlock, Predecoder
 
 __all__ = [
@@ -33,13 +32,9 @@ __all__ = [
     "INSTRUCTION_SIZE_BYTES",
     "INSTRUCTIONS_PER_BLOCK",
     "BranchKind",
-    "Instruction",
-    "InstructionBlock",
-    "ProgramImage",
     "BranchDescriptor",
     "PredecodedBlock",
     "Predecoder",
     "block_address",
-    "block_index",
     "block_offset",
 ]

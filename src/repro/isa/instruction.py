@@ -1,4 +1,4 @@
-"""Symbolic instruction and branch model.
+"""Branch kinds and instruction-block address arithmetic.
 
 Addresses are plain integers (byte addresses).  Instructions are fixed-size
 (4 bytes) and instruction blocks are 64 bytes, i.e. 16 instructions per block,
@@ -8,8 +8,6 @@ matching the configuration in Table 1 of the paper.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
 
 #: Size of one instruction cache block in bytes (Table 1: 64 B blocks).
 BLOCK_SIZE_BYTES = 64
@@ -55,10 +53,6 @@ class BranchKind(enum.Enum):
         return self in (BranchKind.CALL, BranchKind.INDIRECT_CALL)
 
     @property
-    def is_return(self) -> bool:
-        return self is BranchKind.RETURN
-
-    @property
     def is_indirect(self) -> bool:
         """True when the target must come from the indirect target cache or RAS."""
         return self in (BranchKind.INDIRECT, BranchKind.INDIRECT_CALL, BranchKind.RETURN)
@@ -67,65 +61,10 @@ class BranchKind(enum.Enum):
     def is_unconditional(self) -> bool:
         return self is not BranchKind.CONDITIONAL
 
-    @property
-    def storage_encoding(self) -> int:
-        """2-bit encoding used when sizing BTB entries (Section 4.2.2)."""
-        if self is BranchKind.CONDITIONAL:
-            return 0
-        if self in (BranchKind.UNCONDITIONAL, BranchKind.CALL):
-            return 1
-        if self in (BranchKind.INDIRECT, BranchKind.INDIRECT_CALL):
-            return 2
-        return 3
-
-
-@dataclass(frozen=True)
-class Instruction:
-    """One instruction in the synthetic program image.
-
-    Non-branch instructions carry ``kind=None``.  Direct branches carry the
-    statically-encoded ``target``; indirect branches and returns have
-    ``target=None`` because their target is only known dynamically.
-    """
-
-    address: int
-    kind: Optional[BranchKind] = None
-    target: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.address % INSTRUCTION_SIZE_BYTES != 0:
-            raise ValueError(f"instruction address {self.address:#x} is not 4-byte aligned")
-        if self.kind is not None and self.kind.is_direct and self.target is None:
-            raise ValueError("direct branches must carry a static target")
-        if self.kind is None and self.target is not None:
-            raise ValueError("non-branch instructions cannot carry a target")
-
-    @property
-    def is_branch(self) -> bool:
-        return self.kind is not None
-
-    @property
-    def block(self) -> int:
-        return block_address(self.address)
-
-    @property
-    def offset_in_block(self) -> int:
-        return block_offset(self.address)
-
-    @property
-    def fallthrough(self) -> int:
-        """Address of the next sequential instruction."""
-        return self.address + INSTRUCTION_SIZE_BYTES
-
 
 def block_address(address: int) -> int:
     """Return the base address of the 64-byte block containing ``address``."""
     return address & BLOCK_MASK
-
-
-def block_index(address: int) -> int:
-    """Return the block number (address divided by the block size)."""
-    return address // BLOCK_SIZE_BYTES
 
 
 def block_offset(address: int) -> int:

@@ -6,14 +6,19 @@ models that scan and produces the exact metadata AirBTB stores: per-branch
 (offset, kind, target) descriptors plus the 16-bit branch bitmap of the block.
 A descriptor *is* the entry AirBTB installs, so a predecoded block is
 installed without a copy.
+
+A block's scan depends only on the program, so synthesis builds each code
+block's :class:`PredecodedBlock` once, into the program image (a map from
+block address to predecoded block), and the :class:`Predecoder` reads it
+from there.  Every core and design installs the same descriptor objects:
+never mutate one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.isa.block import InstructionBlock
 from repro.isa.instruction import BranchKind, INSTRUCTIONS_PER_BLOCK
 
 
@@ -53,43 +58,29 @@ class PredecodedBlock:
     def branch_count(self) -> int:
         return len(self.branches)
 
-    def branch_at_offset(self, offset: int) -> Optional[BranchDescriptor]:
-        for descriptor in self.branches:
-            if descriptor.offset == offset:
-                return descriptor
-        return None
-
 
 class Predecoder:
     """Scans instruction blocks for branches, as done before L1-I insertion.
 
-    The scan's latency is :class:`~repro.core.confluence.ConfluenceConfig`'s
+    ``image`` is the program image (:attr:`SyntheticProgram.image
+    <repro.workloads.cfg.SyntheticProgram.image>`).  The scan's latency is
+    :class:`~repro.core.confluence.ConfluenceConfig`'s
     ``predecode_latency_cycles``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, image: Dict[int, PredecodedBlock]) -> None:
+        self.image = image
         self.blocks_scanned = 0
         self.branches_extracted = 0
 
-    def predecode(self, block: InstructionBlock) -> PredecodedBlock:
-        """Scan ``block`` and return its branch metadata."""
-        descriptors = []
-        bitmap = 0
-        for instruction in block.branches:
-            offset = instruction.offset_in_block
-            bitmap |= 1 << offset
-            descriptors.append(
-                BranchDescriptor(
-                    branch_pc=instruction.address,
-                    kind=instruction.kind,
-                    target=instruction.target,
-                    offset=offset,
-                )
-            )
-        self.blocks_scanned += 1
-        self.branches_extracted += len(descriptors)
-        return PredecodedBlock(
-            block_address=block.base_address,
-            bitmap=bitmap,
-            branches=tuple(descriptors),
-        )
+    def predecode(self, block_addr: int) -> Optional[PredecodedBlock]:
+        """The branch metadata of the block at ``block_addr``.
+
+        ``None`` where the program holds no code; only a block that holds
+        code counts as a scan.
+        """
+        predecoded = self.image.get(block_addr)
+        if predecoded is not None:
+            self.blocks_scanned += 1
+            self.branches_extracted += len(predecoded.branches)
+        return predecoded

@@ -146,12 +146,6 @@ class ShiftHistory:
             steps += 1
         return result
 
-    @property
-    def index_hit_rate(self) -> float:
-        if self.index_lookups == 0:
-            return 0.0
-        return self.index_hits / self.index_lookups
-
 
 class _ActiveStream:
     """The stream being replayed ahead of the core's fetch stream."""

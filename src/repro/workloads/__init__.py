@@ -14,9 +14,10 @@ frontend mechanisms are sensitive to:
   branches per demand-fetched block).
 
 A workload is built in two steps: :func:`synthesize_program` lays out a
-layered control-flow graph into a :class:`~repro.isa.ProgramImage`, and
-:class:`TraceWalker` (or the :func:`generate_trace` convenience) walks it,
-serving a stream of requests, to produce a fetch-region trace.
+layered control-flow graph and reads off its program image (each 64-byte
+code block's predecoded branches, :attr:`SyntheticProgram.image`), and
+:class:`TraceWalker` (or the :func:`generate_trace` convenience) walks the
+graph, serving a stream of requests, to produce a fetch-region trace.
 """
 
 from repro.workloads.profiles import (

@@ -23,12 +23,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.isa.block import ProgramImage
 from repro.isa.instruction import (
+    BLOCK_MASK,
+    BLOCK_SIZE_BYTES,
     INSTRUCTION_SIZE_BYTES,
     BranchKind,
-    Instruction,
+    block_offset,
 )
+from repro.isa.predecode import BranchDescriptor, PredecodedBlock
 from repro.workloads.profiles import WorkloadProfile
 
 #: Maximum instructions in a basic block (keeps blocks inside a few cache lines).
@@ -38,10 +40,12 @@ _MIN_BLOCK_LENGTH = 2
 
 @dataclass(frozen=True)
 class BranchBehavior:
-    """Dynamic semantics of one branch, used by the trace walker.
+    """One branch: its static kind and target, and its dynamic semantics.
 
-    This captures behaviour the static :class:`~repro.isa.Instruction` does
-    not encode: taken bias, loop trip counts and indirect target sets.
+    The program image's descriptor of the branch carries ``kind`` and, for a
+    direct branch, ``taken_target``; the trace walker also reads what no
+    instruction encodes: taken bias, loop trip counts and indirect target
+    sets.
     """
 
     pc: int
@@ -62,7 +66,6 @@ class BasicBlock:
     start: int
     length: int
     terminator_kind: BranchKind
-    instructions: List[Instruction] = field(default_factory=list)
 
     @property
     def terminator_pc(self) -> int:
@@ -125,19 +128,25 @@ class ControlFlowGraph:
 
 @dataclass
 class SyntheticProgram:
-    """A fully laid-out synthetic workload binary."""
+    """A fully laid-out synthetic workload binary.
+
+    ``image`` maps the address of every 64-byte block that holds code to the
+    :class:`~repro.isa.PredecodedBlock` a predecoder's scan of it yields
+    (no branches for straight-line code), in ascending address order.
+    """
 
     profile: WorkloadProfile
     cfg: ControlFlowGraph
-    image: ProgramImage
+    image: Dict[int, PredecodedBlock]
 
     @property
     def footprint_bytes(self) -> int:
-        return self.image.footprint_bytes
+        """Instruction footprint in bytes (code blocks x 64 B)."""
+        return len(self.image) * BLOCK_SIZE_BYTES
 
     @property
     def static_branch_count(self) -> int:
-        return self.image.static_branch_count
+        return sum(len(block.branches) for block in self.image.values())
 
 
 class _FunctionPlan:
@@ -157,20 +166,51 @@ def synthesize_program(profile: WorkloadProfile) -> SyntheticProgram:
 
     The synthesis is a two-pass process: the first pass fixes every function's
     entry address and basic-block sizes so call targets are known; the second
-    pass materialises instructions, branch behaviours and the program image.
+    pass materialises basic blocks and branch behaviours.  The program image
+    is then read off the basic blocks' terminators.
     """
     rng = random.Random(profile.seed)
     plans = _plan_functions(profile, rng)
     cfg = ControlFlowGraph()
-    image = ProgramImage()
     plans_by_layer: Dict[int, List[_FunctionPlan]] = {}
     for plan in plans:
         plans_by_layer.setdefault(plan.layer, []).append(plan)
 
     for plan in plans:
-        function = _materialize_function(plan, plans_by_layer, profile, rng, cfg, image)
+        function = _materialize_function(plan, plans_by_layer, profile, rng, cfg)
         cfg.add_function(function)
-    return SyntheticProgram(profile=profile, cfg=cfg, image=image)
+    return SyntheticProgram(profile=profile, cfg=cfg, image=_program_image(cfg))
+
+
+def _program_image(cfg: ControlFlowGraph) -> Dict[int, PredecodedBlock]:
+    """Predecode every 64-byte block that holds code, once.
+
+    Each basic block contributes its terminator's descriptor (the static
+    target of a direct branch, ``None`` for an indirect one) to the block
+    the terminator sits in, and marks every block its instructions span as
+    code.  Functions and their basic blocks are laid out in ascending
+    address order, so descriptors arrive in offset order.
+    """
+    branches: Dict[int, List[BranchDescriptor]] = {}
+    for function in cfg.functions:
+        for block in function.basic_blocks:
+            for base in range(block.start & BLOCK_MASK, block.end, BLOCK_SIZE_BYTES):
+                branches.setdefault(base, [])
+            pc = block.terminator_pc
+            behavior = cfg.behavior_of(pc)
+            target = behavior.taken_target if behavior.kind.is_direct else None
+            branches[pc & BLOCK_MASK].append(
+                BranchDescriptor(branch_pc=pc, kind=behavior.kind, target=target,
+                                 offset=block_offset(pc))
+            )
+    image: Dict[int, PredecodedBlock] = {}
+    for base, descriptors in branches.items():
+        bitmap = 0
+        for descriptor in descriptors:
+            bitmap |= 1 << descriptor.offset
+        image[base] = PredecodedBlock(block_address=base, bitmap=bitmap,
+                                      branches=tuple(descriptors))
+    return image
 
 
 #: Per-process memo of synthesized programs: every consumer of a profile —
@@ -224,7 +264,6 @@ def _materialize_function(
     profile: WorkloadProfile,
     rng: random.Random,
     cfg: ControlFlowGraph,
-    image: ProgramImage,
 ) -> Function:
     block_starts: List[int] = []
     address = plan.entry
@@ -248,18 +287,10 @@ def _materialize_function(
         kind = _choose_terminator(index, last_index, profile, rng, has_deeper_layer, call_boost)
         chosen_kinds.append(kind)
         block = BasicBlock(start=start, length=length, terminator_kind=kind)
-        terminator_pc = block.terminator_pc
-        fallthrough = block.end
-
-        for slot in range(length - 1):
-            instruction = Instruction(address=start + slot * INSTRUCTION_SIZE_BYTES)
-            block.instructions.append(instruction)
-            image.add_instruction(instruction)
-
         behavior = _build_terminator(
             kind=kind,
-            terminator_pc=terminator_pc,
-            fallthrough=fallthrough,
+            terminator_pc=block.terminator_pc,
+            fallthrough=block.end,
             block_index=index,
             block_starts=block_starts,
             plans_by_layer=plans_by_layer,
@@ -268,12 +299,6 @@ def _materialize_function(
             rng=rng,
             preceding_kinds=chosen_kinds,
         )
-        target_for_instruction = behavior.taken_target if behavior.kind.is_direct else None
-        terminator = Instruction(
-            address=terminator_pc, kind=behavior.kind, target=target_for_instruction
-        )
-        block.instructions.append(terminator)
-        image.add_instruction(terminator)
         cfg.add_behavior(behavior)
         function.basic_blocks.append(block)
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
+from repro.isa.instruction import INSTRUCTION_SIZE_BYTES
 from repro.registry import unknown_name_error
 
 
@@ -57,7 +58,8 @@ class WorkloadProfile:
             request-type count this sets how much of the code base the
             steady-state request mix exercises.
         request_zipf_s: skew of the request-type popularity distribution.
-        code_base_address: base virtual address of the code segment.
+        code_base_address: base virtual address of the code segment (a
+            multiple of the 4-byte instruction size).
         seed: generator seed (program layout is deterministic per profile).
         recommended_trace_instructions: default trace length for evaluation.
     """
@@ -105,6 +107,11 @@ class WorkloadProfile:
             raise ValueError("deterministic_fraction must be in [0, 1]")
         if self.loop_trip_range[0] < 1 or self.loop_trip_range[1] < self.loop_trip_range[0]:
             raise ValueError("invalid loop trip range")
+        if self.code_base_address % INSTRUCTION_SIZE_BYTES != 0:
+            raise ValueError(
+                f"code_base_address {self.code_base_address:#x} is not "
+                f"{INSTRUCTION_SIZE_BYTES}-byte aligned"
+            )
 
     @property
     def approximate_static_instructions(self) -> int:

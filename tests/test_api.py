@@ -316,18 +316,6 @@ class TestCustomComponent:
 # --------------------------------------------------------------------------- #
 
 class TestParallelCMP:
-    def test_run_designs_accepts_specs(self, tiny_program):
-        cmp_model = ChipMultiprocessor(tiny_program, cores=1, instructions_per_core=5_000)
-        spec = resolve_design("baseline").derive("thin", btb_params={"entries": 512})
-        results = cmp_model.run_designs(["baseline", spec])
-        assert set(results) == {"baseline", "thin"}
-        assert results["thin"].design == "thin"
-
-    def test_run_designs_duplicate_names_rejected(self, tiny_program):
-        cmp_model = ChipMultiprocessor(tiny_program, cores=1, instructions_per_core=5_000)
-        with pytest.raises(ValueError, match="duplicate design name"):
-            cmp_model.run_designs(["baseline", resolve_design("baseline")])
-
     def test_chip_has_no_pool_knob(self, tiny_program):
         # Sweep cells are the one unit of parallelism: a chip's cores always
         # run in the process that runs its cell.

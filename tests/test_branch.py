@@ -180,11 +180,6 @@ class TestConventionalBTB:
         assert not btb.peek_hit(0x4100)
         assert btb.stats.lookups == lookups_before
 
-    def test_miss_coverage_helper(self):
-        btb = ConventionalBTB(entries=64)
-        btb.stats.taken_misses = 25
-        assert btb.miss_coverage_over(100) == pytest.approx(0.75)
-
 
 class TestPerfectBTB:
     def test_never_misses_after_update(self):
@@ -206,11 +201,6 @@ class TestTwoLevelBTB:
         assert result.latency_cycles == btb.l2_latency_cycles
         # The reactive fill promotes the entry into the first level.
         assert btb.lookup(pcs[0]).level == "l1"
-
-    def test_storage_dominated_by_second_level(self):
-        btb = TwoLevelBTB()
-        assert btb.second_level_storage_kb > 100
-        assert btb.storage_kb > btb.second_level_storage_kb
 
     def test_stats_count_second_level_accesses(self):
         btb = TwoLevelBTB(l1_entries=4, l2_entries=64, ways=1)
@@ -258,7 +248,6 @@ class TestPhantomBTB:
         phantom = PhantomBTB()
         baseline = ConventionalBTB(entries=1024, victim_entries=64)
         assert abs(phantom.storage_kb - baseline.storage_kb) < 2.0
-        assert phantom.virtualized_kb == pytest.approx(256.0)
 
 
 class TestStockBTBCounts:
@@ -435,4 +424,4 @@ class TestBranchPredictionUnit:
                              kind=None, taken=False, target=None, next_pc=0x1010)
         prediction = bpu.predict(record)
         assert not prediction.misfetch
-        assert prediction.target_correct
+        assert prediction.predicted_target == record.next_pc

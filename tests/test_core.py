@@ -15,23 +15,24 @@ from repro.core import (
     FrontendSimulator,
     build_design,
 )
-from repro.core.area import SHIFT_PER_CORE_MM2, AreaModel, sram_area_mm2
+from repro.core.area import SHIFT_PER_CORE_MM2, area_report, sram_area_mm2
 from repro.core.metrics import fraction_of_ideal, geometric_mean, miss_coverage, mpki
-from repro.isa.block import InstructionBlock
-from repro.isa.instruction import BranchKind, Instruction
-from repro.isa.predecode import Predecoder
+from repro.isa.instruction import BranchKind
+from repro.isa.predecode import BranchDescriptor, PredecodedBlock, Predecoder
 from repro.workloads.trace import FetchRecord, Trace
 
 
-def _block_with_branches(base=0x4000, branch_offsets=(1, 4, 7), kind=BranchKind.CONDITIONAL):
-    block = InstructionBlock(base)
-    for offset in branch_offsets:
-        block.add(Instruction(address=base + offset * 4, kind=kind, target=base + 0x400))
-    return block
-
-
 def _predecoded(base=0x4000, branch_offsets=(1, 4, 7)):
-    return Predecoder().predecode(_block_with_branches(base, branch_offsets))
+    """The predecoded block of conditional branches at ``branch_offsets``."""
+    return PredecodedBlock(
+        block_address=base,
+        bitmap=sum(1 << offset for offset in branch_offsets),
+        branches=tuple(
+            BranchDescriptor(branch_pc=base + offset * 4, kind=BranchKind.CONDITIONAL,
+                             target=base + 0x400, offset=offset)
+            for offset in branch_offsets
+        ),
+    )
 
 
 class TestAirBTBConfig:
@@ -113,21 +114,23 @@ class TestAirBTB:
 
     def test_standalone_eager_mode_installs_whole_block(self, tiny_program):
         image = tiny_program.image
-        block = next(b for b in image.blocks() if b.branch_count >= 2)
-        airbtb = AirBTB(block_provider=image.block_at)
+        block = next(b for b in image.values() if b.branch_count >= 2)
+        airbtb = AirBTB(predecoder=Predecoder(image))
         branch = block.branches[0]
-        airbtb.update(branch.address, branch.kind, branch.target, taken=True)
+        airbtb.update(branch.branch_pc, branch.kind, branch.target, taken=True)
         other = block.branches[1]
-        assert airbtb.lookup(other.address).hit
+        assert airbtb.lookup(other.branch_pc).hit
+        assert airbtb.predecoder.blocks_scanned == 1
 
     def test_standalone_demand_mode_installs_single_entry(self, tiny_program):
         image = tiny_program.image
-        block = next(b for b in image.blocks() if b.branch_count >= 2)
-        airbtb = AirBTB(AirBTBConfig(insertion_policy="demand"), block_provider=image.block_at)
+        block = next(b for b in image.values() if b.branch_count >= 2)
+        airbtb = AirBTB(AirBTBConfig(insertion_policy="demand"), predecoder=Predecoder(image))
         branch = block.branches[0]
-        airbtb.update(branch.address, branch.kind, branch.target, taken=True)
-        assert airbtb.lookup(branch.address).hit
-        assert not airbtb.lookup(block.branches[1].address).hit
+        airbtb.update(branch.branch_pc, branch.kind, branch.target, taken=True)
+        assert airbtb.lookup(branch.branch_pc).hit
+        assert not airbtb.lookup(block.branches[1].branch_pc).hit
+        assert airbtb.predecoder.blocks_scanned == 0
 
     def test_peek_hit_matches_lookup(self):
         airbtb = AirBTB()
@@ -146,22 +149,22 @@ class TestConfluence:
     def test_l1i_fill_mirrors_into_airbtb(self, tiny_program):
         l1i = InstructionCache()
         confluence = Confluence(image=tiny_program.image, l1i=l1i, llc=SharedLLC())
-        block = next(b for b in tiny_program.image.blocks() if b.branch_count >= 1)
-        l1i.fill(block.base_address, demand=False)
+        block = next(b for b in tiny_program.image.values() if b.branch_count >= 1)
+        l1i.fill(block.block_address, demand=False)
         branch = block.branches[0]
-        assert confluence.airbtb.lookup(branch.address).hit
+        assert confluence.airbtb.lookup(branch.branch_pc).hit
         assert confluence.prefetch_predecodes == 1
 
     def test_l1i_eviction_mirrors_into_airbtb(self, tiny_program):
         l1i = InstructionCache(L1IConfig(size_bytes=64 * 8, associativity=1))
         confluence = Confluence(image=tiny_program.image, l1i=l1i)
-        blocks = [b for b in tiny_program.image.blocks() if b.branch_count >= 1][:20]
+        blocks = [b for b in tiny_program.image.values() if b.branch_count >= 1][:20]
         for block in blocks:
-            l1i.fill(block.base_address)
+            l1i.fill(block.block_address)
         resident = set(l1i.resident_blocks())
         for block in blocks:
-            hit = confluence.airbtb.lookup(block.branches[0].address).hit
-            assert hit == (block.base_address in resident)
+            hit = confluence.airbtb.lookup(block.branches[0].branch_pc).hit
+            assert hit == (block.block_address in resident)
 
     def test_content_synchronization_invariant(self, tiny_program, tiny_trace):
         simulator, _ = build_design("confluence", tiny_program)
@@ -308,7 +311,7 @@ class TestStallTaxonomy:
         prediction = bpu.predict(self._taken_conditional())
         assert prediction.btb_hit
         assert not prediction.predicted_taken  # predictor says not-taken
-        assert prediction.direction_mispredicted
+        assert not prediction.direction_correct
         assert not prediction.misfetch  # fetch fell through; decode saw nothing
 
     def test_taken_direction_miss_charges_direction_penalty(self):
@@ -341,7 +344,7 @@ class TestStallTaxonomy:
         bpu = self._not_taken_biased_bpu()
         taken = self._taken_conditional()
         prediction = bpu.predict(taken)
-        assert not (prediction.misfetch and prediction.direction_mispredicted)
+        assert not (prediction.misfetch and not prediction.direction_correct)
 
 
 class TestDesignPoints:
@@ -392,14 +395,13 @@ class TestAreaModel:
         assert 1.0 < relative < 1.03
 
     def test_report_composition(self):
-        model = AreaModel()
-        report = model.report_for("x", btb_storage_kb=10, shift_shared=True)
+        report = area_report("x", btb_storage_kb=10, shift_shared=True)
         assert report.components_mm2 == {
             "btb": sram_area_mm2(10),
             "shift": SHIFT_PER_CORE_MM2,
         }
         assert report.total_mm2 == pytest.approx(sum(report.components_mm2.values()))
-        assert model.report_for("y").components_mm2 == {}
+        assert area_report("y").components_mm2 == {}
 
 
 class TestMetrics:

@@ -1,19 +1,30 @@
-"""Unit tests for the instruction, block and predecoder models."""
+"""Unit tests for the block arithmetic, branch kinds, program image and predecoder."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.isa import (
     BLOCK_SIZE_BYTES,
+    INSTRUCTION_SIZE_BYTES,
     INSTRUCTIONS_PER_BLOCK,
+    BranchDescriptor,
     BranchKind,
-    Instruction,
-    InstructionBlock,
     Predecoder,
-    ProgramImage,
     block_address,
-    block_index,
     block_offset,
 )
+from repro.workloads import synthesize_program
+
+
+def _terminators_by_block(program):
+    """``{block address: [terminator pc, ...]}`` read off the program's CFG."""
+    terminators = {}
+    for function in program.cfg.functions:
+        for block in function.basic_blocks:
+            pc = block.terminator_pc
+            terminators.setdefault(block_address(pc), []).append(pc)
+    return terminators
 
 
 class TestAddressHelpers:
@@ -21,11 +32,6 @@ class TestAddressHelpers:
         assert block_address(0x1000) == 0x1000
         assert block_address(0x103C) == 0x1000
         assert block_address(0x1040) == 0x1040
-
-    def test_block_index_divides_by_block_size(self):
-        assert block_index(0) == 0
-        assert block_index(BLOCK_SIZE_BYTES) == 1
-        assert block_index(BLOCK_SIZE_BYTES * 7 + 4) == 7
 
     def test_block_offset_is_instruction_slot(self):
         assert block_offset(0x1000) == 0
@@ -55,153 +61,118 @@ class TestBranchKind:
         assert BranchKind.INDIRECT_CALL.is_call
         assert not BranchKind.CONDITIONAL.is_call
 
-    def test_return_classification(self):
-        assert BranchKind.RETURN.is_return
-
     def test_conditional_is_not_unconditional(self):
         assert not BranchKind.CONDITIONAL.is_unconditional
         assert BranchKind.UNCONDITIONAL.is_unconditional
 
-    def test_storage_encoding_fits_two_bits(self):
-        for kind in BranchKind:
-            assert 0 <= kind.storage_encoding <= 3
-
-
-class TestInstruction:
-    def test_plain_instruction(self):
-        instr = Instruction(address=0x2000)
-        assert not instr.is_branch
-        assert instr.fallthrough == 0x2004
-
-    def test_branch_requires_target_when_direct(self):
-        with pytest.raises(ValueError):
-            Instruction(address=0x2000, kind=BranchKind.CONDITIONAL)
-
-    def test_indirect_branch_needs_no_target(self):
-        instr = Instruction(address=0x2000, kind=BranchKind.RETURN)
-        assert instr.is_branch
-        assert instr.target is None
-
-    def test_misaligned_address_rejected(self):
-        with pytest.raises(ValueError):
-            Instruction(address=0x2001)
-
-    def test_target_without_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Instruction(address=0x2000, target=0x3000)
-
-    def test_block_and_offset_properties(self):
-        instr = Instruction(address=0x2044)
-        assert instr.block == 0x2040
-        assert instr.offset_in_block == 1
-
 
 class TestInstructionBlock:
-    def _block_with_branches(self):
-        block = InstructionBlock(0x4000)
-        block.add(Instruction(address=0x4000))
-        block.add(Instruction(address=0x4004, kind=BranchKind.CONDITIONAL, target=0x5000))
-        block.add(Instruction(address=0x4010, kind=BranchKind.RETURN))
-        return block
+    """The program image's 64-byte instruction blocks."""
 
-    def test_misaligned_base_rejected(self):
-        with pytest.raises(ValueError):
-            InstructionBlock(0x4010)
+    def test_branch_listing_and_count(self, tiny_program):
+        terminators = _terminators_by_block(tiny_program)
+        for base, block in tiny_program.image.items():
+            listed = [descriptor.branch_pc for descriptor in block.branches]
+            assert listed == terminators.get(base, [])
+            assert block.branch_count == len(listed)
 
-    def test_add_foreign_instruction_rejected(self):
-        block = InstructionBlock(0x4000)
-        with pytest.raises(ValueError):
-            block.add(Instruction(address=0x5000))
+    def test_branch_bitmap_sets_branch_slots(self, tiny_program):
+        terminators = _terminators_by_block(tiny_program)
+        for base, block in tiny_program.image.items():
+            bitmap = 0
+            for pc in terminators.get(base, []):
+                bitmap |= 1 << block_offset(pc)
+            assert block.bitmap == bitmap
 
-    def test_branch_listing_and_count(self):
-        block = self._block_with_branches()
-        assert block.branch_count == 2
-        assert [b.address for b in block.branches] == [0x4004, 0x4010]
-
-    def test_branch_bitmap_sets_branch_slots(self):
-        block = self._block_with_branches()
-        assert block.branch_bitmap == (1 << 1) | (1 << 4)
-
-    def test_instruction_lookup_by_offset_and_address(self):
-        block = self._block_with_branches()
-        assert block.instruction_at_offset(1).address == 0x4004
-        assert block.instruction_at(0x4010).kind is BranchKind.RETURN
-        assert block.instruction_at_offset(2) is None
+    def test_iteration_in_offset_order(self, tiny_program):
+        for base, block in tiny_program.image.items():
+            assert block.block_address == base
+            offsets = [descriptor.offset for descriptor in block.branches]
+            assert offsets == sorted(set(offsets))
+            for descriptor in block.branches:
+                assert block_address(descriptor.branch_pc) == base
+                assert descriptor.offset == block_offset(descriptor.branch_pc)
 
     def test_offset_bounds_checked(self):
-        block = self._block_with_branches()
         with pytest.raises(ValueError):
-            block.instruction_at_offset(16)
-
-    def test_iteration_in_offset_order(self):
-        block = self._block_with_branches()
-        addresses = [instr.address for instr in block]
-        assert addresses == sorted(addresses)
+            BranchDescriptor(branch_pc=0x4000, kind=BranchKind.RETURN, target=None,
+                             offset=INSTRUCTIONS_PER_BLOCK)
 
 
 class TestProgramImage:
-    def _image(self):
-        image = ProgramImage()
-        image.add_instructions(
-            [
-                Instruction(address=0x8000),
-                Instruction(address=0x8004, kind=BranchKind.CALL, target=0x9000),
-                Instruction(address=0x9000, kind=BranchKind.RETURN),
-            ]
-        )
-        return image
+    def test_block_grouping(self, tiny_program):
+        # Every block an instruction occupies is in the image and nothing
+        # else is; keys ascend.
+        spanned = set()
+        for function in tiny_program.cfg.functions:
+            for block in function.basic_blocks:
+                for address in range(block.start, block.end, INSTRUCTION_SIZE_BYTES):
+                    spanned.add(block_address(address))
+        image = tiny_program.image
+        assert set(image) == spanned
+        assert list(image) == sorted(image)
 
-    def test_block_grouping(self):
-        image = self._image()
-        assert image.block_count == 2
-        assert image.block_at(0x8004).base_address == 0x8000
-        assert 0x9000 in image
+    def test_straight_line_block_has_no_branches(self, tiny_profile):
+        # Basic blocks are shorter than a block, so only code that starts in
+        # a block's last slot leaves that block without a terminator.
+        program = synthesize_program(replace(tiny_profile, code_base_address=0x4000_003C))
+        first = program.image[0x4000_0000]
+        assert (first.bitmap, first.branches) == (0, ())
+        assert Predecoder(program.image).predecode(0x4000_0000) is first
 
-    def test_instruction_lookup(self):
-        image = self._image()
-        assert image.instruction_at(0x8004).kind is BranchKind.CALL
-        assert image.instruction_at(0xA000) is None
-
-    def test_footprint_and_branch_statistics(self):
-        image = self._image()
-        assert image.footprint_bytes == 2 * BLOCK_SIZE_BYTES
-        assert image.static_branch_count == 2
-        assert image.branch_density() == pytest.approx(1.0)
-
-    def test_address_range(self):
-        image = self._image()
-        low, high = image.address_range()
-        assert low == 0x8000
-        assert high == 0x9040
-
-    def test_empty_image(self):
-        image = ProgramImage()
-        assert image.block_count == 0
-        assert image.address_range() == (0, 0)
-        assert image.branch_density() == 0.0
+    def test_footprint_and_branch_statistics(self, tiny_program):
+        image = tiny_program.image
+        basic_blocks = sum(len(f.basic_blocks) for f in tiny_program.cfg.functions)
+        assert tiny_program.footprint_bytes == len(image) * BLOCK_SIZE_BYTES
+        assert tiny_program.static_branch_count == basic_blocks
+        assert tiny_program.cfg.branch_count == basic_blocks
 
 
 class TestPredecoder:
-    def test_predecode_extracts_branches_and_bitmap(self):
-        block = InstructionBlock(0x4000)
-        block.add(Instruction(address=0x4004, kind=BranchKind.CONDITIONAL, target=0x4100))
-        block.add(Instruction(address=0x4020, kind=BranchKind.RETURN))
-        decoded = Predecoder().predecode(block)
-        assert decoded.block_address == 0x4000
-        assert decoded.branch_count == 2
-        assert decoded.bitmap == (1 << 1) | (1 << 8)
-        assert decoded.branch_at_offset(1).target == 0x4100
-        assert decoded.branch_at_offset(8).kind is BranchKind.RETURN
-        assert decoded.branch_at_offset(2) is None
+    def test_predecode_extracts_branches_and_bitmap(self, tiny_program):
+        cfg = tiny_program.cfg
+        base, terminators = next(
+            (base, pcs) for base, pcs in _terminators_by_block(tiny_program).items()
+            if len(pcs) >= 2
+        )
+        decoded = Predecoder(tiny_program.image).predecode(base)
+        assert decoded.block_address == base
+        assert decoded.bitmap == sum(1 << block_offset(pc) for pc in terminators)
+        expected = []
+        for pc in terminators:
+            behavior = cfg.behavior_of(pc)
+            target = behavior.taken_target if behavior.kind.is_direct else None
+            expected.append((pc, behavior.kind, target, block_offset(pc)))
+        assert [
+            (d.branch_pc, d.kind, d.target, d.offset) for d in decoded.branches
+        ] == expected
 
-    def test_predecoder_counts_work(self):
-        predecoder = Predecoder()
-        block = InstructionBlock(0x4000)
-        block.add(Instruction(address=0x4000, kind=BranchKind.RETURN))
-        predecoder.predecode(block)
-        predecoder.predecode(block)
-        assert predecoder.blocks_scanned == 2
-        assert predecoder.branches_extracted == 2
+    def test_predecoder_counts_work(self, tiny_program):
+        image = tiny_program.image
+        base, block = next(
+            (base, block) for base, block in image.items() if block.branch_count >= 2
+        )
+        predecoder = Predecoder(image)
+        # The scan hands out the image's own block, counting one scan and
+        # its branches each time.
+        assert predecoder.predecode(base) is block
+        assert (predecoder.blocks_scanned, predecoder.branches_extracted) == (
+            1, block.branch_count
+        )
+        assert predecoder.predecode(base) is block
+        assert (predecoder.blocks_scanned, predecoder.branches_extracted) == (
+            2, 2 * block.branch_count
+        )
+
+    def test_address_without_code_returns_none(self, tiny_program):
+        image = tiny_program.image
+        predecoder = Predecoder(image)
+        below = min(image) - BLOCK_SIZE_BYTES
+        above = max(image) + BLOCK_SIZE_BYTES
+        assert below not in image and above not in image
+        assert predecoder.predecode(below) is None
+        assert predecoder.predecode(above) is None
+        assert (predecoder.blocks_scanned, predecoder.branches_extracted) == (0, 0)
 
     def test_negative_latency_rejected(self):
         # The scan latency is a Confluence setting: the stall model reads it
@@ -214,23 +185,17 @@ class TestPredecoder:
             ConfluenceConfig(predecode_latency_cycles=-1)
         assert ConfluenceConfig(predecode_latency_cycles=0).predecode_latency_cycles == 0
 
-    def test_descriptors_are_the_btb_entries(self):
+    def test_descriptors_are_the_btb_entries(self, tiny_program):
         from repro.branch.btb_base import BTBEntry
 
-        block = InstructionBlock(0x4000)
-        block.add(Instruction(address=0x4008, kind=BranchKind.CALL, target=0x9000))
-        (descriptor,) = Predecoder().predecode(block).branches
-        assert isinstance(descriptor, BTBEntry)
-        assert (descriptor.branch_pc, descriptor.offset) == (0x4008, 2)
+        for block in tiny_program.image.values():
+            for descriptor in block.branches:
+                assert isinstance(descriptor, BTBEntry)
 
     def test_image_blocks_predecode_consistently(self, tiny_program):
-        predecoder = Predecoder()
-        checked = 0
-        for block in tiny_program.image.blocks():
-            decoded = predecoder.predecode(block)
-            assert decoded.bitmap == block.branch_bitmap
-            assert decoded.branch_count == block.branch_count
-            checked += 1
-            if checked >= 50:
-                break
-        assert checked == 50
+        image = tiny_program.image
+        predecoder = Predecoder(image)
+        for base, block in image.items():
+            assert predecoder.predecode(base) is block
+        assert predecoder.blocks_scanned == len(image)
+        assert predecoder.branches_extracted == tiny_program.static_branch_count

@@ -166,7 +166,6 @@ class TestShiftHistory:
     def test_lookup_unknown_block(self):
         history = ShiftHistory(ShiftConfig(history_entries=16))
         assert history.lookup(0x1234_0000) is None
-        assert history.index_hit_rate == 0.0
 
     def test_circular_overwrite_updates_index(self):
         history = ShiftHistory(ShiftConfig(history_entries=4))

@@ -9,7 +9,6 @@ from repro.isa.instruction import (
     BLOCK_SIZE_BYTES,
     INSTRUCTIONS_PER_BLOCK,
     block_address,
-    block_index,
     block_offset,
 )
 from repro.branch.ras import ReturnAddressStack
@@ -32,10 +31,6 @@ class TestAddressProperties:
     @given(aligned_addresses)
     def test_block_offset_in_range(self, address):
         assert 0 <= block_offset(address) < INSTRUCTIONS_PER_BLOCK
-
-    @given(aligned_addresses)
-    def test_block_index_consistent_with_address(self, address):
-        assert block_index(address) * BLOCK_SIZE_BYTES == block_address(address)
 
 
 class TestCacheProperties:

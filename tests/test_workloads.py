@@ -7,7 +7,7 @@ from array import array
 
 import pytest
 
-from repro.isa.instruction import BranchKind, block_address
+from repro.isa.instruction import BranchKind, block_address, block_offset
 from repro.workloads import (
     EVALUATION_WORKLOADS,
     WORKLOAD_PROFILES,
@@ -72,6 +72,15 @@ class TestProfiles:
         with pytest.raises(ValueError):
             dataclasses.replace(profile, conditional_fraction=0.9)
 
+    def test_unaligned_code_base_rejected(self):
+        # Instructions are 4 bytes, so a code segment must start on an
+        # instruction boundary; the profile is where user input enters.
+        profile = get_profile("oltp_db2").scaled(0.05)
+        with pytest.raises(ValueError, match="code_base_address 0x40000002 is not 4-byte aligned"):
+            dataclasses.replace(profile, code_base_address=0x4000_0002)
+        aligned = dataclasses.replace(profile, code_base_address=0x4000_0004)
+        assert min(synthesize_program(aligned).image) == 0x4000_0000
+
     def test_evaluation_profiles_scaling(self):
         profiles = evaluation_profiles(scale=0.2)
         assert len(profiles) == 5
@@ -86,6 +95,7 @@ class TestSynthesis:
         second = synthesize_program(tiny_profile)
         assert first.footprint_bytes == second.footprint_bytes
         assert first.cfg.functions == second.cfg.functions
+        assert first.image == second.image
 
     def test_entry_points_are_layer0_functions(self, tiny_program):
         # Every operation the walker starts enters the program at a layer-0
@@ -146,17 +156,52 @@ class TestSynthesis:
                     assert index - target_index <= 2
 
     def test_image_matches_cfg_branches(self, tiny_program):
+        # Each terminator is predecoded at its slot with its kind and, for a
+        # direct branch, its static target.
         cfg = tiny_program.cfg
         image = tiny_program.image
-        for function in cfg.functions[:20]:
+        for function in cfg.functions:
             for block in function.basic_blocks:
-                instr = image.instruction_at(block.terminator_pc)
-                assert instr is not None and instr.is_branch
+                pc = block.terminator_pc
+                predecoded = image[block_address(pc)]
+                assert (predecoded.bitmap >> block_offset(pc)) & 1
+                (descriptor,) = [d for d in predecoded.branches if d.branch_pc == pc]
+                behavior = cfg.behavior_of(pc)
+                assert descriptor.kind is behavior.kind is block.terminator_kind
+                if behavior.kind.is_direct:
+                    assert descriptor.target == behavior.taken_target is not None
+                else:
+                    assert descriptor.target is None
 
     def test_static_branch_density_close_to_target(self, tiny_program):
-        density = tiny_program.image.branch_density()
+        density = tiny_program.static_branch_count / len(tiny_program.image)
         target = tiny_program.profile.static_branch_density_target
         assert abs(density - target) / target < 0.35
+
+    @pytest.mark.parametrize("name, scale, digest", [
+        ("oltp_db2", 0.1, "7a1cff6b479f2f3d95b627ef6cc6de366a4c7c794727da179f553275c73d8b46"),
+        ("oltp_oracle", 0.1, "5f88bad837d2fdf60c5adcc7e84c5bc7dd6ede62894a176d2adbd70798ac8cda"),
+        ("dss_qry2", 0.1, "bc427a09c0557d3c0907a7db9790ad0f35f3afd3b69bfed6797440e3ba707bea"),
+        ("dss_qry8", 0.1, "b4283e7c73345243350196e938774862c85d1986739ecefc893ad1c2e2562fe3"),
+        ("dss_qry17", 0.1, "d0d81f5df1e3a39e5b9ac835b9a8ad8e4bd5f6d89d37c7b1ef004364e7852c48"),
+        ("dss_qry20", 0.1, "f24de90014e7a6cd203c0bbcb314eac526c4e0a2322b1cb21870ce8e95990681"),
+        ("media_streaming", 0.1,
+         "490ff5917f507e0fd2e7966d7a07b5fb4f16674f637993f2c50c145e50251804"),
+        ("web_frontend", 0.1, "65e905c47a172134b73e65888cf1a5956c5d9260081c3809811b648382b39f4a"),
+        ("oltp_oracle", 0.45, "3c724c85bb97d1f3e66583501f49665eafddb52e5595d7e78009e374f81c1d6d"),
+    ])
+    def test_program_image_is_pinned(self, name, scale, digest):
+        # Recorded from a predecoder scan of every block of the per-instruction
+        # image the program was once built as; every block's address, bitmap
+        # and descriptors, in address order.
+        image = synthesize_program(get_profile(name).scaled(scale)).image
+        h = hashlib.sha256()
+        for base in sorted(image):
+            block = image[base]
+            h.update(repr((base, block.bitmap, tuple(
+                (d.branch_pc, d.kind.value, d.target, d.offset) for d in block.branches
+            ))).encode())
+        assert h.hexdigest() == digest
 
 
 class TestTraceGeneration:
