@@ -13,12 +13,7 @@ implements the same :class:`~repro.branch.btb_base.BaseBTB` interface so all
 designs are interchangeable in the frontend model and the coverage harness.
 """
 
-from repro.branch.direction import (
-    BimodalPredictor,
-    DirectionPredictor,
-    GSharePredictor,
-    HybridDirectionPredictor,
-)
+from repro.branch.direction import DirectionPredictor, HybridDirectionPredictor
 from repro.branch.ras import ReturnAddressStack
 from repro.branch.indirect import IndirectTargetCache
 from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult, BTBStats
@@ -29,8 +24,6 @@ from repro.branch.unit import BranchPredictionUnit, BranchPrediction
 
 __all__ = [
     "DirectionPredictor",
-    "BimodalPredictor",
-    "GSharePredictor",
     "HybridDirectionPredictor",
     "ReturnAddressStack",
     "IndirectTargetCache",

@@ -90,7 +90,6 @@ class ConventionalBTB(BaseBTB):
             ways=ways,
             name=f"{self.name}_main",
             index_shift=2,
-            on_eviction=self._spill_to_victim if victim_entries else None,
         )
         self._victim = (
             SetAssociativeCache(sets=1, ways=victim_entries, name=f"{self.name}_victim")
@@ -98,10 +97,11 @@ class ConventionalBTB(BaseBTB):
             else None
         )
 
-    def _spill_to_victim(self, branch_pc: int, entry: object) -> None:
-        """Entries displaced from the main structure land in the victim buffer."""
-        if self._victim is not None:
-            self._victim.insert(branch_pc, entry)
+    def _insert_main(self, branch_pc: int, entry: object) -> None:
+        """Insert into the main structure; its victim lands in the victim buffer."""
+        victim = self._main.insert(branch_pc, entry)
+        if victim is not None and self._victim is not None:
+            self._victim.insert(victim[0], victim[1])
 
     def lookup(self, branch_pc: int, taken: bool = True) -> BTBLookupResult:
         hit, payload = self._main.access(branch_pc)
@@ -113,7 +113,7 @@ class ConventionalBTB(BaseBTB):
             if victim_hit:
                 # Promote back into the main structure.
                 self._victim.invalidate(branch_pc)
-                self._main.insert(branch_pc, victim_payload)
+                self._insert_main(branch_pc, victim_payload)
                 self.stats.record(True, taken)
                 return BTBLookupResult(True, victim_payload, self.latency_cycles, "victim")
         self.stats.record(False, taken)
@@ -136,7 +136,7 @@ class ConventionalBTB(BaseBTB):
             victim_hit, victim_payload = self._victim.access(branch_pc)
             if victim_hit:
                 self._victim.invalidate(branch_pc)
-                self._main.insert(branch_pc, victim_payload)
+                self._insert_main(branch_pc, victim_payload)
                 self.stats.record(True, taken)
                 slot.set_btb(
                     True,
@@ -166,7 +166,7 @@ class ConventionalBTB(BaseBTB):
         if not holds_entry(entry, kind, target):
             entry = BTBEntry(branch_pc=branch_pc, kind=kind, target=target)
         self.stats.insertions += 1
-        self._main.insert(branch_pc, entry)
+        self._insert_main(branch_pc, entry)
 
     @property
     def storage_kb(self) -> float:

@@ -7,14 +7,13 @@ cache and the shared NUCA last-level cache.  The LLC model also supports the
 number of its blocks to hold prefetcher metadata instead of data.
 """
 
-from repro.caches.sram import CacheStats, EvictionCallback, SetAssociativeCache
+from repro.caches.sram import CacheStats, SetAssociativeCache
 from repro.caches.l1i import InstructionCache, L1IConfig
 from repro.caches.llc import SharedLLC, LLCConfig, VirtualizedRegion
 
 __all__ = [
     "SetAssociativeCache",
     "CacheStats",
-    "EvictionCallback",
     "InstructionCache",
     "L1IConfig",
     "SharedLLC",

@@ -6,7 +6,9 @@ pipeline, so only misses stall the modelled core.  The cache exposes a fill
 listener interface: Confluence registers a listener so that every block
 brought into the L1-I (demand or prefetch) is also predecoded and inserted
 into AirBTB, and every eviction removes the corresponding AirBTB bundle —
-that content synchronization is the heart of the design.
+that content synchronization is the heart of the design.  The cache itself
+notifies listeners of the victims its set-associative store hands back, so
+neither that store nor a listener needs a reference to the cache.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class InstructionCache:
         self._cache = SetAssociativeCache(
             sets=self.config.sets,
             ways=self.config.associativity,
-            on_eviction=self._notify_eviction,
             name=name,
             index_shift=BLOCK_SIZE_BYTES.bit_length() - 1,
         )
@@ -84,10 +85,6 @@ class InstructionCache:
 
     def remove_listener(self, listener: FillListener) -> None:
         self._listeners.remove(listener)
-
-    def _notify_eviction(self, block_addr: int, _payload: object = None) -> None:
-        for listener in self._listeners:
-            listener.on_block_evict(block_addr)
 
     def contains(self, address: int) -> bool:
         """Presence check (no LRU update, no statistics)."""
@@ -107,13 +104,19 @@ class InstructionCache:
         """Install the block containing ``address``; returns evicted block.
 
         Fill listeners observe both the insertion and any eviction it causes,
-        keeping structures that mirror L1-I content (AirBTB) synchronized.
+        the eviction first, keeping structures that mirror L1-I content
+        (AirBTB) synchronized.
         """
         block = block_address(address)
         if self._cache.contains(block):
             self._cache.touch(block)
             return None
-        evicted = self._cache.insert(block)
+        victim = self._cache.insert(block)
+        evicted: Optional[int] = None
+        if victim is not None:
+            evicted = victim[0]
+            for listener in self._listeners:
+                listener.on_block_evict(evicted)
         if demand:
             self.demand_fills += 1
         else:
@@ -130,7 +133,8 @@ class InstructionCache:
         block = block_address(address)
         present = self._cache.invalidate(block)
         if present:
-            self._notify_eviction(block)
+            for listener in self._listeners:
+                listener.on_block_evict(block)
         return present
 
     def resident_blocks(self) -> List[int]:

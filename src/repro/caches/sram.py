@@ -3,18 +3,16 @@
 All cache-like structures in the reproduction (L1-I, conventional BTBs,
 victim/overflow buffers, the LLC) are built on this model.  Keys are block
 addresses (or any integer tag); the cache does not store data contents, only
-presence, which is all trace-driven frontend simulation needs.
+presence, which is all trace-driven frontend simulation needs.  An insertion
+hands its victim back to the caller, which handles it where it inserts, so
+the cache holds no reference to its owner.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Tuple
-
-#: Called with the evicted key and its payload whenever an insertion
-#: displaces an entry.
-EvictionCallback = Callable[[int, Optional[object]], None]
+from typing import Any, Iterator, List, Optional, Tuple
 
 
 @dataclass
@@ -47,7 +45,6 @@ class SetAssociativeCache:
         self,
         sets: int,
         ways: int,
-        on_eviction: Optional[EvictionCallback] = None,
         name: str = "cache",
         index_shift: int = 0,
     ) -> None:
@@ -62,7 +59,6 @@ class SetAssociativeCache:
         self.name = name
         self.index_shift = index_shift
         self.stats = CacheStats()
-        self._on_eviction = on_eviction
         # One ordered dict per set: key -> payload, in LRU order (oldest first).
         self._storage: List["OrderedDict[int, object]"] = [OrderedDict() for _ in range(sets)]
 
@@ -104,26 +100,24 @@ class SetAssociativeCache:
         self.stats.misses += 1
         return False, None
 
-    def insert(self, key: int, payload: Optional[object] = None) -> Optional[int]:
-        """Insert ``key``; returns the evicted key, if any.
+    def insert(self, key: int, payload: Optional[object] = None) -> Optional[Tuple[int, Any]]:
+        """Insert ``key``; returns the evicted ``(key, payload)``, if any.
 
         Inserting an already-present key refreshes its LRU position and
         payload without evicting anything.
         """
         target_set = self._storage[self._set_index(key)]
-        evicted: Optional[int] = None
         if key in target_set:
             target_set.move_to_end(key)
             target_set[key] = payload
             return None
+        victim: Optional[Tuple[int, Any]] = None
         if len(target_set) >= self.ways:
-            evicted, evicted_payload = target_set.popitem(last=False)
+            victim = target_set.popitem(last=False)
             self.stats.evictions += 1
-            if self._on_eviction is not None:
-                self._on_eviction(evicted, evicted_payload)
         target_set[key] = payload
         self.stats.insertions += 1
-        return evicted
+        return victim
 
     def invalidate(self, key: int) -> bool:
         """Remove ``key`` if present; returns whether it was present."""

@@ -115,7 +115,6 @@ class AirBTB(BaseBTB):
             ways=self.config.ways,
             name=f"{name}_bundles",
             index_shift=6,
-            on_eviction=self._on_bundle_eviction,
         )
         self._overflow = (
             SetAssociativeCache(
@@ -247,11 +246,6 @@ class AirBTB(BaseBTB):
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _on_bundle_eviction(self, block_addr: int, bundle: object) -> None:
-        self.bundle_evictions += 1
-        if isinstance(bundle, _Bundle):
-            self._drop_overflow_entries(bundle)
-
     def _drop_overflow_entries(self, bundle: _Bundle) -> None:
         """Remove this block's spilled entries from the overflow buffer."""
         bitmap = bundle.bitmap
@@ -295,7 +289,11 @@ class AirBTB(BaseBTB):
         return bundle
 
     def _install_bundle(self, bundle: _Bundle) -> None:
-        self._bundles.insert(bundle.block_addr, bundle)
+        """Insert a bundle; the one it displaces takes its overflow entries along."""
+        victim = self._bundles.insert(bundle.block_addr, bundle)
+        if victim is not None:
+            self.bundle_evictions += 1
+            self._drop_overflow_entries(victim[1])
         self.bundle_insertions += 1
 
     def _add_entry(self, bundle: _Bundle, entry: BTBEntry) -> None:

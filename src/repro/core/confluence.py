@@ -50,8 +50,9 @@ class Confluence:
 
     The instance registers itself as a fill listener on the L1-I: every block
     installed there (by SHIFT or on demand) is predecoded and mirrored into
-    AirBTB; every eviction removes the corresponding bundle.  ``image`` is
-    the program image the predecoder reads
+    AirBTB; every eviction removes the corresponding bundle.  It keeps no
+    reference to the L1-I, which calls it, so the two form no cycle.
+    ``image`` is the program image the predecoder reads
     (:attr:`~repro.workloads.cfg.SyntheticProgram.image`).
     """
 
@@ -65,7 +66,6 @@ class Confluence:
         record_history: bool = True,
     ) -> None:
         self.config = config or ConfluenceConfig()
-        self.l1i = l1i
         self.predecoder = Predecoder(image)
         self.airbtb = AirBTB(config=self.config.airbtb, predecoder=self.predecoder)
         self.airbtb.synchronized = True

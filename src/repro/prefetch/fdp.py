@@ -25,11 +25,15 @@ L1-I; any other call walks the window as the record path does, so targets
 and their order are exact.  A call that is not the direct successor of
 the previous one on the same trace and L1-I (a new run, warm reuse, a
 hand-made context) rebuilds the window first.  The record path (the
-``reference`` oracle's) always walks.
+``reference`` oracle's) always walks.  FDP holds the L1-I it serves only
+through a weak reference: that L1-I already holds FDP as a listener, and
+a strong reference back would make the design a cycle that only the
+garbage collector frees.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set
 
 from repro.isa.instruction import BLOCK_SIZE_BYTES, BranchKind
@@ -58,11 +62,11 @@ class FetchDirectedPrefetcher(InstructionPrefetcher):
         # the prefetcher can run at most one cycle per queued basic block
         # ahead of the fetch unit (Section 2.1's lookahead limitation).
         self.max_lead_cycles = depth
-        # The packed path's window (see the module doc): the L1-I it
-        # listens to, each window block's count of window regions holding
-        # it, the window blocks that L1-I lacks, and the call the window
-        # was last moved to (trace and region index).
-        self._l1i: Optional["InstructionCache"] = None
+        # The packed path's window (see the module doc): a weak reference
+        # to the L1-I it listens to, each window block's count of window
+        # regions holding it, the window blocks that L1-I lacks, and the
+        # call the window was last moved to (trace and region index).
+        self._l1i: Optional["weakref.ref[InstructionCache]"] = None
         self._blocks: Dict[int, int] = {}
         self._absent: Set[int] = set()
         self._packed: Optional[PackedTrace] = None
@@ -135,11 +139,12 @@ class FetchDirectedPrefetcher(InstructionPrefetcher):
         index = context.index
         depth = self.queue_depth
         limit = min(len(block_firsts), index + 1 + depth)
-        if l1i is not self._l1i:
-            if self._l1i is not None:
-                self._l1i.remove_listener(self)
+        served = self._l1i() if self._l1i is not None else None
+        if l1i is not served:
+            if served is not None:
+                served.remove_listener(self)
             l1i.add_listener(self)
-            self._l1i = l1i
+            self._l1i = weakref.ref(l1i)
             self._packed = None
         blocks = self._blocks
         absent = self._absent

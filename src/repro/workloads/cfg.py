@@ -86,10 +86,6 @@ class Function:
     entry: int
     basic_blocks: List[BasicBlock] = field(default_factory=list)
 
-    @property
-    def size_bytes(self) -> int:
-        return sum(block.length for block in self.basic_blocks) * INSTRUCTION_SIZE_BYTES
-
 
 class ControlFlowGraph:
     """Static CFG of a synthetic program: functions, blocks and behaviours."""

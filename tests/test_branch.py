@@ -3,10 +3,8 @@
 import pytest
 
 from repro.branch import (
-    BimodalPredictor,
     BranchPredictionUnit,
     ConventionalBTB,
-    GSharePredictor,
     HybridDirectionPredictor,
     IndirectTargetCache,
     PerfectBTB,
@@ -31,8 +29,8 @@ def _record(pc=0x1000, branch_pc=0x100C, kind=BranchKind.CONDITIONAL, taken=True
 
 
 class TestDirectionPredictors:
-    def test_bimodal_learns_bias(self):
-        predictor = BimodalPredictor(entries=1024)
+    def test_hybrid_learns_bias(self):
+        predictor = HybridDirectionPredictor(entries=1024)
         for _ in range(4):
             predictor.update(0x4000, True)
         assert predictor.predict(0x4000)
@@ -40,15 +38,15 @@ class TestDirectionPredictors:
             predictor.update(0x4000, False)
         assert not predictor.predict(0x4000)
 
-    def test_gshare_history_advances(self):
-        predictor = GSharePredictor(entries=1024, history_bits=4)
+    def test_hybrid_history_advances(self):
+        predictor = HybridDirectionPredictor(entries=1024, history_bits=4)
         assert predictor.history == 0
         predictor.update(0x4000, True)
         predictor.update(0x4004, False)
         assert predictor.history == 0b10
 
-    def test_gshare_learns_pattern(self):
-        predictor = GSharePredictor(entries=4096, history_bits=4)
+    def test_hybrid_learns_pattern(self):
+        predictor = HybridDirectionPredictor(entries=4096, history_bits=4)
         # Alternating branch: gshare should learn it via history correlation.
         for i in range(200):
             predictor.update(0x4000, i % 2 == 0)
@@ -69,7 +67,7 @@ class TestDirectionPredictors:
 
     def test_table_size_must_be_power_of_two(self):
         with pytest.raises(ValueError):
-            BimodalPredictor(entries=1000)
+            HybridDirectionPredictor(entries=1000)
 
 
 class TestReturnAddressStack:

@@ -37,16 +37,14 @@ class TestSetAssociativeCache:
         cache.insert(2)
         cache.access(1)          # 2 becomes LRU
         evicted = cache.insert(3)
-        assert evicted == 2
+        assert evicted == (2, None)
         assert cache.contains(1)
         assert not cache.contains(2)
 
-    def test_eviction_callback_receives_key_and_payload(self):
-        seen = []
-        cache = SetAssociativeCache(sets=1, ways=1, on_eviction=lambda k, p: seen.append((k, p)))
-        cache.insert(1, "a")
-        cache.insert(2, "b")
-        assert seen == [(1, "a")]
+    def test_insert_returns_the_victims_key_and_payload(self):
+        cache = SetAssociativeCache(sets=1, ways=1)
+        assert cache.insert(1, "a") is None
+        assert cache.insert(2, "b") == (1, "a")
 
     def test_reinsert_refreshes_without_eviction(self):
         cache = SetAssociativeCache(sets=1, ways=2)

@@ -1,5 +1,8 @@
 """Tests for AirBTB, Confluence, the frontend model, designs, area, metrics."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.branch import BranchPredictionUnit, ConventionalBTB
@@ -368,6 +371,26 @@ class TestDesignPoints:
         _, two_level_area = build_design("2level_shift", tiny_program)
         _, confluence_area = build_design("confluence", tiny_program)
         assert two_level_area.total_mm2 > confluence_area.total_mm2
+
+    @pytest.mark.parametrize("name", list(DESIGN_POINTS))
+    def test_every_design_is_freed_by_reference_counting(
+        self, name, tiny_program, tiny_trace
+    ):
+        """No structure of a design refers back to its owner, so the design
+        is freed when its last reference goes, without the cyclic collector."""
+        gc.disable()
+        try:
+            simulator, _ = build_design(name, tiny_program)
+            simulator.run(tiny_trace)
+            parts = (
+                simulator, simulator.l1i, simulator.bpu.btb,
+                simulator.prefetcher, simulator.confluence,
+            )
+            refs = [weakref.ref(part) for part in parts if part is not None]
+            del simulator, parts
+            assert [type(ref()).__name__ for ref in refs if ref() is not None] == []
+        finally:
+            gc.enable()
 
 
 class TestAreaModel:

@@ -7,7 +7,9 @@ to test and make the simulation counts order-dependent.
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -25,7 +27,7 @@ from repro.analysis.experiments import (
     run_design_coverage,
 )
 from repro.branch import ConventionalBTB
-from repro.core.designs import DesignSpec, resolve_design
+from repro.core.designs import DESIGN_POINTS, DesignSpec, resolve_design
 from repro.core.frontend import FrontendSimulator
 from repro.registry import BTB_REGISTRY, build_btb
 from repro.workloads import generate_trace, synthesize_program
@@ -219,6 +221,19 @@ class TestLifetime:
         frontend_comparison(tiny_program, shared, ["baseline"])
         frontend_comparison(tiny_program, shared.head(len(shared)), ["baseline"])
         assert sims == ["baseline", "baseline"]
+
+    def test_a_studied_program_is_freed_by_reference_counting(self, tiny_profile):
+        """Neither the memo nor a design run keeps the program in a cycle."""
+        gc.disable()
+        try:
+            program = synthesize_program(tiny_profile)
+            trace = generate_trace(program, 5_000, seed=3)
+            frontend_comparison(program, trace, list(DESIGN_POINTS))
+            ref = weakref.ref(program)
+            del program, trace
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_run_btb_coverage_advances_each_callers_btb(self, trace):
         shared = _fresh(trace)
