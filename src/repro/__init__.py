@@ -50,7 +50,7 @@ Custom design points are data plus (optionally) a registered component::
     ))
     report = session.run(["baseline", "fat_baseline"])
 
-The lower-level factory API (:func:`build_design`,
+The lower-level factory API (:func:`design_from_spec`,
 :class:`ChipMultiprocessor`) remains available for single-simulator studies;
 see ``examples/`` for both styles.
 """
@@ -92,7 +92,6 @@ from repro.core import (
     FrontendConfig,
     FrontendResult,
     FrontendSimulator,
-    build_design,
     design_from_spec,
     register_design_point,
     resolve_design,
@@ -149,7 +148,6 @@ __all__ = [
     "FrontendConfig",
     "FrontendResult",
     "FrontendSimulator",
-    "build_design",
     "design_from_spec",
     "register_design_point",
     "resolve_design",

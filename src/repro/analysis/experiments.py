@@ -14,14 +14,13 @@ sweep without new harness code.
 The figures compare design points on the same traces, so every simulation a
 study owns reads through one **study memo** on the trace's
 :class:`~repro.workloads.packed.PackedTrace`.  A design run is keyed on the
-caller's program object, the effective frontend config (warm-up included)
-and :func:`repro.sweep.design_closure` without the spec's name; a bare-BTB
-run on :func:`repro.sweep.btb_closure`, the program it was built with and
-the warm-up.  Each distinct configuration simulates once per trace, and a
-hit is a copy re-stamped with the requested design and trace names.  The
-memo is never pickled and dies with the trace; like
-:func:`~repro.sweep.cell_key` it does not hash the classes a factory calls,
-so a test that monkeypatches a component must use a fresh trace.
+caller's program object, the warm-up and :func:`repro.sweep.design_closure`
+without the spec's name; a bare-BTB run on :func:`repro.sweep.btb_closure`,
+the program it was built with and the warm-up.  Each distinct configuration
+simulates once per trace, and a hit is a copy re-stamped with the requested
+design and trace names.  The memo is never pickled and dies with the trace;
+like :func:`~repro.sweep.cell_key` it does not hash the classes a factory
+calls, so a test that monkeypatches a component must use a fresh trace.
 :func:`run_btb_coverage` is not memoized: it trains a BTB the caller owns.
 """
 
@@ -52,7 +51,11 @@ from repro.core.designs import (
     design_from_spec,
     resolve_design,
 )
-from repro.core.frontend import FrontendConfig, FrontendResult, check_warmup_fraction
+from repro.core.frontend import (
+    DEFAULT_WARMUP_FRACTION,
+    FrontendResult,
+    check_warmup_fraction,
+)
 from repro.core.metrics import geometric_mean, miss_coverage, mpki
 from repro.registry import build_btb, ensure_unique_names
 from repro.staticcheck.markers import hot_loop
@@ -60,9 +63,6 @@ from repro.sweep import btb_closure, content_key, design_closure
 from repro.workloads.cfg import SyntheticProgram
 from repro.workloads.profiles import EVALUATION_WORKLOADS
 from repro.workloads.trace import Trace
-
-#: Default fraction of the trace used to warm structures before measuring.
-DEFAULT_WARMUP_FRACTION = 0.2
 
 #: Spec of the 1K-entry + victim-buffer BTB every coverage study is
 #: normalized against (the paper's baseline).
@@ -118,30 +118,23 @@ def _run_design(
     spec: DesignSpec,
     program: SyntheticProgram,
     trace: Trace,
-    frontend_config: Optional[FrontendConfig] = None,
-    warmup_fraction: Optional[float] = None,
+    warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
 ) -> Tuple[FrontendResult, FrontendAreaReport]:
     """Simulate ``spec`` on ``trace`` via the study memo.
 
     The result and area report are fresh copies carrying ``spec.name`` and
     ``trace.name``, so a caller may mutate them freely.
     """
-    config = frontend_config if frontend_config is not None else FrontendConfig()
-    if warmup_fraction is not None:
-        config = replace(config, warmup_fraction=warmup_fraction)
     closure = design_closure(spec)
     content = cast(Dict[str, object], closure["design"])
     del content["name"], content["label"]
 
     def simulate() -> Tuple[FrontendResult, FrontendAreaReport]:
-        simulator, area = design_from_spec(
-            spec, program, frontend_config=frontend_config
-        )
+        simulator, area = design_from_spec(spec, program)
         return simulator.run(trace, warmup_fraction=warmup_fraction), area
 
-    result, area = _memoized(
-        trace, {**closure, "frontend_config": config}, program, simulate
-    )
+    payload = {**closure, "warmup_fraction": check_warmup_fraction(warmup_fraction)}
+    result, area = _memoized(trace, payload, program, simulate)
     return (
         replace(result, design=spec.name, workload=trace.name),
         FrontendAreaReport(design=spec.name, components_mm2=dict(area.components_mm2)),
@@ -264,7 +257,6 @@ def frontend_comparison(
     program: SyntheticProgram,
     trace: Trace,
     designs: Sequence[Union[str, DesignSpec]],
-    frontend_config: Optional[FrontendConfig] = None,
 ) -> Dict[str, DesignOutcome]:
     """Run a set of design points on one workload (Figures 2, 6 and 7).
 
@@ -278,7 +270,7 @@ def frontend_comparison(
     ensure_unique_names("design", [spec.name for spec in specs])
     outcomes: Dict[str, DesignOutcome] = {}
     for spec in specs:
-        result, area = _run_design(spec, program, trace, frontend_config)
+        result, area = _run_design(spec, program, trace)
         outcomes[spec.name] = DesignOutcome(design=spec.name, result=result, area=area)
     return outcomes
 

@@ -31,21 +31,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.cmp import ChipMultiprocessor
 from repro.core.designs import DesignSpec, resolve_design
-from repro.core.frontend import FrontendConfig
 from repro.registry import ensure_unique_names
 from repro.resilience import RetryPolicy
 from repro.sweep import (
     ResultCache,
     SweepOutcome,
     TraceStore,
-    cmp_driver,
     run_sweep,
-    workload_program,
     write_json,
 )
-from repro.workloads.cfg import SyntheticProgram
 from repro.workloads.profiles import WorkloadProfile, get_profile
 from repro.workloads.scenario import BoundScenario, Scenario, resolve_scenario
 
@@ -184,7 +179,6 @@ class Session:
         cores: CMP cores to simulate per design.
         instructions_per_core: trace length per core (profile default if
             omitted).
-        frontend_config: timing-model overrides shared by all designs.
         trace_seed_base: per-core trace seeds are ``base + core``.
         workers: default width of the sweep's cell pool for :meth:`run`
             (``None``/1 = serial, the deterministic default; results are
@@ -219,7 +213,6 @@ class Session:
         scale: float = 1.0,
         cores: int = 16,
         instructions_per_core: Optional[int] = None,
-        frontend_config: Optional[FrontendConfig] = None,
         trace_seed_base: int = 100,
         workers: Optional[int] = None,
         cache: Union[None, bool, str, Path, ResultCache] = None,
@@ -252,14 +245,11 @@ class Session:
                 if instructions_per_core is None else instructions_per_core
             )
         self.scale = scale
-        self.frontend_config = frontend_config
         self.trace_seed_base = trace_seed_base
         self.workers = workers
         self.cache = ResultCache.coerce(cache)
         self.trace_store = TraceStore.coerce(trace_store)
         self.retry_policy = retry_policy
-        self._program: Optional[SyntheticProgram] = None
-        self._cmp: Optional[ChipMultiprocessor] = None
 
     @property
     def workload(self) -> Union[WorkloadProfile, BoundScenario]:
@@ -271,38 +261,6 @@ class Session:
     @property
     def workload_name(self) -> str:
         return self.workload.name
-
-    @property
-    def program(self) -> SyntheticProgram:
-        """The synthesized workload program (built once per process)."""
-        if self.scenario is not None:
-            raise ValueError(
-                "a scenario session spans multiple programs; use "
-                "repro.workloads.workload_program(profile) per profile"
-            )
-        if self._program is None:
-            # The sweep engine's per-process memo, so a Session and the cells
-            # it schedules share one synthesized program.
-            self._program = workload_program(self.profile)
-        return self._program
-
-    @property
-    def cmp(self) -> ChipMultiprocessor:
-        """The CMP driver behind this session (traces cached inside).
-
-        The same memoized driver the session's sweep cells use, so
-        :meth:`run` and direct ``cmp`` access share one trace set.
-        """
-        if self._cmp is None:
-            self._cmp = cmp_driver(
-                self.workload,
-                self.cores,
-                self.instructions_per_core,
-                self.trace_seed_base,
-                self.frontend_config,
-                trace_store=self.trace_store,
-            )
-        return self._cmp
 
     def run(
         self,
@@ -335,7 +293,6 @@ class Session:
             specs,
             cores=self.cores,
             instructions_per_core=self.instructions_per_core,
-            frontend_config=self.frontend_config,
             trace_seed_base=self.trace_seed_base,
             workers=workers if workers is not None else self.workers,
             cache=self.cache,
@@ -400,9 +357,10 @@ def run_grid(
     result cache (see :mod:`repro.sweep`).  ``scenarios=[...]`` adds
     heterogeneous consolidation rows (``profiles`` may then be empty); the
     remaining keyword arguments (``scale``, ``cores``,
-    ``instructions_per_core``, ``frontend_config``, ``trace_seed_base``)
-    apply to every cell.  Returns ``{workload name: RunReport}``, identical
-    to running one serial :class:`Session` per workload.
+    ``instructions_per_core``, ``trace_seed_base``) apply to every cell.
+    Every keyword goes to :func:`~repro.sweep.run_sweep`.  Returns
+    ``{workload name: RunReport}``, identical to running one serial
+    :class:`Session` per workload.
     """
     outcome = run_sweep(profiles, designs, **sweep_kwargs)
     return reports_from_sweep(outcome, baseline=baseline)

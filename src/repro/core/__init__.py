@@ -27,7 +27,6 @@ from repro.core.metrics import mpki, miss_coverage
 from repro.core.designs import (
     DESIGN_POINTS,
     DesignSpec,
-    build_design,
     design_from_spec,
     register_design_point,
     resolve_design,
@@ -46,7 +45,6 @@ __all__ = [
     "mpki",
     "miss_coverage",
     "DesignSpec",
-    "build_design",
     "design_from_spec",
     "register_design_point",
     "resolve_design",

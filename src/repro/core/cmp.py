@@ -32,13 +32,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 from repro.caches.llc import LLCConfig, SharedLLC
 from repro.core.area import FrontendAreaReport
 from repro.core.designs import DesignSpec, design_from_spec, resolve_design
-from repro.core.frontend import FrontendConfig, FrontendResult
+from repro.core.frontend import FrontendResult
 from repro.core.metrics import mpki
 from repro.prefetch.shift import ShiftHistory
 from repro.workloads.cfg import SyntheticProgram, workload_program
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import WorkloadProfile
-from repro.workloads.scenario import BoundScenario, CoreWorkload, Scenario
+from repro.workloads.scenario import BoundScenario, CoreWorkload
 from repro.workloads.trace import Trace
 
 if TYPE_CHECKING:  # import cycle guard: sweep.py imports this module
@@ -142,14 +142,16 @@ class ChipMultiprocessor:
 
     Heterogeneous form (a consolidated server)::
 
-        ChipMultiprocessor(scenario=get_scenario("consolidated_oltp_dss"))
+        ChipMultiprocessor(
+            scenario=get_scenario("consolidated_oltp_dss").bind(cores=16)
+        )
 
-    ``scenario`` accepts a :class:`~repro.workloads.scenario.Scenario`
-    (bound here against ``cores``/``instructions_per_core``/
-    ``trace_seed_base``) or an already-bound
-    :class:`~repro.workloads.scenario.BoundScenario` (whose assignment wins
-    over those knobs).  A single-profile scenario is the degenerate case and
-    reproduces the homogeneous form bit for bit.
+    ``scenario`` is a bound
+    :class:`~repro.workloads.scenario.BoundScenario`, whose assignment fixes
+    every core's profile, seed and budget (``cores``,
+    ``instructions_per_core`` and ``trace_seed_base`` shape only the
+    homogeneous form).  A single-profile scenario is the degenerate case
+    and reproduces the homogeneous form bit for bit.
     """
 
     def __init__(
@@ -157,10 +159,9 @@ class ChipMultiprocessor:
         program: Optional[SyntheticProgram] = None,
         cores: int = 16,
         instructions_per_core: Optional[int] = None,
-        frontend_config: Optional[FrontendConfig] = None,
         trace_seed_base: int = 100,
         trace_store: Optional["TraceStore"] = None,
-        scenario: Union[None, Scenario, BoundScenario] = None,
+        scenario: Optional[BoundScenario] = None,
     ) -> None:
         if scenario is not None:
             if program is not None:
@@ -168,14 +169,6 @@ class ChipMultiprocessor:
                     "pass either a program (homogeneous CMP) or a scenario "
                     "(heterogeneous CMP), not both"
                 )
-            if isinstance(scenario, Scenario):
-                scenario = scenario.bind(
-                    cores=cores,
-                    instructions_per_core=instructions_per_core,
-                    trace_seed_base=trace_seed_base,
-                )
-            if not isinstance(scenario, BoundScenario):
-                raise TypeError(f"not a scenario: {scenario!r}")
             self.scenario: Optional[BoundScenario] = scenario
             self.program = None
             self.profile: Optional[WorkloadProfile] = None
@@ -207,8 +200,6 @@ class ChipMultiprocessor:
                 for core in range(cores)
             )
             self._programs = {self.profile: program}
-        self.frontend_config = frontend_config
-        self.trace_seed_base = trace_seed_base
         #: Optional :class:`repro.sweep.TraceStore`: per-core traces become
         #: shared on-disk artifacts, loaded instead of re-generated.
         self.trace_store = trace_store
@@ -300,7 +291,6 @@ class ChipMultiprocessor:
                 self._program_for(workload.profile),
                 llc=llc,
                 shared_history=histories[workload.profile],
-                frontend_config=self.frontend_config,
                 record_history=index in recorders,
             )
             if result.area is None:

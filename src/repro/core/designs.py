@@ -45,7 +45,7 @@ from repro.branch.unit import BranchPredictionUnit
 from repro.caches.l1i import InstructionCache
 from repro.caches.llc import SharedLLC
 from repro.core.area import FrontendAreaReport, area_report
-from repro.core.frontend import FrontendConfig, FrontendSimulator
+from repro.core.frontend import FrontendSimulator
 from repro.prefetch.shift import ShiftHistory
 from repro.registry import (
     BTB_REGISTRY,
@@ -188,19 +188,21 @@ def resolve_design(design: Union[str, DesignSpec]) -> DesignSpec:
 
 
 def design_from_spec(
-    spec: DesignSpec,
+    design: Union[str, DesignSpec],
     program: SyntheticProgram,
     llc: Optional[SharedLLC] = None,
     shared_history: Optional[ShiftHistory] = None,
-    frontend_config: Optional[FrontendConfig] = None,
     record_history: bool = True,
 ) -> Tuple[FrontendSimulator, FrontendAreaReport]:
-    """Instantiate ``spec`` for one core through the component registries.
+    """Instantiate a catalog name or an ad-hoc spec for one core.
 
-    ``llc`` and ``shared_history`` may be shared across cores (the CMP driver
-    does this); when omitted, private instances are created, which models a
+    The one construction path: the CMP driver, the sweep and the figure
+    harnesses all build through the component registries here.  ``llc``
+    and ``shared_history`` may be shared across cores (the CMP driver does
+    this); when omitted, private instances are created, which models a
     single core of the CMP with its share of the LLC.
     """
+    spec = resolve_design(design)
     context = BuildContext(
         program=program,
         llc=llc if llc is not None else SharedLLC(),
@@ -219,7 +221,6 @@ def design_from_spec(
         llc=context.llc,
         prefetcher=prefetcher,
         confluence=context.confluence,
-        config=frontend_config,
         perfect_l1i=spec.perfect_l1i,
         design_name=spec.name,
     )
@@ -235,22 +236,3 @@ def design_from_spec(
         shift_shared=spec.uses_shift,
     )
     return simulator, area
-
-
-def build_design(
-    name: Union[str, DesignSpec],
-    program: SyntheticProgram,
-    llc: Optional[SharedLLC] = None,
-    shared_history: Optional[ShiftHistory] = None,
-    frontend_config: Optional[FrontendConfig] = None,
-    record_history: bool = True,
-) -> Tuple[FrontendSimulator, FrontendAreaReport]:
-    """Instantiate a named design point (or an ad-hoc spec) for one core."""
-    return design_from_spec(
-        resolve_design(name),
-        program,
-        llc=llc,
-        shared_history=shared_history,
-        frontend_config=frontend_config,
-        record_history=record_history,
-    )

@@ -34,6 +34,9 @@ from repro.prefetch.base import InstructionPrefetcher, NullPrefetcher
 from repro.registry import check_count
 from repro.workloads.trace import Trace
 
+#: Default fraction of the trace used to warm structures before measuring.
+DEFAULT_WARMUP_FRACTION = 0.2
+
 
 def check_warmup_fraction(warmup_fraction: float) -> float:
     """Return ``warmup_fraction``, or raise :class:`ValueError` outside [0, 1).
@@ -58,7 +61,7 @@ class FrontendConfig:
     base_cpi: float = 1.0
     misfetch_penalty_cycles: int = 4
     direction_mispredict_penalty_cycles: int = 12
-    warmup_fraction: float = 0.2
+    warmup_fraction: float = DEFAULT_WARMUP_FRACTION
 
     def __post_init__(self) -> None:
         check_warmup_fraction(self.warmup_fraction)

@@ -174,7 +174,7 @@ def run_kernel_benchmark(
         best_s: Optional[float] = None
         result: Optional[FrontendResult] = None
         for _ in range(repeats):
-            simulator, _ = design_from_spec(resolve_design(spec_name), program)
+            simulator, _ = design_from_spec(spec_name, program)
             result, elapsed = _time_run(simulator, bench_trace, oracle)
             best_s = elapsed if best_s is None else min(best_s, elapsed)
         assert best_s is not None and result is not None

@@ -1,8 +1,9 @@
 """Component registries: pluggable BTB designs and instruction prefetchers.
 
 The factory layer used to be a closed if/elif chain over string tags inside
-:func:`repro.core.designs.build_design`; every new component meant editing
-core files.  This module replaces that with decorator-based registries:
+the design builder (now :func:`repro.core.designs.design_from_spec`); every
+new component meant editing core files.  This module replaces that with
+decorator-based registries:
 
 * component modules self-register their factories at import time
   (``@BTB_REGISTRY.register("conventional")``), and

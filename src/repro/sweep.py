@@ -6,8 +6,10 @@ module makes the grid cell the one unit of parallelism and makes repeat
 runs nearly free:
 
 * A **grid cell** (:class:`SweepCell`) is one (profile, design) pair plus
-  everything that determines its outcome: core count, trace length, trace
-  seeds and the frontend timing config.  Cells are independent given their
+  everything that determines its outcome: core count, trace length and
+  trace seeds.  Every cell models the same core (the Table 1 timing of
+  :class:`~repro.core.frontend.FrontendConfig`), so workloads and designs
+  are the only sweep axes.  Cells are independent given their
   seeds — every workload program and per-core trace is synthesized
   deterministically from the cell's parameters — so fanning cells out across
   a :class:`~concurrent.futures.ProcessPoolExecutor` is bit-identical to
@@ -96,7 +98,6 @@ from typing import (
 
 from repro.core.cmp import ChipMultiprocessor, CMPResult
 from repro.core.designs import DesignSpec, design_from_spec, resolve_design
-from repro.core.frontend import FrontendConfig
 from repro.faultinject import injection_point
 from repro.registry import (
     BTB_REGISTRY,
@@ -240,14 +241,14 @@ def atomic_write(path: Path, write: Callable[[Path], _T]) -> _T:
 
 def write_json(path: Path, document: object, indent: Optional[int] = None) -> Path:
     """:func:`atomic_write` sorted-key JSON (``indent`` adds a final newline)."""
-
-    def dump(tmp: Path) -> None:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=indent, sort_keys=True)
-            if indent is not None:
-                handle.write("\n")
-
-    atomic_write(path, dump)
+    # json.dumps, not json.dump: dump always builds the pure-Python encoder,
+    # whose closures refer to each other and leave a cycle to the collector
+    # on every call.  dumps takes the C encoder when indent is None (cache
+    # puts).
+    text = json.dumps(document, indent=indent, sort_keys=True)
+    if indent is not None:
+        text += "\n"
+    atomic_write(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
     return path
 
 
@@ -349,14 +350,15 @@ def cell_key(cell: "SweepCell") -> str:
     core count, per-core trace seeds and trace length, or a bound scenario's
     complete per-core assignment (every core's full profile parameters, seed
     and instruction budget) — plus the design spec (component names and
-    every parameter override), the source fingerprints of the registered
-    component factories the spec names and the frontend timing config: the
-    closure of inputs the simulation is a pure function of.
+    every parameter override) and the source fingerprints of the registered
+    component factories the spec names: the closure of inputs the
+    simulation is a pure function of.  Every cell models the same core, so
+    the timing config is no cell parameter: changing it changes the
+    simulator, which :data:`CACHE_SCHEMA_VERSION` covers.
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         **design_closure(cell.spec),
-        "frontend_config": _jsonable(cell.frontend_config),
         "cores": cell.cores,
     }
     if isinstance(cell.profile, BoundScenario):
@@ -719,7 +721,6 @@ class SweepCell:
     cores: int
     instructions_per_core: int
     trace_seed_base: int = 100
-    frontend_config: Optional[FrontendConfig] = None
 
     def key(self) -> str:
         return cell_key(self)
@@ -828,7 +829,6 @@ def _driver_key(
     cores: int,
     instructions_per_core: int,
     trace_seed_base: int,
-    frontend_config: Optional[FrontendConfig],
 ) -> _RowKey:
     """What :func:`cmp_driver` memoizes a driver (and its traces) under.
 
@@ -836,7 +836,7 @@ def _driver_key(
     workload at one chip shape, all run on the same driver and traces.  The
     pooled scheduler groups cells by it (see :func:`_next_row`).
     """
-    return (profile, cores, instructions_per_core, trace_seed_base, frontend_config)
+    return (profile, cores, instructions_per_core, trace_seed_base)
 
 
 def cmp_driver(
@@ -844,35 +844,27 @@ def cmp_driver(
     cores: int,
     instructions_per_core: int,
     trace_seed_base: int = 100,
-    frontend_config: Optional[FrontendConfig] = None,
     trace_store: Optional[TraceStore] = None,
 ) -> ChipMultiprocessor:
     """The per-process memoized CMP driver for one workload configuration.
 
-    Shared by sweep cells and :class:`repro.api.Session`, so a session and
-    the cells it schedules reuse one driver (and its cached traces).
-    ``profile`` may be a :class:`~repro.workloads.scenario.BoundScenario`,
-    in which case the driver runs its heterogeneous per-core assignment.  A
-    ``trace_store`` attaches to the memoized driver: traces it has not yet
-    materialized are loaded from (or saved to) the store.
+    Every cell of one grid row runs on the driver this returns, so a row's
+    designs share one trace set per process.  ``profile`` may be a
+    :class:`~repro.workloads.scenario.BoundScenario`, in which case the
+    driver runs its heterogeneous per-core assignment.  A ``trace_store``
+    attaches to the memoized driver: traces it has not yet materialized are
+    loaded from (or saved to) the store.
     """
-    memo_key = _driver_key(
-        profile, cores, instructions_per_core, trace_seed_base, frontend_config
-    )
+    memo_key = _driver_key(profile, cores, instructions_per_core, trace_seed_base)
     cmp_model = _CMP_MEMO.get(memo_key)
     if cmp_model is None:
         if isinstance(profile, BoundScenario):
-            cmp_model = ChipMultiprocessor(
-                frontend_config=frontend_config,
-                trace_store=trace_store,
-                scenario=profile,
-            )
+            cmp_model = ChipMultiprocessor(trace_store=trace_store, scenario=profile)
         else:
             cmp_model = ChipMultiprocessor(
                 workload_program(profile),
                 cores=cores,
                 instructions_per_core=instructions_per_core,
-                frontend_config=frontend_config,
                 trace_seed_base=trace_seed_base,
                 trace_store=trace_store,
             )
@@ -898,7 +890,6 @@ def _cmp_for_cell(
         cell.cores,
         cell.instructions_per_core,
         cell.trace_seed_base,
-        cell.frontend_config,
         trace_store=trace_store,
     )
 
@@ -1134,8 +1125,7 @@ def _run_pending_pooled(
     for index in pending:
         cell = cells[index]
         row_of[index] = _driver_key(
-            cell.profile, cell.cores, cell.instructions_per_core,
-            cell.trace_seed_base, cell.frontend_config,
+            cell.profile, cell.cores, cell.instructions_per_core, cell.trace_seed_base
         )
         remaining.setdefault(row_of[index], deque()).append(index)
     started: Set[_RowKey] = set()
@@ -1292,9 +1282,7 @@ def _build_pending_specs(
         )
         program = workload_program(profile)
         try:
-            design_from_spec(
-                cell.spec, program, frontend_config=cell.frontend_config
-            )
+            design_from_spec(cell.spec, program)
         except Exception as error:  # any component's own validation error
             raise ValueError(
                 f"design {cell.spec.name!r} cannot be built: "
@@ -1469,7 +1457,6 @@ def run_sweep(
     scale: float = 1.0,
     cores: int = 16,
     instructions_per_core: Optional[int] = None,
-    frontend_config: Optional[FrontendConfig] = None,
     trace_seed_base: int = 100,
     workers: Optional[int] = None,
     cache: Union[None, bool, str, Path, ResultCache] = None,
@@ -1563,7 +1550,6 @@ def run_sweep(
                 if instructions_per_core is None else instructions_per_core
             ),
             trace_seed_base=trace_seed_base,
-            frontend_config=frontend_config,
         )
         for profile in resolved_profiles
         for spec in specs
@@ -1575,7 +1561,6 @@ def run_sweep(
             cores=scenario.cores,
             instructions_per_core=scenario.instructions_per_core,
             trace_seed_base=trace_seed_base,
-            frontend_config=frontend_config,
         )
         for scenario in bound_scenarios
         for spec in specs

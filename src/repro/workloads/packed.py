@@ -291,23 +291,14 @@ class PackedTrace:
             name=self.name,
         )
 
-    @classmethod
-    def concatenate(
-        cls, traces: Iterable["PackedTrace"], name: str = "concat"
-    ) -> "PackedTrace":
-        columns = _empty_columns()
-        for trace in traces:
-            for column, attr in zip(columns, COLUMN_NAMES, strict=True):
-                column.extend(getattr(trace, attr))
-        return cls(columns, name=name)
-
     # ------------------------------------------------------------------ #
     # Columnar walks
     # ------------------------------------------------------------------ #
 
     def iter_blocks(self) -> Iterator[int]:
-        """Every block address touched, region by region, in fetch order
-        (duplicates included — the L1-I dedup lives in ``Trace.block_stream``).
+        """Every block address touched, region by region, in fetch order.
+
+        Duplicates are included: a block two regions touch is yielded twice.
         """
         block_size = BLOCK_SIZE_BYTES
         for first, count in zip(self.block_firsts, self.block_counts, strict=True):

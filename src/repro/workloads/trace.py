@@ -262,19 +262,6 @@ class Trace:
     def instruction_count(self) -> int:
         return self._packed.instruction_count
 
-    def block_stream(self) -> Iterator[int]:
-        """Block addresses in fetch order with consecutive duplicates removed.
-
-        This is the stream an L1-I front end observes: repeated accesses to
-        the same block within a fetch region (or across back-to-back regions)
-        do not re-access the cache.
-        """
-        previous = None
-        for block in self._packed.iter_blocks():
-            if block != previous:
-                yield block
-                previous = block
-
     def statistics(self) -> TraceStatistics:
         (
             instructions,
@@ -344,10 +331,3 @@ class Trace:
         return Trace.from_packed(
             self._packed.slice(0, count), name=f"{self.name}[:{count}]"
         )
-
-    @classmethod
-    def concatenate(cls, traces: Iterable["Trace"], name: str = "concat") -> "Trace":
-        packed = PackedTrace.concatenate(
-            (trace.packed for trace in traces), name=name
-        )
-        return cls.from_packed(packed, name=name)

@@ -13,10 +13,10 @@ from repro import (
     RunReport,
     Session,
     build_btb,
-    build_design,
     design_from_spec,
     register_design_point,
     resolve_design,
+    workload_program,
 )
 from repro.branch.btb_base import BaseBTB, BTBEntry, BTBLookupResult
 from repro.core.designs import DESIGN_POINTS
@@ -132,7 +132,7 @@ class TestDesignSpec:
 
     def test_unknown_design_lists_known_names(self, tiny_program):
         with pytest.raises(KeyError, match="unknown design point 'warp_drive'"):
-            build_design("warp_drive", tiny_program)
+            design_from_spec("warp_drive", tiny_program)
 
     def test_cmp_unknown_design_same_error(self, tiny_program):
         cmp_model = ChipMultiprocessor(tiny_program, cores=1, instructions_per_core=5_000)
@@ -146,7 +146,7 @@ class TestDesignSpec:
         )
         register_design_point(spec)
         try:
-            simulator, _ = build_design("tmp_point", tiny_program)
+            simulator, _ = design_from_spec("tmp_point", tiny_program)
             assert simulator.bpu.btb.entries == 512
         finally:
             del DESIGN_POINTS["tmp_point"]
@@ -156,8 +156,8 @@ class TestDesignSpec:
         # the spec's explicit accounting (the baseline BTB's storage).
         spec = resolve_design("ideal")
         assert spec.btb_storage_kb is not None
-        _, ideal_area = build_design("ideal", tiny_program)
-        _, baseline_area = build_design("baseline", tiny_program)
+        _, ideal_area = design_from_spec("ideal", tiny_program)
+        _, baseline_area = design_from_spec("baseline", tiny_program)
         assert ideal_area.components_mm2["btb"] == pytest.approx(
             baseline_area.components_mm2["btb"]
         )
@@ -237,13 +237,9 @@ class TestSession:
         assert restored == small_report
         assert restored["confluence"]["ipc"] == small_report["confluence"]["ipc"]
 
-    def test_session_caches_workload(self, small_session):
-        assert small_session.program is small_session.program
-        assert small_session.cmp is small_session.cmp
-
     def test_session_matches_cmp_driver(self, small_session, small_report):
         cmp_model = ChipMultiprocessor(
-            small_session.program, cores=2, instructions_per_core=6_000
+            workload_program(small_session.profile), cores=2, instructions_per_core=6_000
         )
         direct = cmp_model.run_design("confluence")
         assert small_report["confluence"]["ipc"] == pytest.approx(direct.ipc)
@@ -306,7 +302,7 @@ class TestCustomComponent:
         assert "custom_hit" in restored
 
     def test_custom_btb_instantiated_with_params(self, custom_design, tiny_program):
-        simulator, _ = build_design("custom_hit", tiny_program)
+        simulator, _ = design_from_spec("custom_hit", tiny_program)
         assert isinstance(simulator.bpu.btb, AlwaysHitBTB)
         assert simulator.bpu.btb.latency_cycles == 2
 

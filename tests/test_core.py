@@ -16,7 +16,7 @@ from repro.core import (
     DESIGN_POINTS,
     FrontendConfig,
     FrontendSimulator,
-    build_design,
+    design_from_spec,
 )
 from repro.core.area import SHIFT_PER_CORE_MM2, area_report, sram_area_mm2
 from repro.core.metrics import fraction_of_ideal, geometric_mean, miss_coverage, mpki
@@ -170,7 +170,7 @@ class TestConfluence:
             assert hit == (block.block_address in resident)
 
     def test_content_synchronization_invariant(self, tiny_program, tiny_trace):
-        simulator, _ = build_design("confluence", tiny_program)
+        simulator, _ = design_from_spec("confluence", tiny_program)
         simulator.run(tiny_trace.head(3000))
         l1i_blocks = set(simulator.l1i.resident_blocks())
         airbtb = simulator.confluence.airbtb
@@ -182,7 +182,7 @@ class TestConfluence:
     def test_storage_is_airbtb_only(self, tiny_program):
         # The predecoder and SHIFT add no dedicated SRAM: Confluence is
         # priced as its AirBTB plus SHIFT's fixed per-core share.
-        _, area = build_design("confluence", tiny_program)
+        _, area = design_from_spec("confluence", tiny_program)
         assert area.components_mm2 == {
             "btb": sram_area_mm2(AirBTBConfig().storage_kb),
             "shift": SHIFT_PER_CORE_MM2,
@@ -191,25 +191,25 @@ class TestConfluence:
 
 class TestFrontendSimulator:
     def test_ideal_design_has_no_l1i_stalls(self, tiny_program, tiny_trace):
-        simulator, _ = build_design("ideal", tiny_program)
+        simulator, _ = design_from_spec("ideal", tiny_program)
         result = simulator.run(tiny_trace)
         assert result.l1i_stall_cycles == 0
         assert result.l1i_misses == 0
 
     def test_baseline_suffers_misses(self, tiny_program, tiny_trace):
-        simulator, _ = build_design("baseline", tiny_program)
+        simulator, _ = design_from_spec("baseline", tiny_program)
         result = simulator.run(tiny_trace)
         assert result.l1i_misses > 0
         assert result.btb_taken_misses > 0
         assert result.cycles > result.base_cycles
 
     def test_results_account_post_warmup_only(self, tiny_program, tiny_trace):
-        simulator, _ = build_design("baseline", tiny_program)
+        simulator, _ = design_from_spec("baseline", tiny_program)
         result = simulator.run(tiny_trace, warmup_fraction=0.5)
         assert result.fetch_regions == len(tiny_trace) - int(len(tiny_trace) * 0.5)
 
     def test_speedup_over_self_is_one(self, tiny_program, tiny_trace):
-        simulator, _ = build_design("baseline", tiny_program)
+        simulator, _ = design_from_spec("baseline", tiny_program)
         result = simulator.run(tiny_trace)
         assert result.speedup_over(result) == pytest.approx(1.0)
 
@@ -241,7 +241,7 @@ class TestFrontendSimulator:
     ):
         # The override gets the config field's check: 1.0 would measure
         # nothing, and a negative share would measure the whole trace.
-        simulator, _ = build_design("baseline", tiny_program)
+        simulator, _ = design_from_spec("baseline", tiny_program)
         with pytest.raises(ValueError, match="warmup_fraction"):
             simulator.run(tiny_trace, warmup_fraction=warmup)
 
@@ -252,7 +252,7 @@ class TestFrontendSimulator:
             FrontendConfig(fetch_queue_basic_blocks=4)
 
     def test_mpki_properties(self, tiny_program, tiny_trace):
-        simulator, _ = build_design("baseline", tiny_program)
+        simulator, _ = design_from_spec("baseline", tiny_program)
         result = simulator.run(tiny_trace)
         assert result.btb_mpki == pytest.approx(
             1000 * result.btb_taken_misses / result.instructions
@@ -260,8 +260,8 @@ class TestFrontendSimulator:
         assert result.l1i_mpki == pytest.approx(1000 * result.l1i_misses / result.instructions)
 
     def test_prefetcher_reduces_l1i_stalls(self, small_program, small_trace):
-        baseline, _ = build_design("baseline", small_program)
-        confluence, _ = build_design("confluence", small_program)
+        baseline, _ = design_from_spec("baseline", small_program)
+        confluence, _ = design_from_spec("confluence", small_program)
         base_result = baseline.run(small_trace)
         conf_result = confluence.run(small_trace)
         assert conf_result.l1i_stall_cycles < base_result.l1i_stall_cycles
@@ -270,8 +270,8 @@ class TestFrontendSimulator:
         # _finalize claims repeated run() calls start clean: both the
         # in-flight prefetch table AND the cycle counter must rewind (warm
         # caches/predictors intentionally persist across traces).
-        sim_a, _ = build_design("baseline", tiny_program)
-        sim_b, _ = build_design("baseline", tiny_program)
+        sim_a, _ = design_from_spec("baseline", tiny_program)
+        sim_b, _ = design_from_spec("baseline", tiny_program)
         first_a = sim_a.run(tiny_trace)
         first_b = sim_b.run(tiny_trace)
         assert first_a == first_b
@@ -353,23 +353,23 @@ class TestStallTaxonomy:
 class TestDesignPoints:
     def test_all_named_designs_build(self, tiny_program):
         for name in DESIGN_POINTS:
-            simulator, area = build_design(name, tiny_program)
+            simulator, area = design_from_spec(name, tiny_program)
             assert simulator.design_name == name
             assert area.total_mm2 >= 0
 
     def test_unknown_design_rejected(self, tiny_program):
         with pytest.raises(KeyError):
-            build_design("warp_drive", tiny_program)
+            design_from_spec("warp_drive", tiny_program)
 
     def test_confluence_design_wires_confluence(self, tiny_program):
-        simulator, _ = build_design("confluence", tiny_program)
+        simulator, _ = design_from_spec("confluence", tiny_program)
         assert simulator.confluence is not None
         assert simulator.bpu.btb is simulator.confluence.airbtb
         assert simulator.prefetcher is simulator.confluence.prefetcher
 
     def test_two_level_design_has_larger_area_than_confluence(self, tiny_program):
-        _, two_level_area = build_design("2level_shift", tiny_program)
-        _, confluence_area = build_design("confluence", tiny_program)
+        _, two_level_area = design_from_spec("2level_shift", tiny_program)
+        _, confluence_area = design_from_spec("confluence", tiny_program)
         assert two_level_area.total_mm2 > confluence_area.total_mm2
 
     @pytest.mark.parametrize("name", list(DESIGN_POINTS))
@@ -380,7 +380,7 @@ class TestDesignPoints:
         is freed when its last reference goes, without the cyclic collector."""
         gc.disable()
         try:
-            simulator, _ = build_design(name, tiny_program)
+            simulator, _ = design_from_spec(name, tiny_program)
             simulator.run(tiny_trace)
             parts = (
                 simulator, simulator.l1i, simulator.bpu.btb,
@@ -404,16 +404,16 @@ class TestAreaModel:
             sram_area_mm2(-1)
 
     def test_confluence_area_about_one_percent_of_core(self, tiny_program):
-        _, area = build_design("confluence", tiny_program)
+        _, area = design_from_spec("confluence", tiny_program)
         assert area.fraction_of_core < 0.03
 
     def test_two_level_area_much_larger(self, tiny_program):
-        _, area = build_design("2level_shift", tiny_program)
+        _, area = design_from_spec("2level_shift", tiny_program)
         assert area.fraction_of_core > 0.07
 
     def test_relative_area_to_baseline(self, tiny_program):
-        _, baseline = build_design("baseline", tiny_program)
-        _, confluence = build_design("confluence", tiny_program)
+        _, baseline = design_from_spec("baseline", tiny_program)
+        _, confluence = design_from_spec("confluence", tiny_program)
         relative = confluence.relative_to(baseline)
         assert 1.0 < relative < 1.03
 

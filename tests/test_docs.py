@@ -1,6 +1,6 @@
 """Documentation integrity: links resolve, CLI and script examples are real.
 
-Four drift guards, all cheap enough for tier-1:
+Five drift guards, all cheap enough for tier-1:
 
 * every relative markdown link (and same-file anchor) in the repo's
   documentation points at something that exists — CI's docs job runs this
@@ -13,19 +13,23 @@ Four drift guards, all cheap enough for tier-1:
   a CLI that no longer exists;
 * every name an ``examples/*.py`` script imports from a ``repro`` module
   exists there — nothing else imports or runs the examples, so a deleted
-  name would otherwise break one unnoticed.
+  name would otherwise break one unnoticed;
+* every keyword an example passes to a callable it imports from ``repro``
+  is a parameter of that callable — the same guard for deleted keywords.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import _build_parser
+from repro.sweep import run_sweep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -144,3 +148,55 @@ def test_example_imports_exist():
                     if not hasattr(module, alias.name)
                 ]
     assert not missing, f"examples import names that do not exist: {missing}"
+
+
+def _example_keywords():
+    """(script, name, callable, keyword) for every keyword an example passes
+    to a callable it imports from a ``repro`` module (AST only, nothing runs)."""
+    out = []
+    for script in sorted((REPO_ROOT / "examples").glob("*.py")):
+        tree = ast.parse(script.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(module, alias.name, None)
+                    if callable(value):
+                        imported[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                target = imported.get(node.func.id)
+                if target is None:
+                    continue
+                out += [
+                    (script.name, node.func.id, target, keyword.arg)
+                    for keyword in node.keywords
+                    if keyword.arg is not None  # a ``**mapping`` names no keyword
+                ]
+    return out
+
+
+def _accepted_keywords(target) -> set:
+    """The keyword names ``target`` takes; a ``**kwargs`` callable (the grid
+    helpers) forwards the rest to :func:`repro.sweep.run_sweep`."""
+    parameters = inspect.signature(target).parameters.values()
+    names = {
+        parameter.name
+        for parameter in parameters
+        if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY)
+    }
+    if any(parameter.kind is parameter.VAR_KEYWORD for parameter in parameters):
+        names |= _accepted_keywords(run_sweep)
+    return names
+
+
+def test_example_calls_use_real_keywords():
+    keywords = _example_keywords()
+    assert keywords  # the scan found the examples' calls
+    stale = [
+        f"{script}: {name}(..., {keyword}=...)"
+        for script, name, target, keyword in keywords
+        if keyword not in _accepted_keywords(target)
+    ]
+    assert not stale, f"examples pass keywords that do not exist: {stale}"

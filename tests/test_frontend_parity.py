@@ -672,3 +672,38 @@ def test_stack_has_no_backend_knob(tiny_program, tiny_trace):
         with pytest.raises(TypeError, match="backend"):
             call()
             pytest.fail(f"{layer} accepted backend=")
+
+
+def test_stack_has_no_frontend_config_knob(tiny_program, tiny_trace):
+    # One modelled core: only FrontendSimulator(config=) sets the timing, so
+    # no layer above it takes a config.  run_sweep gets cores=0 too, so a
+    # layer that still accepted the knob fails fast instead of running.
+    from repro.analysis import frontend_comparison
+    from repro.api import Session
+    from repro.core.cmp import ChipMultiprocessor
+    from repro.core.frontend import FrontendConfig
+    from repro.sweep import cmp_driver, run_sweep
+
+    config = FrontendConfig()
+    calls = {
+        "Session": lambda: Session(profile="oltp_db2", frontend_config=config),
+        "run_sweep": lambda: run_sweep(
+            ["oltp_db2"], ["baseline"], cores=0, frontend_config=config
+        ),
+        "ChipMultiprocessor": lambda: ChipMultiprocessor(
+            tiny_program, cores=1, frontend_config=config
+        ),
+        "cmp_driver": lambda: cmp_driver(
+            tiny_program.profile, 1, 1_000, frontend_config=config
+        ),
+        "design_from_spec": lambda: design_from_spec(
+            "baseline", tiny_program, frontend_config=config
+        ),
+        "frontend_comparison": lambda: frontend_comparison(
+            tiny_program, tiny_trace, ["baseline"], frontend_config=config
+        ),
+    }
+    for layer, call in calls.items():
+        with pytest.raises(TypeError, match="frontend_config"):
+            call()
+            pytest.fail(f"{layer} accepted frontend_config=")

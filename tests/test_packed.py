@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from repro.isa.instruction import BLOCK_SIZE_BYTES, BranchKind, block_address
+from repro.isa.instruction import BranchKind, block_address
 from repro.workloads import packed as packed_module
 from repro.workloads.packed import (
     COLUMN_NAMES,
@@ -195,37 +195,6 @@ class TestStatisticsParity:
         assert branchless.branch_density() == {"static": 0.0, "dynamic": 0.0}
 
 
-class TestBlockStream:
-    def test_suppresses_duplicates_across_region_boundaries(self):
-        # Region 1 ends in block B; region 2 starts in the same block B:
-        # the L1-I sees B once, not twice.
-        block = block_address(BASE)
-        records = [
-            _record(BASE, count=4, taken=False),            # stays in block
-            _record(BASE + 16, count=4, taken=False),       # same block again
-            _record(BASE + 32, count=24,                    # spans into next blocks
-                    kind=BranchKind.UNCONDITIONAL, target=BASE),
-            _record(BASE, count=4, taken=False),            # back to the first
-        ]
-        trace = Trace(records, name="dup")
-        stream = list(trace.block_stream())
-        assert stream == [
-            block, block + BLOCK_SIZE_BYTES, block,
-        ]
-        # No consecutive duplicates, by construction.
-        assert all(a != b for a, b in zip(stream, stream[1:], strict=False))
-
-    def test_packed_and_view_streams_agree(self, tiny_trace):
-        view_stream = []
-        previous = None
-        for record in tiny_trace.records:
-            for block in record.blocks():
-                if block != previous:
-                    view_stream.append(block)
-                    previous = block
-        assert list(tiny_trace.block_stream()) == view_stream
-
-
 class TestHeadAndConcatenate:
     def test_head_statistics_consistent(self, tiny_trace):
         head = tiny_trace.head(257)
@@ -235,20 +204,9 @@ class TestHeadAndConcatenate:
         assert stats.instruction_count == head.instruction_count
         assert stats.fetch_region_count == len(head)
 
-    def test_concatenate_statistics_consistent(self, tiny_trace):
-        a, b = tiny_trace.head(100), tiny_trace.head(40)
-        combined = Trace.concatenate([a, b], name="ab")
-        assert len(combined) == 140
-        stats = combined.statistics()
-        assert stats == _reference_statistics(list(a.records) + list(b.records))
-        # Additive counters add; unique counters must not double-count.
-        assert stats.instruction_count == a.instruction_count + b.instruction_count
-        assert stats.unique_blocks == a.statistics().unique_blocks  # b ⊆ a
-        assert combined[99] == a[99] and combined[100] == b[0]
-
     def test_view_and_packed_paths_agree(self, tiny_trace):
-        # The same head/concatenate shapes built through the record view
-        # (packing FetchRecords) and through packed slicing must agree.
+        # The same head built through the record view (packing
+        # FetchRecords) and through packed slicing must agree.
         via_view = Trace(list(tiny_trace.records)[:64], name="x")
         via_packed = tiny_trace.head(64)
         assert via_view.statistics() == via_packed.statistics()

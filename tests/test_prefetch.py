@@ -5,7 +5,7 @@ import pytest
 from repro.branch import BranchPredictionUnit, PerfectBTB, ConventionalBTB
 from repro.caches.l1i import InstructionCache
 from repro.caches.llc import SharedLLC
-from repro.core import build_design
+from repro.core import design_from_spec
 from repro.core.area import SHIFT_PER_CORE_MM2
 from repro.prefetch import (
     FetchDirectedPrefetcher,
@@ -321,6 +321,6 @@ class TestShiftPrefetcher:
     def test_no_dedicated_storage(self, tiny_program):
         # History and index live in the LLC: a SHIFT design prices its BTB
         # and SHIFT's fixed per-core share, and nothing for the prefetcher.
-        _, area = build_design("2level_shift", tiny_program)
+        _, area = design_from_spec("2level_shift", tiny_program)
         assert set(area.components_mm2) == {"btb", "shift"}
         assert area.components_mm2["shift"] == SHIFT_PER_CORE_MM2

@@ -439,16 +439,6 @@ class TestSessionScenario:
         grid = run_grid([], DESIGNS, scenarios=["consolidated_oltp_dss"], **self.KW)
         assert report == grid["consolidated_oltp_dss"]
 
-    def test_scenario_session_has_no_single_program(self):
-        session = Session(scenario="consolidated_oltp_dss", **self.KW)
-        with pytest.raises(ValueError, match="spans multiple programs"):
-            session.program
-
-    def test_scenario_session_cmp_property(self):
-        session = Session(scenario="consolidated_oltp_dss", **self.KW)
-        assert session.cmp.workload_name == "consolidated_oltp_dss"
-        assert session.cmp.cores == 4
-
 
 class TestScenarioAnalysis:
     def test_scenario_grid_and_comparison_rows(self):

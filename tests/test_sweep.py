@@ -7,13 +7,13 @@ import os
 from collections import deque
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
 import repro.sweep as sweep_module
 from repro.api import Session, reports_from_sweep, run_grid
 from repro.core.designs import resolve_design
-from repro.core.frontend import FrontendConfig
 from repro.resilience import RetryPolicy
 from repro.sweep import (
     CACHE_SCHEMA_VERSION,
@@ -58,7 +58,6 @@ class TestCellKey:
         {"trace_seed_base": 101},
         {"spec": resolve_design("confluence")},
         {"profile": get_profile("dss_qry2").scaled(0.08)},
-        {"frontend_config": FrontendConfig(base_cpi=1.5)},
     ])
     def test_any_parameter_change_changes_the_key(self, overrides):
         assert _cell(**overrides).key() != _cell().key()
@@ -266,9 +265,12 @@ def _append_trajectory_point(directory):
     )
 
 
-def _torn_json_dump(document, handle, **kwargs):
-    """A serializer that dies part-way, as on a full disk."""
-    handle.write(json.dumps(document, **kwargs)[:16])
+_write_text = Path.write_text
+
+
+def _torn_write_text(self, data, *args, **kwargs):
+    """A text write that dies part-way, as on a full disk."""
+    _write_text(self, data[:16], *args, **kwargs)
     raise OSError(28, "No space left on device")
 
 
@@ -293,7 +295,7 @@ class TestOneWritePath:
         write(tmp_path)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         assert before  # the target (and any sidecar) exists
-        monkeypatch.setattr(json, "dump", _torn_json_dump)
+        monkeypatch.setattr(Path, "write_text", _torn_write_text)
         monkeypatch.setattr(PackedTrace, "save", _torn_trace_save)
         with pytest.raises(OSError, match="No space left"):
             write(tmp_path)
@@ -312,6 +314,13 @@ class TestOneWritePath:
         # ... nor existing trace artifacts.
         assert trace_key(get_profile("oltp_db2").scaled(0.08), 6000, 100) == (
             "2474e768a532b41e04bdac81ca09ce5fc8a91fb1440e0b155390c44de8b5d1ff"
+        )
+
+    def test_cell_key_is_pinned(self):
+        # ... nor existing result-cache entries: a refactor that moves the
+        # cell-key payload turns every cached cell into a miss.
+        assert _cell().key() == (
+            "9e6411c5da011b287b60ddb8e719a1ffeb2f578998fe478b12e09c9365dab626"
         )
 
 

@@ -232,12 +232,6 @@ class TestTraceGeneration:
         stats = tiny_trace.statistics()
         assert 0.4 < stats.taken_branch_fraction < 0.95
 
-    def test_block_stream_has_no_consecutive_duplicates(self, tiny_trace):
-        previous = None
-        for block in tiny_trace.block_stream():
-            assert block != previous
-            previous = block
-
     def test_statistics_consistency(self, tiny_trace):
         stats = tiny_trace.statistics()
         assert stats.instruction_count == tiny_trace.instruction_count
@@ -261,12 +255,8 @@ class TestTraceGeneration:
         assert walker.operations_completed >= walker.requests_completed
 
     def test_trace_head_and_concatenate(self, tiny_trace):
-        from repro.workloads.trace import Trace
-
         head = tiny_trace.head(10)
         assert len(head) == 10
-        combined = Trace.concatenate([head, head])
-        assert len(combined) == 20
 
     def test_record_block_listing(self, tiny_trace):
         record = tiny_trace[0]
