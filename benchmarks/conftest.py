@@ -50,14 +50,14 @@ CI perf smoke job finishes in seconds; see :mod:`repro.perfbench`.
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.sweep import ResultCache, TraceStore
-from repro.workloads import evaluation_profiles, generate_trace, synthesize_program
+from repro.workloads import build_workload, evaluation_profiles
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.45"))
 BENCH_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", "350000"))
@@ -72,12 +72,6 @@ BENCH_TRACE_STORE = os.environ.get("REPRO_BENCH_TRACE_STORE", "")
 # scale-based default.
 _smoke_env = os.environ.get("REPRO_BENCH_SMOKE")
 BENCH_SMOKE = (_smoke_env == "1") if _smoke_env is not None else BENCH_SCALE < 0.25
-
-
-def _build_workload(profile):
-    program = synthesize_program(profile)
-    trace = generate_trace(program, BENCH_INSTRUCTIONS, seed=1, name=profile.name)
-    return program, trace
 
 
 @pytest.fixture(scope="session")
@@ -122,24 +116,13 @@ def shape_assertions() -> bool:
     return not BENCH_SMOKE
 
 
-def _fork_context():
-    """Workers must fork: this conftest module is not importable by name
-    under spawn/forkserver (pytest loads it as a file, not a package)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platforms without fork
-        return None
-
-
 @pytest.fixture(scope="session")
 def workloads():
     """{label: (program, trace)} for the five evaluation workloads."""
     profiles = evaluation_profiles(scale=BENCH_SCALE)
-    context = _fork_context()
-    if BENCH_PARALLEL > 1 and context is not None:
-        with ProcessPoolExecutor(
-            max_workers=min(BENCH_PARALLEL, len(profiles)), mp_context=context
-        ) as pool:
-            built_list = list(pool.map(_build_workload, profiles.values()))
+    build = functools.partial(build_workload, instructions=BENCH_INSTRUCTIONS)
+    if BENCH_PARALLEL > 1:
+        with ProcessPoolExecutor(max_workers=min(BENCH_PARALLEL, len(profiles))) as pool:
+            built_list = list(pool.map(build, profiles.values()))
         return dict(zip(profiles.keys(), built_list, strict=True))
-    return {label: _build_workload(profile) for label, profile in profiles.items()}
+    return {label: build(profile) for label, profile in profiles.items()}

@@ -6,8 +6,8 @@ predictor, return address stack and indirect target cache, and
 timing reach those three.  What they predict is therefore a pure function of
 the trace and of their starting state.  :func:`build_branch_columns` walks a
 packed trace once, driving the three components through the calls
-``predict_region``/``resolve_region`` make, in the same order, minus the BTB,
-and records per region:
+``BranchPredictionUnit.predict``/``resolve`` make, in the same order, minus
+the BTB, and records per region:
 
 * ``predicted_takens`` — the predicted direction (1 taken, 0 not taken; a
   region without a branch predicts 0),
@@ -179,7 +179,7 @@ def build_branch_columns(
         code = kinds[index]
         taken = takens[index] != 0
 
-        # --- prediction (predict_region, minus the BTB lookup) -------------
+        # --- prediction (predict, minus the BTB lookup) --------------------
         predicted_taken = predict(branch_pc) if code == conditional else True
         if predicted_taken:
             predicted_takens[index] = 1
@@ -190,7 +190,7 @@ def build_branch_columns(
         if predicted_taken != taken:
             mispredictions += 1
 
-        # --- training (resolve_region, minus the BTB update) ---------------
+        # --- training (resolve, minus the BTB update) ----------------------
         if code == conditional:
             update(branch_pc, taken)
         if code == call or code == indirect_call:

@@ -101,32 +101,19 @@ class BranchPredictionUnit:
         self.direction_mispredictions = 0
 
     def predict(self, record: FetchRecord) -> BranchPrediction:
-        """Predict the outcome of the fetch region's terminating branch."""
-        return self.predict_region(
-            record.branch_pc,
-            record.kind,
-            record.taken,
-            record.next_pc,
-            record.fallthrough,
-        )
+        """Predict the outcome of the fetch region's terminating branch.
 
-    def predict_region(
-        self,
-        branch_pc: Optional[int],
-        kind: Optional[BranchKind],
-        taken: bool,
-        next_pc: int,
-        fallthrough: int,
-    ) -> BranchPrediction:
-        """Record-free :meth:`predict` (``fallthrough`` is the address
-        following the terminating branch, or the region end when there is no
-        branch).  :func:`repro.branch.columns.build_branch_columns` makes the
-        same direction, RAS and indirect calls, in the same order."""
+        :func:`repro.branch.columns.build_branch_columns` makes the same
+        direction, RAS and indirect calls, in the same order."""
         self.predictions += 1
+        branch_pc = record.branch_pc
+        next_pc = record.next_pc
         if branch_pc is None:
             result = BTBLookupResult(False, None, 0, "none")
             return BranchPrediction(result, False, next_pc, False, next_pc)
 
+        taken = record.taken
+        kind = record.kind
         result = self.btb.lookup(branch_pc, taken=taken)
 
         if kind is BranchKind.CONDITIONAL:
@@ -136,7 +123,7 @@ class BranchPredictionUnit:
 
         predicted_target: Optional[int]
         if not predicted_taken:
-            predicted_target = fallthrough
+            predicted_target = record.fallthrough
         elif kind is BranchKind.RETURN:
             predicted_target = self.ras.peek()
         elif kind is not None and kind.is_indirect:
@@ -158,35 +145,19 @@ class BranchPredictionUnit:
         return prediction
 
     def resolve(self, record: FetchRecord) -> None:
-        """Train every component with the resolved branch."""
-        self.resolve_region(
-            record.branch_pc,
-            record.kind,
-            record.taken,
-            record.target,
-            record.next_pc,
-            record.fallthrough,
-        )
-
-    def resolve_region(
-        self,
-        branch_pc: Optional[int],
-        kind: Optional[BranchKind],
-        taken: bool,
-        target: Optional[int],
-        next_pc: int,
-        fallthrough: int,
-    ) -> None:
-        """Record-free :meth:`resolve` (mirrored, minus the BTB update, by
-        :func:`repro.branch.columns.build_branch_columns`)."""
+        """Train every component with the resolved branch (mirrored, minus
+        the BTB update, by :func:`repro.branch.columns.build_branch_columns`)."""
+        branch_pc = record.branch_pc
         if branch_pc is None:
             return
+        kind = record.kind
+        taken = record.taken
         if kind is BranchKind.CONDITIONAL:
             self.direction.update(branch_pc, taken)
         if kind is not None and kind.is_call:
-            self.ras.push(fallthrough)
+            self.ras.push(record.fallthrough)
         if kind is BranchKind.RETURN:
             self.ras.pop()
         if kind is not None and kind.is_indirect and kind is not BranchKind.RETURN:
-            self.indirect.update(branch_pc, next_pc)
-        self.btb.update(branch_pc, kind, target, taken)
+            self.indirect.update(branch_pc, record.next_pc)
+        self.btb.update(branch_pc, kind, record.target, taken)

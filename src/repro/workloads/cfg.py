@@ -2,9 +2,10 @@
 
 The generator lays out a layered program: requests enter at layer 0 and call
 down through successive layers (modelling the deep software stacks of server
-workloads), with each function consisting of a chain of basic blocks whose
-terminators are conditional branches, loops, calls, indirect dispatches and
-returns.  The layout is deterministic for a given profile and seed.
+workloads), with each function consisting of a chain of basic blocks.  Each
+basic block is one record of the block and the branch that ends it: a
+conditional branch, loop, call, indirect dispatch or return.  The layout is
+deterministic for a given profile and seed.
 
 Forward progress guarantees built into the layout:
 
@@ -39,33 +40,25 @@ _MIN_BLOCK_LENGTH = 2
 
 
 @dataclass(frozen=True)
-class BranchBehavior:
-    """One branch: its static kind and target, and its dynamic semantics.
+class BasicBlock:
+    """A straight-line run of instructions and the branch that ends it.
 
-    The program image's descriptor of the branch carries ``kind`` and, for a
-    direct branch, ``taken_target``; the trace walker also reads what no
-    instruction encodes: taken bias, loop trip counts and indirect target
-    sets.
+    An instruction encodes only the branch's ``kind`` and ``taken_target``
+    (the static target of a direct branch; None for a return or an indirect
+    branch), which is what the program image's descriptor of it carries.
+    The trace walker also reads the fields no instruction encodes: taken
+    bias, loop trip counts and indirect target sets.
     """
 
-    pc: int
+    start: int
+    length: int
     kind: BranchKind
-    fallthrough: int
     taken_target: Optional[int]
     taken_bias: float = 1.0
     deterministic: bool = True
     is_loop: bool = False
     trip_range: Tuple[int, int] = (1, 1)
     indirect_targets: Tuple[int, ...] = ()
-
-
-@dataclass
-class BasicBlock:
-    """A straight-line run of instructions ending in a branch."""
-
-    start: int
-    length: int
-    terminator_kind: BranchKind
 
     @property
     def terminator_pc(self) -> int:
@@ -88,38 +81,22 @@ class Function:
 
 
 class ControlFlowGraph:
-    """Static CFG of a synthetic program: functions, blocks and behaviours."""
+    """Static CFG of a synthetic program: its functions and their blocks."""
 
     def __init__(self) -> None:
         self.functions: List[Function] = []
-        self._function_by_entry: Dict[int, Function] = {}
         self._block_by_start: Dict[int, BasicBlock] = {}
-        self._behavior_by_pc: Dict[int, BranchBehavior] = {}
 
     def add_function(self, function: Function) -> None:
         self.functions.append(function)
-        self._function_by_entry[function.entry] = function
         for block in function.basic_blocks:
             self._block_by_start[block.start] = block
-
-    def add_behavior(self, behavior: BranchBehavior) -> None:
-        self._behavior_by_pc[behavior.pc] = behavior
-
-    def function_at(self, entry: int) -> Optional[Function]:
-        return self._function_by_entry.get(entry)
 
     def block_starting_at(self, address: int) -> Optional[BasicBlock]:
         return self._block_by_start.get(address)
 
-    def behavior_of(self, branch_pc: int) -> BranchBehavior:
-        return self._behavior_by_pc[branch_pc]
-
     def functions_in_layer(self, layer: int) -> List[Function]:
         return [function for function in self.functions if function.layer == layer]
-
-    @property
-    def branch_count(self) -> int:
-        return len(self._behavior_by_pc)
 
 
 @dataclass
@@ -162,8 +139,8 @@ def synthesize_program(profile: WorkloadProfile) -> SyntheticProgram:
 
     The synthesis is a two-pass process: the first pass fixes every function's
     entry address and basic-block sizes so call targets are known; the second
-    pass materialises basic blocks and branch behaviours.  The program image
-    is then read off the basic blocks' terminators.
+    pass materialises each basic block with the branch that ends it.  The
+    program image is then read off the blocks' branches.
     """
     rng = random.Random(profile.seed)
     plans = _plan_functions(profile, rng)
@@ -173,19 +150,18 @@ def synthesize_program(profile: WorkloadProfile) -> SyntheticProgram:
         plans_by_layer.setdefault(plan.layer, []).append(plan)
 
     for plan in plans:
-        function = _materialize_function(plan, plans_by_layer, profile, rng, cfg)
-        cfg.add_function(function)
+        cfg.add_function(_materialize_function(plan, plans_by_layer, profile, rng))
     return SyntheticProgram(profile=profile, cfg=cfg, image=_program_image(cfg))
 
 
 def _program_image(cfg: ControlFlowGraph) -> Dict[int, PredecodedBlock]:
     """Predecode every 64-byte block that holds code, once.
 
-    Each basic block contributes its terminator's descriptor (the static
-    target of a direct branch, ``None`` for an indirect one) to the block
-    the terminator sits in, and marks every block its instructions span as
-    code.  Functions and their basic blocks are laid out in ascending
-    address order, so descriptors arrive in offset order.
+    Each basic block contributes its branch's descriptor (its kind and
+    ``taken_target``) to the block the branch sits in, and marks every
+    block its instructions span as code.  Functions and their basic blocks
+    are laid out in ascending address order, so descriptors arrive in offset
+    order.
     """
     branches: Dict[int, List[BranchDescriptor]] = {}
     for function in cfg.functions:
@@ -193,12 +169,10 @@ def _program_image(cfg: ControlFlowGraph) -> Dict[int, PredecodedBlock]:
             for base in range(block.start & BLOCK_MASK, block.end, BLOCK_SIZE_BYTES):
                 branches.setdefault(base, [])
             pc = block.terminator_pc
-            behavior = cfg.behavior_of(pc)
-            target = behavior.taken_target if behavior.kind.is_direct else None
-            branches[pc & BLOCK_MASK].append(
-                BranchDescriptor(branch_pc=pc, kind=behavior.kind, target=target,
-                                 offset=block_offset(pc))
+            descriptor = BranchDescriptor(
+                branch_pc=pc, kind=block.kind, target=block.taken_target, offset=block_offset(pc)
             )
+            branches[pc & BLOCK_MASK].append(descriptor)
     image: Dict[int, PredecodedBlock] = {}
     for base, descriptors in branches.items():
         bitmap = 0
@@ -259,7 +233,6 @@ def _materialize_function(
     plans_by_layer: Dict[int, List[_FunctionPlan]],
     profile: WorkloadProfile,
     rng: random.Random,
-    cfg: ControlFlowGraph,
 ) -> Function:
     block_starts: List[int] = []
     address = plan.entry
@@ -276,26 +249,21 @@ def _materialize_function(
     # requests to lower layers, so their call density is higher.  This keeps
     # the walk from ending before it descends into the service layers.
     call_boost = 1.8 if plan.layer <= 1 else 1.0
-    chosen_kinds: List[BranchKind] = []
 
     for index, length in enumerate(plan.block_lengths):
-        start = block_starts[index]
         kind = _choose_terminator(index, last_index, profile, rng, has_deeper_layer, call_boost)
-        chosen_kinds.append(kind)
-        block = BasicBlock(start=start, length=length, terminator_kind=kind)
-        behavior = _build_terminator(
+        block = _build_block(
             kind=kind,
-            terminator_pc=block.terminator_pc,
-            fallthrough=block.end,
+            start=block_starts[index],
+            length=length,
             block_index=index,
             block_starts=block_starts,
             plans_by_layer=plans_by_layer,
             callee_layer=callee_layer,
             profile=profile,
             rng=rng,
-            preceding_kinds=chosen_kinds,
+            preceding=function.basic_blocks,
         )
-        cfg.add_behavior(behavior)
         function.basic_blocks.append(block)
 
     return function
@@ -330,28 +298,22 @@ def _choose_terminator(
     return BranchKind.RETURN
 
 
-def _build_terminator(
+def _build_block(
     kind: BranchKind,
-    terminator_pc: int,
-    fallthrough: int,
+    start: int,
+    length: int,
     block_index: int,
     block_starts: Sequence[int],
     plans_by_layer: Dict[int, List[_FunctionPlan]],
     callee_layer: int,
     profile: WorkloadProfile,
     rng: random.Random,
-    preceding_kinds: Sequence[BranchKind] = (),
-) -> BranchBehavior:
+    preceding: Sequence[BasicBlock],
+) -> BasicBlock:
     last_index = len(block_starts) - 1
 
     if kind is BranchKind.RETURN:
-        return BranchBehavior(
-            pc=terminator_pc,
-            kind=kind,
-            fallthrough=fallthrough,
-            taken_target=None,
-            taken_bias=1.0,
-        )
+        return BasicBlock(start, length, kind, taken_target=None)
 
     if kind is BranchKind.CONDITIONAL:
         make_loop = block_index > 0 and rng.random() < profile.loop_fraction
@@ -364,20 +326,19 @@ def _build_terminator(
             candidates = [
                 j
                 for j in range(max(0, block_index - 2), block_index)
-                if not preceding_kinds[j].is_call
+                if not preceding[j].kind.is_call
             ]
             if candidates:
                 target_index = rng.choice(candidates)
-                trip_low, trip_high = profile.loop_trip_range
-                return BranchBehavior(
-                    pc=terminator_pc,
-                    kind=kind,
-                    fallthrough=fallthrough,
+                return BasicBlock(
+                    start,
+                    length,
+                    kind,
                     taken_target=block_starts[target_index],
                     taken_bias=0.9,
                     deterministic=False,
                     is_loop=True,
-                    trip_range=(trip_low, trip_high),
+                    trip_range=profile.loop_trip_range,
                 )
         skip = rng.randint(1, min(6, last_index - block_index))
         target_index = min(last_index, block_index + skip)
@@ -388,10 +349,10 @@ def _build_terminator(
             # server code; an unbiased coin here would destroy the
             # request-level recurrence real workloads exhibit.
             taken_bias = 0.9 if taken_bias >= 0.5 else 0.1
-        return BranchBehavior(
-            pc=terminator_pc,
-            kind=kind,
-            fallthrough=fallthrough,
+        return BasicBlock(
+            start,
+            length,
+            kind,
             taken_target=block_starts[target_index],
             taken_bias=taken_bias,
             deterministic=deterministic,
@@ -400,45 +361,24 @@ def _build_terminator(
     if kind is BranchKind.UNCONDITIONAL:
         skip = rng.randint(1, min(4, last_index - block_index))
         target_index = min(last_index, block_index + skip)
-        return BranchBehavior(
-            pc=terminator_pc,
-            kind=kind,
-            fallthrough=fallthrough,
-            taken_target=block_starts[target_index],
-        )
+        return BasicBlock(start, length, kind, taken_target=block_starts[target_index])
 
     if kind is BranchKind.INDIRECT:
         candidates = _forward_targets(
             block_starts, block_index, profile.cross_layer_fanout + 1, rng
         )
-        return BranchBehavior(
-            pc=terminator_pc,
-            kind=kind,
-            fallthrough=fallthrough,
-            taken_target=None,
-            indirect_targets=candidates,
-        )
+        return BasicBlock(start, length, kind, taken_target=None, indirect_targets=candidates)
 
     callees = plans_by_layer[callee_layer]
     if kind is BranchKind.CALL:
         callee = rng.choice(callees)
-        return BranchBehavior(
-            pc=terminator_pc,
-            kind=kind,
-            fallthrough=fallthrough,
-            taken_target=callee.entry,
-        )
+        return BasicBlock(start, length, kind, taken_target=callee.entry)
 
     if kind is BranchKind.INDIRECT_CALL:
         fanout = min(profile.cross_layer_fanout, len(callees))
         chosen = rng.sample(callees, fanout)
-        return BranchBehavior(
-            pc=terminator_pc,
-            kind=kind,
-            fallthrough=fallthrough,
-            taken_target=None,
-            indirect_targets=tuple(plan.entry for plan in chosen),
-        )
+        targets = tuple(plan.entry for plan in chosen)
+        return BasicBlock(start, length, kind, taken_target=None, indirect_targets=targets)
 
     raise ValueError(f"unhandled terminator kind {kind}")
 

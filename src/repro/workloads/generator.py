@@ -81,7 +81,7 @@ _INDIRECT = 6
 _RETURN = 7
 
 #: (``kinds`` column code, dispatch code) per branch kind; a conditional's
-#: dispatch code is refined from its behavior.
+#: dispatch code is refined from its block.
 _KIND_DISPATCH: Dict[BranchKind, Tuple[int, int]] = {
     kind: (kind_code(kind), code)
     for kind, code in (
@@ -199,41 +199,41 @@ class TraceWalker:
         return self._layer0_entries[min(index, len(self._layer0_entries) - 1)]
 
     def _block_row(self, pc: int) -> Optional[_BlockRow]:
-        """The walker's row for the block starting at ``pc`` (None: no block)."""
-        cfg = self.program.cfg
-        block = cfg.block_starting_at(pc)
+        """The walker's row for the block starting at ``pc`` (None: no block),
+        read off the block's record of itself and the branch that ends it."""
+        block = self.program.cfg.block_starting_at(pc)
         if block is None:
             return None
-        behavior = cfg.behavior_of(block.terminator_pc)
-        dispatch = _KIND_DISPATCH.get(behavior.kind)
+        dispatch = _KIND_DISPATCH.get(block.kind)
         if dispatch is None:
-            raise ValueError(f"unhandled branch kind {behavior.kind}")
+            raise ValueError(f"unhandled branch kind {block.kind}")
         kind, code = dispatch
-        extra: Tuple[int, ...] = behavior.indirect_targets
+        extra: Tuple[int, ...] = block.indirect_targets
         if code == _DETERMINISTIC:
-            if behavior.is_loop:
-                code, extra = _LOOP, behavior.trip_range
-            elif not behavior.deterministic:
+            if block.is_loop:
+                code, extra = _LOOP, block.trip_range
+            elif not block.deterministic:
                 code = _DATA_DEPENDENT
+        branch_pc = block.terminator_pc
         # Resolution key: the (type, operation) path, plus the request
         # parameter for the minority of parameter-sensitive branches.  Only
         # keyed outcomes need the flag.
         keyed = code == _DETERMINISTIC or code == _LOOP or len(extra) > 1
         sensitive = (
             keyed
-            and _stable_fraction(behavior.pc, 0xA11CE) < _PARAMETER_SENSITIVE_FRACTION
+            and _stable_fraction(branch_pc, 0xA11CE) < _PARAMETER_SENSITIVE_FRACTION
         )
-        target = behavior.taken_target
+        target = block.taken_target
         static_target = target if target is not None else NO_VALUE
         return (
-            region_row(pc, block.length, behavior.pc, kind, static_target),
+            region_row(pc, block.length, branch_pc, kind, static_target),
             block.length,
             code,
-            behavior.pc,
+            branch_pc,
             static_target,
             block.end,
             sensitive,
-            behavior.taken_bias,
+            block.taken_bias,
             extra,
         )
 
@@ -373,7 +373,9 @@ def build_workload(
 ) -> Tuple[SyntheticProgram, Trace]:
     """Synthesize the program for ``profile`` and generate its trace.
 
-    This is the one-call entry point most examples and benchmarks use.
+    The figure benchmarks build their shared evaluation workloads through
+    this call (``benchmarks/conftest.py``), as does
+    ``examples/btb_design_space.py``.
     """
     program = synthesize_program(profile)
     count = instructions or profile.recommended_trace_instructions

@@ -1,6 +1,6 @@
 """Documentation integrity: links resolve, CLI and script examples are real.
 
-Five drift guards, all cheap enough for tier-1:
+Six drift guards, all cheap enough for tier-1:
 
 * every relative markdown link (and same-file anchor) in the repo's
   documentation points at something that exists — CI's docs job runs this
@@ -15,7 +15,11 @@ Five drift guards, all cheap enough for tier-1:
   exists there — nothing else imports or runs the examples, so a deleted
   name would otherwise break one unnoticed;
 * every keyword an example passes to a callable it imports from ``repro``
-  is a parameter of that callable — the same guard for deleted keywords.
+  is a parameter of that callable — the same guard for deleted keywords;
+* every test the README, ``docs/`` or the verify skill cites — a
+  ``tests/<file>.py::Class::test`` node id or a backticked ``test_*`` or
+  ``Test*`` name — is defined in the test modules, parsed and not run
+  (ROADMAP.md and CHANGES.md are history, and cite deleted tests).
 """
 
 from __future__ import annotations
@@ -41,11 +45,25 @@ DOC_FILES = sorted(
     ]
 )
 
+#: The documents that describe the tree as it stands, under the citation
+#: guard.
+CITING_DOCS = [
+    REPO_ROOT / "README.md",
+    *sorted((REPO_ROOT / "docs").glob("*.md")),
+    REPO_ROOT / ".claude/skills/verify/SKILL.md",
+]
+
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _FENCE = re.compile(r"```[a-z]*\n(.*?)```", re.DOTALL)
 #: A markdown path as code cites it: ``docs/report.md``, ``README.md``.
 _MD_PATH = re.compile(r"[\w./-]*[\w-]\.md\b")
+#: A test module or node id as a document cites it: ``tests/test_sweep.py``,
+#: ``tests/test_sweep.py::TestOneWritePath``.
+_NODE_ID = re.compile(r"\b((?:tests|benchmarks)/[\w/]+\.py)((?:::\w+)*)")
+#: A test cited by its name alone: ``test_warm_reuse_parity`` in backticks.
+_TEST_NAME = re.compile(r"`(test_\w+|Test\w+)`")
+_DEFINITION = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _anchors(path: Path) -> set:
@@ -89,6 +107,46 @@ def test_markdown_paths_named_in_code_resolve():
                 ):
                     stale.append(f"{source.relative_to(REPO_ROOT)}: {name}")
     assert not stale, f"code cites missing markdown file(s): {stale}"
+
+
+def _definitions(body) -> dict:
+    """``{name: its own definitions}`` for each class and function in ``body``."""
+    return {
+        node.name: _definitions(node.body) if isinstance(node, ast.ClassDef) else {}
+        for node in body
+        if isinstance(node, _DEFINITION)
+    }
+
+
+def test_cited_tests_exist():
+    modules = {
+        source.relative_to(REPO_ROOT).as_posix(): ast.parse(source.read_text(encoding="utf-8"))
+        for tree in ("tests", "benchmarks")
+        for source in (REPO_ROOT / tree).rglob("*.py")
+    }
+    names = {
+        node.name
+        for module in modules.values()
+        for node in ast.walk(module)
+        if isinstance(node, _DEFINITION)
+    }
+    cited, stale = 0, []
+    for doc in CITING_DOCS:
+        text = doc.read_text(encoding="utf-8")
+        where = doc.relative_to(REPO_ROOT)
+        for path, node_id in _NODE_ID.findall(text):
+            cited += 1
+            scope = _definitions(modules[path].body) if path in modules else None
+            for name in node_id.split("::")[1:]:
+                scope = scope.get(name) if scope is not None else None
+            if scope is None:
+                stale.append(f"{where}: {path}{node_id}")
+        for name in _TEST_NAME.findall(text):
+            cited += 1
+            if name not in names:
+                stale.append(f"{where}: {name}")
+    assert cited  # the scan found the documents' citations
+    assert not stale, f"documentation cites tests that do not exist: {stale}"
 
 
 def test_every_doc_is_reachable_from_the_index():

@@ -345,7 +345,7 @@ class TestAllocationFreeKernel:
     The scratch-slot API (``lookup_into``), the per-trace branch columns and
     the hoisted ``PrefetchContext`` are regression-pinned by counting
     constructor/entry-point calls: a design on the hot path must complete a
-    whole run with zero ``predict_region`` calls (columns used instead),
+    whole run with zero ``predict`` calls (columns used instead),
     zero ``lookup`` calls on slot-capable BTBs, and at most one
     ``PrefetchContext`` ever built (zero when the design has no prefetcher).
     The ``reference`` oracle allocates freely on purpose.
@@ -370,9 +370,7 @@ class TestAllocationFreeKernel:
         from repro.branch.unit import BranchPredictionUnit, PredictionSlot
         from repro.prefetch.base import PrefetchContext
 
-        predictions = self._count_calls(
-            monkeypatch, BranchPredictionUnit, "predict_region"
-        )
+        predictions = self._count_calls(monkeypatch, BranchPredictionUnit, "predict")
         lookups = self._count_calls(monkeypatch, ConventionalBTB, "lookup")
         contexts = self._count_calls(monkeypatch, PrefetchContext, "__init__")
         slots = self._count_calls(monkeypatch, PredictionSlot, "__init__")

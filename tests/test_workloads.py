@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import pickle
 import sys
 from array import array
 
@@ -111,7 +112,7 @@ class TestSynthesis:
 
     def test_every_function_ends_with_return(self, tiny_program):
         for function in tiny_program.cfg.functions:
-            assert function.basic_blocks[-1].terminator_kind is BranchKind.RETURN
+            assert function.basic_blocks[-1].kind is BranchKind.RETURN
 
     def test_basic_blocks_are_contiguous(self, tiny_program):
         for function in tiny_program.cfg.functions:
@@ -124,34 +125,25 @@ class TestSynthesis:
         checked = 0
         for function in cfg.functions:
             for block in function.basic_blocks:
-                behavior = cfg.behavior_of(block.terminator_pc)
-                if behavior.kind in (BranchKind.CONDITIONAL, BranchKind.UNCONDITIONAL):
-                    assert cfg.block_starting_at(behavior.taken_target) is not None
+                if block.kind in (BranchKind.CONDITIONAL, BranchKind.UNCONDITIONAL):
+                    assert cfg.block_starting_at(block.taken_target) is not None
                     checked += 1
         assert checked > 0
 
     def test_calls_target_deeper_layers(self, tiny_program):
-        cfg = tiny_program.cfg
-        layer_of = {}
-        for function in cfg.functions:
+        functions = tiny_program.cfg.functions
+        layer_of = {function.entry: function.layer for function in functions}
+        for function in functions:
             for block in function.basic_blocks:
-                layer_of[block.terminator_pc] = function.layer
-        for function in cfg.functions:
-            for block in function.basic_blocks:
-                behavior = cfg.behavior_of(block.terminator_pc)
-                if behavior.kind is BranchKind.CALL:
-                    callee = cfg.function_at(behavior.taken_target)
-                    assert callee is not None
-                    assert callee.layer > function.layer
+                if block.kind is BranchKind.CALL:
+                    assert layer_of[block.taken_target] > function.layer
 
     def test_loop_targets_are_backward_and_local(self, tiny_program):
-        cfg = tiny_program.cfg
-        for function in cfg.functions:
+        for function in tiny_program.cfg.functions:
             starts = [b.start for b in function.basic_blocks]
             for index, block in enumerate(function.basic_blocks):
-                behavior = cfg.behavior_of(block.terminator_pc)
-                if behavior.is_loop:
-                    target_index = starts.index(behavior.taken_target)
+                if block.is_loop:
+                    target_index = starts.index(block.taken_target)
                     assert target_index < index
                     assert index - target_index <= 2
 
@@ -166,10 +158,9 @@ class TestSynthesis:
                 predecoded = image[block_address(pc)]
                 assert (predecoded.bitmap >> block_offset(pc)) & 1
                 (descriptor,) = [d for d in predecoded.branches if d.branch_pc == pc]
-                behavior = cfg.behavior_of(pc)
-                assert descriptor.kind is behavior.kind is block.terminator_kind
-                if behavior.kind.is_direct:
-                    assert descriptor.target == behavior.taken_target is not None
+                assert descriptor.kind is block.kind
+                if block.kind.is_direct:
+                    assert descriptor.target == block.taken_target is not None
                 else:
                     assert descriptor.target is None
 
@@ -202,6 +193,46 @@ class TestSynthesis:
                 (d.branch_pc, d.kind.value, d.target, d.offset) for d in block.branches
             ))).encode())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("name, scale, digest", [
+        ("oltp_db2", 0.1, "6ec12e16fdbaf5f88235cf09dbc4d80f09d00691d57f408cb4d05137bc6837b6"),
+        ("oltp_oracle", 0.1, "5ebf83e2f3ea8d34058ff734dcd4eaf22390309ba9716b3c3abeb1a08568aa2f"),
+        ("dss_qry2", 0.1, "943b5e4f6b06f6e6b9081cb26d92617f749f6815872dd430e299dae839dd8937"),
+        ("dss_qry8", 0.1, "69e4608337d2ae6a3095a76003bffe8412ca599c3d82a934ecd5f87bc234b8fa"),
+        ("dss_qry17", 0.1, "09129e36d6b16c908b9822ced8112db81c0da23090c40eaec8d15706e577d83c"),
+        ("dss_qry20", 0.1, "5d2c2a58730e4d94e12b52f771131aa626f0c3cf1c5f1649d572c7fe58918e5f"),
+        ("media_streaming", 0.1,
+         "b26dd386e5a233ab406085335bfaa8fe695346015a92a0addea982cd48e3c82e"),
+        ("web_frontend", 0.1, "743332d7eed10e88c751b4807eeec980d0ede1db01428f2ba1162b0754eca8ae"),
+        ("oltp_oracle", 0.45, "4f51124b380438dea19dfff1c0ad7a4087d5308e3e7b79d1abe2b1d9d0693534"),
+    ])
+    def test_program_cfg_is_pinned(self, name, scale, digest):
+        # Every draw synthesis makes, including what no instruction encodes
+        # (biases, loop trip ranges, indirect targets) and blocks no trace
+        # visits: each function's layer and entry, then each of its blocks.
+        # Recorded when the dynamic fields lived in a second record per
+        # branch, joined to its block by PC.
+        cfg = synthesize_program(get_profile(name).scaled(scale)).cfg
+        h = hashlib.sha256()
+        for function in cfg.functions:
+            for block in function.basic_blocks:
+                h.update(repr((
+                    function.layer, function.entry, block.start, block.length,
+                    block.kind.value, block.taken_target, block.taken_bias,
+                    block.deterministic, block.is_loop, block.trip_range,
+                    block.indirect_targets,
+                )).encode())
+        assert h.hexdigest() == digest
+
+    def test_program_survives_pickling(self, tiny_program):
+        # A worker process hands programs back to its parent by pickle (the
+        # figure benchmarks build their workloads in a process pool).
+        copy = pickle.loads(pickle.dumps(tiny_program))
+        assert copy.cfg.functions == tiny_program.cfg.functions
+        assert copy.image == tiny_program.image
+        first = generate_trace(tiny_program, 5_000, seed=2)
+        second = generate_trace(copy, 5_000, seed=2)
+        assert list(first.records) == list(second.records)
 
 
 class TestTraceGeneration:
